@@ -4,6 +4,12 @@ Everything is float64. A Tensor wraps an ndarray plus a closure that knows
 how to push gradients to its parents; backward() walks the tape in reverse
 topological order. Only the primitives the model actually needs are
 implemented.
+
+Aliasing rule: a backward closure never writes into the arrays it closed
+over (forward inputs and saved intermediates) or into the incoming gradient.
+Gradients are passed on and accumulated without copies, and fused closures
+such as gelu's keep only the forward's arrays and build their result in
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -277,17 +283,40 @@ def tanh(a: Tensor) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+def _square(x: np.ndarray) -> np.ndarray:
+    """x * x in a fresh array, also for 0-d x (where x * x is a numpy scalar)."""
+    return np.multiply(x, x, out=np.empty_like(x))
+
+
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation; smooth, so finite-difference checks behave.
+    # tanh approximation; smooth, so finite-difference checks behave. The cubic
+    # term is built from products: numpy's float64 pow costs ~40x a multiply.
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    t = _square(x)
+    t *= 0.044715
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        a._accum(g * grad)
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
+        xdinner = _square(x)
+        xdinner *= 3 * 0.044715
+        xdinner += 1.0
+        xdinner *= x
+        xdinner *= _GELU_C
+        ga = _square(t)
+        np.subtract(1.0, ga, out=ga)
+        ga *= xdinner
+        ga += 1.0
+        ga += t
+        ga *= 0.5
+        ga *= g
+        a._accum(ga)
 
     return _make(out_data, (a,), backward)
 
@@ -360,15 +389,35 @@ def getitem(a: Tensor, key) -> Tensor:
 # -- gather / scatter ---------------------------------------------------------
 
 
+def _row_sum(idx: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[r] = sum of values[i] over idx[i] == r; rows no index names stay 0.
+
+    A stable sort groups equal indices and np.add.reduceat sums each group,
+    which is far cheaper than np.add.at's unbuffered per-element loop. It adds
+    a group's first row to a pairwise sum of the rest, so a sum can differ
+    from np.add.at's running one in the last ulps. `idx` is 1-D and
+    non-negative.
+    """
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
+    if idx.size == 0:
+        return out
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
+    if starts.size == idx.size:
+        out[idx] = values
+    else:
+        out[sorted_idx[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """out[i] = a[idx[i]]; duplicate indices accumulate in the backward pass."""
     idx = np.asarray(idx, dtype=np.intp)
     out_data = a.data[idx]
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        a._accum(ga)
+        a._accum(_row_sum(idx, g, a.shape[0]))
 
     return _make(out_data, (a,), backward)
 
@@ -396,8 +445,7 @@ def scatter_rows(base: Tensor, idx: np.ndarray, values: Tensor) -> Tensor:
 def segment_sum(a: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of a (E, d) tensor into num_segments buckets."""
     seg = np.asarray(seg, dtype=np.intp)
-    out_data = np.zeros((num_segments,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out_data, seg, a.data)
+    out_data = _row_sum(seg, a.data, num_segments)
 
     def backward(g):
         a._accum(g[seg])
@@ -412,9 +460,8 @@ def gather_elements(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     out_data = a.data[rows, cols]
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        a._accum(ga)
+        flat = _row_sum(rows * a.shape[1] + cols, g, a.size)
+        a._accum(flat.reshape(a.shape))
 
     return _make(out_data, (a,), backward)
 

@@ -9,6 +9,7 @@ deterministic (no timestamps), so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,23 +25,34 @@ class CheckpointError(ValueError):
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write the checkpoint to a sibling temp file, then rename it over `path`,
+    so a crash mid-write leaves the previous checkpoint whole."""
+    path = Path(path)
     names = sorted(arrays)
+    payload = [np.ascontiguousarray(arrays[name], dtype=np.float64) for name in names]
     manifest = {}
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+    for name, arr in zip(names, payload):
         manifest[name] = {"shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
     header = json.dumps(
         {"version": FORMAT_VERSION, "meta": meta, "arrays": manifest},
         sort_keys=True, separators=(",", ":"),
     ).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header).to_bytes(8, "little"))
+            fh.write(header)
+            for arr in payload:
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path):

@@ -236,7 +236,6 @@ def odin_forward(
     identity_encoder: bool = False,
     init_features: dict | None = None,
     record_trace: bool = False,
-    allow_hop_saturation: bool = False,
 ) -> ForwardResult:
     """Run the full layer stack over a sampled subgraph.
 
@@ -247,11 +246,10 @@ def odin_forward(
     message-passing network over the same frontiers (a test hook).
     """
     if sub.hop_count != schedule.hop_count:
-        if not (allow_hop_saturation and schedule.hop_count > sub.hop_count):
-            raise ConfigError(
-                f"schedule expects {schedule.hop_count} hop(s) but subgraph has "
-                f"{sub.hop_count}"
-            )
+        raise ConfigError(
+            f"schedule expects {schedule.hop_count} hop(s) but subgraph has "
+            f"{sub.hop_count}"
+        )
     base = sub.base
     pos = {v: i for i, v in enumerate(base)}
     frontiers = _build_frontiers(sub, pos)

@@ -3,7 +3,9 @@ computation, task fine-tuning, and evaluation protocols.
 
 Determinism contract: every batch order, sampling draw, and mask plan is
 derived from (config seed, epoch, step), never from a long-lived RNG stream,
-so a run resumed from a checkpoint continues bit-identically.
+so a run resumed from a checkpoint continues bit-identically. Reports repeat
+bit for bit only at a fixed BLAS thread count: the BLAS splits its sums by
+thread, so changing the count moves losses in the last ULP.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 Starting from the batch B_A, each expansion unions the current frontier with
 a bounded sample of its neighbors: B_{a-1} = B_a ∪ sample(neighbors(B_a)),
 down to B_0. A node's neighbor sample is drawn once, the first time it is
-expanded, from a sub-seed of (seed, node, hop); results are therefore
-independent of iteration order and of what else is in the batch.
+expanded, from a sub-seed of (seed, node, hop), so the frontiers do not
+depend on iteration order. They do depend on the batch: the hop in the
+sub-seed is the one at which the node is first expanded, which is the full
+hop count for a batch node and smaller for a node first reached as a
+neighbor, so the same node can draw different neighbors in different batches.
 """
 
 from __future__ import annotations

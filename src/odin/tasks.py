@@ -193,7 +193,8 @@ def retrieval_eval(
     seed: int = 0, config_digest: str = "",
 ) -> EvalReport:
     """Rank every label name embedding per node; the metric is the fraction
-    of nodes whose gold label lands in the top k."""
+    of nodes whose gold label lands in the top k. With fewer than k labels,
+    k is clipped to the label count and the metric is named after it."""
     if not gold:
         raise ValueError("no queries to retrieve (is the test split empty?)")
     label_ids = np.array(sorted(label_embs))
@@ -208,7 +209,7 @@ def retrieval_eval(
         top = set(label_ids[order[:k]])
         hits += int(gold[node] in top)
     value = hits / len(gold)
-    return EvalReport("retrieve", "Recall@10", value, seed, config_digest,
+    return EvalReport("retrieve", f"Recall@{k}", value, seed, config_digest,
                       {"k": k, "labels": len(label_ids), "queries": len(gold)})
 
 

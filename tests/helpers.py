@@ -1,4 +1,5 @@
-"""Shared test oracles: central finite differences and tiny graph builders."""
+"""Shared test oracles: central finite differences, reference forms of the
+autodiff primitives and random tensors."""
 
 import numpy as np
 
@@ -37,6 +38,19 @@ def finite_diff_check(fn, tensors, step=1e-5, rtol=1e-4, atol=1e-8, probes=None,
             worst = max(worst, err)
             assert err < rtol, f"grad mismatch at entry {i}: analytic {ana}, numeric {num}"
     return worst
+
+
+def gelu_oracle(x):
+    """The tanh-approximation GELU written directly, cubic term by pow."""
+    c = np.sqrt(2.0 / np.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def add_at_oracle(idx, values, num_rows):
+    """out[r] = sum of values[i] over idx[i] == r, by unbuffered np.add.at."""
+    out = np.zeros((num_rows,) + np.shape(values)[1:])
+    np.add.at(out, idx, values)
+    return out
 
 
 def rel_err(a, b, floor=1e-12):

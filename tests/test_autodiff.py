@@ -6,7 +6,7 @@ import pytest
 from odin import autodiff as ad
 from odin.autodiff import Tensor
 
-from helpers import finite_diff_check, rand_tensor
+from helpers import add_at_oracle, finite_diff_check, gelu_oracle, rand_tensor, rel_err
 
 
 @pytest.fixture
@@ -172,3 +172,90 @@ def test_backward_accumulates_through_shared_subexpression(rng):
     loss = (y + y).sum()
     loss.backward()
     np.testing.assert_allclose(x.grad, 4 * x.data, atol=1e-12)
+
+
+def test_gelu_matches_tanh_formula_oracle():
+    x = np.linspace(-10.0, 10.0, 20001)
+    got = ad.gelu(Tensor(x)).data
+    want = gelu_oracle(x)
+    # Saturated tails: tanh rounds to exactly -1 or 1 on both sides.
+    tails = np.abs(x) >= 7.5
+    np.testing.assert_array_equal(got[tails], want[tails])
+    # Where 1 + tanh(.) does not cancel, the results agree to 1e-14 relative.
+    calm = x >= -2.0
+    assert rel_err(got[calm], want[calm], floor=1e-300) < 1e-14
+    # Below -2, 1 + tanh(.) cancels: a one-ulp change in tanh (the two forms
+    # round the inner term differently) moves the output by up to 1e-11 of
+    # itself, an absolute 0.5 * |x| * ulp(1). That is the oracle's own
+    # rounding error, so the bound there is relative to |x|.
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(x), 1e-300)) < 1e-14
+
+
+def test_gelu_gradient_in_tails_and_at_zero():
+    x = Tensor(np.array([-6.2, -6.0, -5.9, -1e-3, 0.0, 1e-3, 5.9, 6.0, 6.2]),
+               requires_grad=True)
+    finite_diff_check(lambda: ad.gelu(x).sum(), [x])
+    w = Tensor(np.linspace(-1.0, 1.0, 9))
+    finite_diff_check(lambda: (ad.gelu(x) * w).sum(), [x])
+
+
+def test_gelu_backward_writes_into_no_input(rng):
+    a = rand_tensor(rng, 4, 5, scale=3.0)
+    x_before = a.data.copy()
+    seed = rng.standard_normal((4, 5))
+    seed_before = seed.copy()
+    out = ad.gelu(a)
+    out_before = out.data.copy()
+    out.backward(seed)
+    first = a.grad.copy()
+    a.zero_grad()
+    out.backward(seed)
+    np.testing.assert_array_equal(a.data, x_before)
+    np.testing.assert_array_equal(seed, seed_before)
+    np.testing.assert_array_equal(out.data, out_before)
+    np.testing.assert_array_equal(a.grad, first)
+
+
+# np.add.reduceat adds a group's first row to a pairwise sum of the rest, so
+# group sums may differ from np.add.at's running sums by a few ulps; inputs
+# here are standard normal and groups hold at most three rows.
+SUM_ATOL = 1e-14
+
+ROW_INDEX_CASES = {
+    "distinct": [4, 0, 2],
+    "duplicates": [0, 2, 2, 4, 2, 0],
+    "unsorted": [5, 3, 5, 1, 0, 3, 5],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_INDEX_CASES))
+def test_take_rows_backward_matches_add_at_oracle(rng, case):
+    idx = np.array(ROW_INDEX_CASES[case], dtype=np.intp)
+    x = rand_tensor(rng, 6, 3)
+    out = ad.take_rows(x, idx)
+    g = rng.standard_normal((len(idx), 3))
+    out.backward(g)
+    np.testing.assert_allclose(x.grad, add_at_oracle(idx, g, 6), rtol=0, atol=SUM_ATOL)
+
+
+@pytest.mark.parametrize("case", sorted(ROW_INDEX_CASES))
+def test_segment_sum_matches_add_at_oracle(rng, case):
+    # Segments 6 and 7 receive no rows, like a node with no sampled neighbours.
+    seg = np.array(ROW_INDEX_CASES[case], dtype=np.intp)
+    x = rand_tensor(rng, len(seg), 2, 3)
+    out = ad.segment_sum(x, seg, 8)
+    np.testing.assert_allclose(out.data, add_at_oracle(seg, x.data, 8), rtol=0, atol=SUM_ATOL)
+    assert not out.data[6:].any()
+
+
+def test_gather_elements_duplicates_match_add_at_oracle(rng):
+    x = rand_tensor(rng, 3, 4)
+    rows = np.array([2, 0, 2, 1, 2, 0])
+    cols = np.array([1, 3, 1, 0, 1, 3])
+    out = ad.gather_elements(x, rows, cols)
+    g = rng.standard_normal(len(rows))
+    out.backward(g)
+    want = np.zeros((3, 4))
+    np.add.at(want, (rows, cols), g)
+    np.testing.assert_allclose(x.grad, want, rtol=0, atol=SUM_ATOL)

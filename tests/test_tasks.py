@@ -200,6 +200,7 @@ def test_retrieval_matches_topk_oracle():
         ranked = sorted(labels, key=lambda l: (-(nodes[v] @ labels[l]), l))
         hits += gold[v] in ranked[:10]
     assert rep.value == pytest.approx(hits / 25)
+    assert rep.metric == "Recall@10"
 
 
 def test_retrieval_clips_k_with_warning(caplog):
@@ -207,6 +208,8 @@ def test_retrieval_clips_k_with_warning(caplog):
     nodes = {0: np.ones(3)}
     rep = retrieval_eval(nodes, labels, {0: 1}, k=10)
     assert rep.details["k"] == 3 and rep.value == 1.0
+    assert rep.metric == "Recall@3"
+    assert "clipping" in caplog.text
 
 
 # -- reranking --------------------------------------------------------------------
