@@ -337,9 +337,22 @@ def transformer_block(
     lp: LayerParams,
     heads: int,
     key_mask: np.ndarray | None = None,
+    rows: int | None = None,
 ) -> Tensor:
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)). The agg
-    token is consumed by the attention; output length equals input length."""
+    token is consumed by the attention; output length equals input length.
+
+    With `rows`, the block runs over chunks of at most that many sequences
+    and joins their outputs, so its intermediates stay that size. Sequences
+    do not interact inside a block, so the output is the same; the chunks
+    are slices, so gradients flow through them too."""
+    if rows is not None and x.shape[0] > rows:
+        parts = []
+        for i in range(0, x.shape[0], rows):
+            part_agg = None if agg is None else agg[i:i + rows]
+            part_mask = None if key_mask is None else key_mask[i:i + rows]
+            parts.append(transformer_block(x[i:i + rows], part_agg, lp, heads, part_mask))
+        return ad.concat(parts, axis=0)
     attn = attention_block(x, agg, lp, heads, key_mask=key_mask)
     h = ad.layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
     m = ad.linear(ad.gelu(ad.linear(h, lp.w_up, lp.b_up)), lp.w_down, lp.b_down)

@@ -236,14 +236,17 @@ def odin_forward(
     identity_encoder: bool = False,
     init_features: dict | None = None,
     record_trace: bool = False,
+    rows: int | None = None,
 ) -> ForwardResult:
     """Run the full layer stack over a sampled subgraph.
 
     Returns final [CLS] vectors (and final token states) for the batch
-    frontier only. With identity_encoder=True the Transformer blocks are
-    skipped and each aggregation layer updates the node state to
-    tanh(aggregate(...)) instead, turning the stack into a plain
-    message-passing network over the same frontiers (a test hook).
+    frontier only. `rows`, if set, bounds how many nodes each Transformer
+    block processes at once (see transformer_block); the result is the same.
+    With identity_encoder=True the Transformer blocks are skipped and each
+    aggregation layer updates the node state to tanh(aggregate(...))
+    instead, turning the stack into a plain message-passing network over the
+    same frontiers (a test hook).
     """
     if sub.hop_count != schedule.hop_count:
         raise ConfigError(
@@ -272,7 +275,7 @@ def odin_forward(
         token_mat, lengths = pad_tokens(tokens_by_node, base)
         key_mask = np.arange(token_mat.shape[1])[None, :] < lengths[:, None]
         states = embed_batch(token_mat, params)
-        states = transformer_block(states, None, params.layers[0], heads, key_mask)
+        states = transformer_block(states, None, params.layers[0], heads, key_mask, rows)
         _check_finite(states.data, 0, base, np.arange(len(base), dtype=np.intp))
         cls_all = states[:, 0, :]
     if trace is not None:
@@ -313,7 +316,7 @@ def odin_forward(
         else:
             sub_states = ad.take_rows(states, fr.rows)
             new_sub = transformer_block(
-                sub_states, agg, params.layers[layer], heads, key_mask[fr.rows]
+                sub_states, agg, params.layers[layer], heads, key_mask[fr.rows], rows
             )
             _check_finite(new_sub.data, layer, base, fr.rows)
             states = ad.scatter_rows(states, fr.rows, new_sub)

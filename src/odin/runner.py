@@ -1,4 +1,4 @@
-"""End-to-end runs: pretraining over a node split, batched embedding
+"""End-to-end runs: pretraining over a node split, whole-graph embedding
 computation, task fine-tuning, and evaluation protocols.
 
 Determinism contract: every batch order, sampling draw, and mask plan is
@@ -6,12 +6,18 @@ derived from (config seed, epoch, step), never from a long-lived RNG stream,
 so a run resumed from a checkpoint continues bit-identically. Reports repeat
 bit for bit only at a fixed BLAS thread count: the BLAS splits its sums by
 thread, so changing the count moves losses in the last ULP.
+
+Inference rule: a node's embedding is the final [CLS] that odin_forward
+returns for it when the batch is the whole graph. It does not depend on
+which other nodes are requested or how they are batched. The pass encodes
+num_nodes x depth node-layers whatever nodes are requested.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -68,18 +74,41 @@ def build_fresh_model(cfg: RunConfig, graph: TextGraph):
     return vocab, schedule, params
 
 
+def _rewind_log(path: Path, end_step: int) -> None:
+    """Keep only the log rows of steps before `end_step`. A run that crashed
+    after its last checkpoint logged steps the resumed run logs again. A row
+    the crash cut short is dropped. The kept rows go to a temp file that is
+    renamed over the log, so a crash here leaves the old log whole."""
+    kept = []
+    if path.exists():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if row["step"] < end_step:
+                kept.append(line + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(kept), encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False) -> dict:
     """Pretrain per the config; writes checkpoint.bin, train_log.jsonl, and a
-    deterministic report.json into out_dir. Resumes at epoch granularity."""
+    deterministic report.json into out_dir. Resumes at epoch granularity:
+    the checkpoint carries the mean loss of every finished epoch, and the log
+    is cut back to the steps the checkpoint covers."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schedule = cfg.schedule.build()
     hyper = hyper_from_config(cfg)
     ckpt_path = out / "checkpoint.bin"
     vocab_path = out / "vocab.tsv"
+    log_path = out / "train_log.jsonl"
     digest = cfg.digest()
 
     start_epoch = 0
+    epoch_totals: list[float] = []
     optimizer = make_optimizer(hyper)
     if resume and ckpt_path.exists():
         params, meta, opt_state = load_model(ckpt_path)
@@ -87,6 +116,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
             raise ValueError("checkpoint was produced by a different config")
         vocab = Vocab.load(vocab_path)
         start_epoch = int(meta["epoch"]) + 1
+        epoch_totals = list(meta["epoch_mean_loss"])
         if opt_state is not None and isinstance(optimizer, Adam):
             optimizer.load_state_dict(opt_state)
         log.info("resuming at epoch %d", start_epoch)
@@ -97,10 +127,11 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     split = pretrain_split(graph, cfg.pretrain.train_fraction, cfg.seed)
     train_nodes = np.array(split.train_ids)
     steps_per_epoch = max(1, len(train_nodes) // hyper.batch_size)
-    epoch_totals: list[float] = []
     global_step = start_epoch * steps_per_epoch
+    if start_epoch:
+        _rewind_log(log_path, global_step)
     mode = "a" if start_epoch else "w"
-    with open(out / "train_log.jsonl", mode, encoding="utf-8") as log_fh:
+    with open(log_path, mode, encoding="utf-8") as log_fh:
         for epoch in range(start_epoch, hyper.epochs):
             order = generator(cfg.seed, "order", epoch).permutation(len(train_nodes))
             total = 0.0
@@ -113,9 +144,12 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
                 total += rec["total"]
                 global_step += 1
             epoch_totals.append(total / steps_per_epoch)
+            # the rows of every epoch the checkpoint covers must outlive a crash
+            log_fh.flush()
+            os.fsync(log_fh.fileno())
             save_model(ckpt_path, params,
                        {"config_digest": digest, "epoch": epoch, "step": global_step,
-                        "seed": cfg.seed},
+                        "seed": cfg.seed, "epoch_mean_loss": epoch_totals},
                        optimizer)
             log.info("epoch %d: mean loss %.4f", epoch, epoch_totals[-1])
     report = {
@@ -137,19 +171,28 @@ def compute_embeddings(
     graph: TextGraph, nodes, params, schedule, vocab, fanout: int, seed: int,
     batch_size: int = 64,
 ) -> dict[int, np.ndarray]:
-    """Final [CLS] per node, computed in forward-only batches."""
+    """Final [CLS] of each node in `nodes`, from one forward-only pass whose
+    batch is the whole graph.
+
+    An embedding is what odin_forward returns for that node when the batch is
+    the whole graph, so it does not depend on batching. Every frontier is then
+    the whole graph, no node freezes, and each node's neighbors are drawn
+    once, at the batch-node hop. The pass costs num_nodes x depth node-layers
+    whatever `nodes` is; restricting it to the connected components that hold
+    `nodes` is not done. `batch_size` bounds how many nodes each Transformer
+    block processes at once, which bounds memory, not the result.
+    """
     nodes = sorted(set(nodes))
-    out: dict[int, np.ndarray] = {}
+    if not nodes:
+        return {}
+    if nodes[0] < 0 or nodes[-1] >= graph.num_nodes:
+        raise IndexError(f"nodes must lie in [0, {graph.num_nodes})")
+    sub = sample_frontiers(graph, range(graph.num_nodes), schedule.hop_count, fanout,
+                           sub_seed(seed, "embed"))
+    tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
     with ad.no_grad():
-        for start in range(0, len(nodes), batch_size):
-            chunk = nodes[start: start + batch_size]
-            sub = sample_frontiers(graph, chunk, schedule.hop_count, fanout,
-                                   sub_seed(seed, "embed", start))
-            tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-            res = odin_forward(graph, sub, tokens, params, schedule)
-            for i, v in enumerate(res.batch_nodes):
-                out[v] = res.cls.data[i].copy()
-    return out
+        res = odin_forward(graph, sub, tokens, params, schedule, rows=batch_size)
+    return {v: res.cls.data[v].copy() for v in nodes}
 
 
 def encode_labels(label_names: dict, params, schedule, vocab) -> dict[int, np.ndarray]:
@@ -253,10 +296,12 @@ def finetune_classify(cfg, graph, params, schedule, vocab, split, labels) -> Non
             optimizer.step(params)
 
 
-def run_classify(cfg, graph, params, schedule, vocab) -> EvalReport:
+def run_classify(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
+    """The linear head always trains; the backbone is fine-tuned with it only
+    when `finetune` and `task.finetune_backbone` are both set."""
     labels = graph.labels("coarse")
     split = make_few_shot_split(graph, cfg.task.classify_shots, "coarse", cfg.seed)
-    if cfg.task.finetune_backbone:
+    if finetune and cfg.task.finetune_backbone:
         finetune_classify(cfg, graph, params, schedule, vocab, split, labels)
     nodes = set(split.train_ids) | set(split.test_ids)
     emb = compute_embeddings(graph, nodes, params, schedule, vocab,
@@ -365,6 +410,4 @@ def run_task(cfg: RunConfig, graph: TextGraph, task: str, checkpoint_path,
     params, meta, _ = load_model(checkpoint_path)
     vocab = Vocab.load(Path(checkpoint_path).parent / "vocab.tsv")
     schedule = cfg.schedule.build()
-    if task == "classify":
-        return run_classify(cfg, graph, params, schedule, vocab)
     return TASK_RUNNERS[task](cfg, graph, params, schedule, vocab, finetune=finetune)
