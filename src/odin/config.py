@@ -62,7 +62,6 @@ class TaskConfig:
     finetune_epochs: int = 4
     finetune_lr: float = 1e-3
     finetune_batch: int = 16
-    finetune_backbone: bool = False
     eval_batch: int = 32
     recall_k: int = 10
     bm25_k1: float = 1.2

@@ -173,13 +173,6 @@ class ForwardResult:
     hops_consumed: int                # value of the hop counter after the pass
     cls_trace: list[np.ndarray] | None = None  # per-layer (|B_0|, d) snapshots
 
-    def cls_by_node(self) -> dict[int, Tensor]:
-        return {v: self.cls[i] for i, v in enumerate(self.batch_nodes)}
-
-    def cls_by_node_base(self) -> dict[int, Tensor]:
-        """[CLS] per sampled node; frozen nodes expose their last state."""
-        return {v: self.base_cls[i] for i, v in enumerate(self.base_nodes)}
-
 
 def _build_frontiers(sub: SampledSubgraph, pos: dict[int, int]) -> list[_Frontier]:
     out = []

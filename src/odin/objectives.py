@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ def plan_masks(
     mask_ratio: float,
     seed: int,
     mask_id: int,
-    all_positive_neighbors: bool = False,
     neighbor_pool=None,
 ):
     """Choose masked token positions and node contrast pairs for one batch.
@@ -99,30 +98,32 @@ def plan_masks(
             skipped += 1
             continue
         rng = generator(seed, "mask_nodes", v)
-        if all_positive_neighbors:
-            pairs = tuple((p, int(non[rng.integers(len(non))])) for p in nbrs)
-        else:
-            pairs = ((int(nbrs[rng.integers(len(nbrs))]),
-                      int(non[rng.integers(len(non))])),)
-        node_pairs[v] = pairs
+        node_pairs[v] = ((int(nbrs[rng.integers(len(nbrs))]),
+                          int(non[rng.integers(len(non))])),)
     return MaskPlan(token_targets, node_pairs, skipped), masked
 
 
-def mnp_loss(cls_by_node, plan: MaskPlan) -> Tensor:
+def softmax_xent(logits: Tensor, gold) -> Tensor:
+    """Cross-entropy of each row of `logits` (n, k) against its class id in
+    `gold` (n,), summed over rows."""
+    gold = np.asarray(gold, dtype=np.intp)
+    picked = ad.gather_elements(logits, np.arange(len(gold)), gold)
+    return (ad.logsumexp(logits, axis=-1) - picked).sum()
+
+
+def mnp_loss(cls: Tensor, nodes, plan: MaskPlan) -> Tensor:
     """Sum over contrast pairs of -log( e^{s+} / (e^{s+} + e^{s-}) ) where the
-    scores are [CLS] dot products. Zero when the plan has no pairs."""
+    scores are [CLS] dot products; row i of `cls` belongs to nodes[i]. Zero
+    when the plan has no pairs."""
     if plan.num_pairs == 0:
         log.warning("contrastive plan is empty; node loss is 0")
         return Tensor(0.0)
-    total = None
-    for v in sorted(plan.node_pairs):
-        anchor = cls_by_node[v]
-        for v_pos, v_neg in plan.node_pairs[v]:
-            s_pos = (anchor * cls_by_node[v_pos]).sum()
-            s_neg = (anchor * cls_by_node[v_neg]).sum()
-            term = ad.softplus(s_neg - s_pos)  # = -log sigmoid(s+ - s-)
-            total = term if total is None else total + term
-    return total
+    row_of = {v: i for i, v in enumerate(nodes)}
+    triples = [(row_of[v], row_of[v_pos], row_of[v_neg])
+               for v in sorted(plan.node_pairs) for v_pos, v_neg in plan.node_pairs[v]]
+    anchor, pos, neg = (ad.take_rows(cls, col) for col in zip(*triples))
+    # softplus(s- - s+) = -log sigmoid(s+ - s-)
+    return ad.softplus((anchor * neg).sum(axis=-1) - (anchor * pos).sum(axis=-1)).sum()
 
 
 def nmlm_loss(final_states: Tensor, batch_nodes, plan: MaskPlan, params: ParamSet) -> Tensor:
@@ -140,48 +141,32 @@ def nmlm_loss(final_states: Tensor, batch_nodes, plan: MaskPlan, params: ParamSe
             targets.append(orig)
     flat = ad.reshape(final_states, (n * t, d))
     hidden = ad.take_rows(flat, np.array(rows, dtype=np.intp))
-    logits = ad.matmul(hidden, params.mlm_weight().T)
-    lse = ad.logsumexp(logits, axis=-1)
-    gold = ad.gather_elements(logits, np.arange(len(rows)), np.array(targets))
-    return (lse - gold).sum()
-
-
-def total_loss(l1: Tensor, l2: Tensor) -> Tensor:
-    """Unit-weight sum of the two objectives."""
-    return l1 + l2
+    return softmax_xent(ad.matmul(hidden, params.mlm_weight().T), targets)
 
 
 # -- optimizers ---------------------------------------------------------------
 
 
-@dataclass
-class PretrainHyper:
-    batch_size: int = 32
-    epochs: int = 10
-    mask_ratio: float = 0.15
-    lr_encoder: float = 1e-5
-    lr_gnn: float = 1e-3
-    fanout: int = 5
-    optimizer: str = "sgd"
-    all_positive_neighbors: bool = False
+class _GroupRates:
+    """Per-group learning rates: graph-aggregation stages train at `lr_gnn`,
+    every other parameter at `lr_encoder`."""
+
+    def __init__(self, lr_encoder: float, lr_gnn: float):
+        self.lr_encoder, self.lr_gnn = lr_encoder, lr_gnn
+
+    def lr(self, name: str) -> float:
+        return self.lr_gnn if name.startswith("stages.") else self.lr_encoder
 
 
-def _group_lr(name: str, hyper: PretrainHyper) -> float:
-    return hyper.lr_gnn if name.startswith("stages.") else hyper.lr_encoder
-
-
-class Sgd:
+class Sgd(_GroupRates):
     """Plain gradient descent with per-group learning rates."""
 
     kind = "sgd"
 
-    def __init__(self, hyper: PretrainHyper):
-        self.hyper = hyper
-
     def step(self, params: ParamSet):
         for name, p in params.named_parameters():
             if p.grad is not None:
-                p.data -= _group_lr(name, self.hyper) * p.grad
+                p.data -= self.lr(name) * p.grad
 
     def state_dict(self):
         return {}
@@ -190,13 +175,13 @@ class Sgd:
         pass
 
 
-class Adam:
+class Adam(_GroupRates):
     """Adam with per-group learning rates; optional, not the default."""
 
     kind = "adam"
 
-    def __init__(self, hyper: PretrainHyper, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.hyper = hyper
+    def __init__(self, lr_encoder: float, lr_gnn: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        super().__init__(lr_encoder, lr_gnn)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
@@ -214,7 +199,7 @@ class Adam:
             v[:] = b2 * v + (1 - b2) * p.grad**2
             mhat = m / (1 - b1**self.t)
             vhat = v / (1 - b2**self.t)
-            p.data -= _group_lr(name, self.hyper) * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr(name) * mhat / (np.sqrt(vhat) + self.eps)
 
     def state_dict(self):
         return {"t": self.t, "m": self.m, "v": self.v}
@@ -225,15 +210,25 @@ class Adam:
         self.v = {k: np.array(v) for k, v in state["v"].items()}
 
 
-def make_optimizer(hyper: PretrainHyper):
-    if hyper.optimizer == "sgd":
-        return Sgd(hyper)
-    if hyper.optimizer == "adam":
-        return Adam(hyper)
-    raise ValueError(f"unknown optimizer {hyper.optimizer!r}")
+def make_optimizer(kind: str, lr_encoder: float, lr_gnn: float):
+    if kind == "sgd":
+        return Sgd(lr_encoder, lr_gnn)
+    if kind == "adam":
+        return Adam(lr_encoder, lr_gnn)
+    raise ValueError(f"unknown optimizer {kind!r}")
 
 
 # -- one training step -----------------------------------------------------------
+
+
+def optimize(params: ParamSet, optimizer, loss: Tensor) -> None:
+    """One gradient step on a scalar loss. A non-finite loss raises
+    FloatingPointError before any gradient or parameter is touched."""
+    if not np.isfinite(loss.data):
+        raise FloatingPointError(f"non-finite loss {loss.data!r}")
+    params.zero_grad()
+    loss.backward()
+    optimizer.step(params)
 
 
 def pretrain_step(
@@ -242,32 +237,23 @@ def pretrain_step(
     params: ParamSet,
     schedule: LayerSchedule,
     optimizer,
-    hyper: PretrainHyper,
     vocab,
     step_seed: int,
+    fanout: int,
+    mask_ratio: float,
 ) -> dict:
     """One gradient step of the joint objective on one node batch."""
     started = time.perf_counter()
-    sub = sample_frontiers(graph, batch, schedule.hop_count, hyper.fanout, step_seed)
+    sub = sample_frontiers(graph, batch, schedule.hop_count, fanout, step_seed)
     tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-    plan, masked = plan_masks(
-        {v: tokens[v] for v in sub.batch}, graph, hyper.mask_ratio,
-        step_seed, vocab.mask_id, hyper.all_positive_neighbors,
-        neighbor_pool=sub.sampled_adj,
-    )
+    plan, masked = plan_masks({v: tokens[v] for v in sub.batch}, graph, mask_ratio,
+                              step_seed, vocab.mask_id, neighbor_pool=sub.sampled_adj)
     tokens.update(masked)
     res = odin_forward(graph, sub, tokens, params, schedule)
-    l1 = mnp_loss(res.cls_by_node_base(), plan)
+    l1 = mnp_loss(res.base_cls, res.base_nodes, plan)
     l2 = nmlm_loss(res.final_states, res.batch_nodes, plan, params)
-    loss = total_loss(l1, l2)
-    if not np.isfinite(loss.data):
-        raise FloatingPointError(
-            f"non-finite loss (node={l1.data!r}, token={l2.data!r}) on batch "
-            f"{tuple(batch)[:8]}..."
-        )
-    params.zero_grad()
-    loss.backward()
-    optimizer.step(params)
+    loss = l1 + l2
+    optimize(params, optimizer, loss)
     return {
         "l1": float(l1.data),
         "l2": float(l2.data),

@@ -29,7 +29,7 @@ from .config import RunConfig
 from .encoder import ModelDims, Vocab, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
 from .graph import TaskSplit, TextGraph, make_few_shot_split
-from .objectives import Adam, PretrainHyper, make_optimizer, pretrain_step
+from .objectives import Adam, make_optimizer, optimize, pretrain_step, softmax_xent
 from .rngutil import generator, sub_seed
 from .sampler import sample_frontiers
 from .tasks import (
@@ -56,15 +56,6 @@ def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
     return TaskSplit(train, valid, test, shot_count=0)
 
 
-def hyper_from_config(cfg: RunConfig) -> PretrainHyper:
-    p = cfg.pretrain
-    return PretrainHyper(
-        batch_size=p.batch_size, epochs=p.epochs, mask_ratio=p.mask_ratio,
-        lr_encoder=p.lr_encoder, lr_gnn=p.lr_gnn, fanout=cfg.sampler.fanout,
-        optimizer=p.optimizer,
-    )
-
-
 def build_fresh_model(cfg: RunConfig, graph: TextGraph):
     vocab = build_vocab(graph.texts, cfg.pretrain.min_freq)
     dims = ModelDims(d=cfg.dims.d, heads=cfg.dims.heads, max_len=cfg.dims.max_len)
@@ -72,6 +63,18 @@ def build_fresh_model(cfg: RunConfig, graph: TextGraph):
     params = init_params(vocab.size, dims, schedule.depth, schedule.hop_count,
                          cfg.seed, tie_mlm=cfg.pretrain.tie_mlm)
     return vocab, schedule, params
+
+
+def load_checkpoint(path):
+    """(params, meta, optimizer state, vocab) from a checkpoint and the
+    vocab.tsv beside it. Raises ValueError when the two disagree on the
+    vocabulary size, as when the vocab was written for another graph."""
+    params, meta, opt_state = load_model(path)
+    vocab = Vocab.load(Path(path).parent / "vocab.tsv")
+    if vocab.size != params.vocab_size:
+        raise ValueError(f"vocab.tsv holds {vocab.size} tokens but the checkpoint "
+                         f"{path} was built for {params.vocab_size}")
+    return params, meta, opt_state, vocab
 
 
 def _rewind_log(path: Path, end_step: int) -> None:
@@ -97,24 +100,23 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     """Pretrain per the config; writes checkpoint.bin, train_log.jsonl, and a
     deterministic report.json into out_dir. Resumes at epoch granularity:
     the checkpoint carries the mean loss of every finished epoch, and the log
-    is cut back to the steps the checkpoint covers."""
+    is cut back to the steps the checkpoint covers. With pretrain.epochs=0
+    the checkpoint holds the random init (epoch -1, step 0)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schedule = cfg.schedule.build()
-    hyper = hyper_from_config(cfg)
+    p = cfg.pretrain
     ckpt_path = out / "checkpoint.bin"
-    vocab_path = out / "vocab.tsv"
     log_path = out / "train_log.jsonl"
     digest = cfg.digest()
 
     start_epoch = 0
     epoch_totals: list[float] = []
-    optimizer = make_optimizer(hyper)
+    optimizer = make_optimizer(p.optimizer, p.lr_encoder, p.lr_gnn)
     if resume and ckpt_path.exists():
-        params, meta, opt_state = load_model(ckpt_path)
+        params, meta, opt_state, vocab = load_checkpoint(ckpt_path)
         if meta["config_digest"] != digest:
             raise ValueError("checkpoint was produced by a different config")
-        vocab = Vocab.load(vocab_path)
         start_epoch = int(meta["epoch"]) + 1
         epoch_totals = list(meta["epoch_mean_loss"])
         if opt_state is not None and isinstance(optimizer, Adam):
@@ -122,23 +124,29 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
         log.info("resuming at epoch %d", start_epoch)
     else:
         vocab, schedule, params = build_fresh_model(cfg, graph)
-        vocab.save(vocab_path)
+        vocab.save(out / "vocab.tsv")
+        if p.epochs == 0:
+            save_model(ckpt_path, params,
+                       {"config_digest": digest, "epoch": -1, "step": 0,
+                        "seed": cfg.seed, "epoch_mean_loss": []},
+                       optimizer)
 
     split = pretrain_split(graph, cfg.pretrain.train_fraction, cfg.seed)
     train_nodes = np.array(split.train_ids)
-    steps_per_epoch = max(1, len(train_nodes) // hyper.batch_size)
+    steps_per_epoch = max(1, len(train_nodes) // p.batch_size)
     global_step = start_epoch * steps_per_epoch
     if start_epoch:
         _rewind_log(log_path, global_step)
     mode = "a" if start_epoch else "w"
     with open(log_path, mode, encoding="utf-8") as log_fh:
-        for epoch in range(start_epoch, hyper.epochs):
+        for epoch in range(start_epoch, p.epochs):
             order = generator(cfg.seed, "order", epoch).permutation(len(train_nodes))
             total = 0.0
             for i in range(steps_per_epoch):
-                batch = train_nodes[order[i * hyper.batch_size:(i + 1) * hyper.batch_size]]
+                batch = train_nodes[order[i * p.batch_size:(i + 1) * p.batch_size]]
                 rec = pretrain_step(batch.tolist(), graph, params, schedule, optimizer,
-                                    hyper, vocab, sub_seed(cfg.seed, "step", epoch, i))
+                                    vocab, sub_seed(cfg.seed, "step", epoch, i),
+                                    fanout=cfg.sampler.fanout, mask_ratio=p.mask_ratio)
                 rec.update(step=global_step, epoch=epoch)
                 log_fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 total += rec["total"]
@@ -156,7 +164,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
         "command": "pretrain",
         "config_digest": digest,
         "seed": cfg.seed,
-        "epochs": hyper.epochs,
+        "epochs": p.epochs,
         "steps": global_step,
         "epoch_mean_loss": [round(x, 10) for x in epoch_totals],
     }
@@ -202,6 +210,31 @@ def encode_labels(label_names: dict, params, schedule, vocab) -> dict[int, np.nd
     return {lid: cls.data[i].copy() for i, lid in enumerate(ids)}
 
 
+# -- fine-tuning -------------------------------------------------------------------
+
+
+def _finetune(cfg, graph, params, schedule, vocab, items, tag, loss_fn,
+              min_batch=1, nodes_of=tuple) -> None:
+    """Shuffled minibatch epochs over `items` with every parameter group at
+    task.finetune_lr. A step samples and encodes the nodes_of(batch) and takes
+    one gradient step on loss_fn(batch, forward result); batches smaller than
+    `min_batch` are skipped. Orders and samples derive from (seed, tag, epoch),
+    so a fine-tune repeats bit for bit."""
+    t = cfg.task
+    optimizer = make_optimizer(cfg.pretrain.optimizer, t.finetune_lr, t.finetune_lr)
+    for epoch in range(t.finetune_epochs):
+        order = generator(cfg.seed, tag, epoch).permutation(len(items))
+        for i in range(0, len(items), t.finetune_batch):
+            batch = [items[j] for j in order[i: i + t.finetune_batch]]
+            if len(batch) < min_batch:
+                continue
+            sub = sample_frontiers(graph, nodes_of(batch), schedule.hop_count,
+                                   cfg.sampler.fanout, sub_seed(cfg.seed, tag, epoch, i))
+            tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
+            res = odin_forward(graph, sub, tokens, params, schedule)
+            optimize(params, optimizer, loss_fn(batch, res))
+
+
 # -- link prediction -------------------------------------------------------------
 
 
@@ -213,37 +246,23 @@ def split_edges(graph: TextGraph, shots: int, seed: int):
     return train, test
 
 
+def linkpred_loss(cls: Tensor, nodes, pairs) -> Tensor:
+    """In-batch softmax over edges: the head of each (head, tail) pair scores
+    every distinct tail in `pairs` and its own tail is the gold class; summed
+    over pairs. Row i of `cls` belongs to nodes[i]."""
+    row_of = {v: i for i, v in enumerate(nodes)}
+    tails = sorted({v for _, v in pairs})
+    heads = ad.take_rows(cls, [row_of[u] for u, _ in pairs])
+    keys = ad.take_rows(cls, [row_of[v] for v in tails])
+    return softmax_xent(ad.matmul(heads, keys.T), [tails.index(v) for _, v in pairs])
+
+
 def finetune_linkpred(cfg, graph, params, schedule, vocab, train_pairs) -> None:
     """In-batch contrastive fine-tuning on the training edges; the token
     reconstruction objective is dropped at this stage."""
-    t = cfg.task
-    hyper = hyper_from_config(cfg)
-    hyper.lr_encoder = t.finetune_lr
-    hyper.lr_gnn = t.finetune_lr
-    optimizer = make_optimizer(hyper)
-    for epoch in range(t.finetune_epochs):
-        order = generator(cfg.seed, "lp_ft", epoch).permutation(len(train_pairs))
-        for i in range(0, len(train_pairs), t.finetune_batch):
-            pairs = [train_pairs[j] for j in order[i: i + t.finetune_batch]]
-            if len(pairs) < 2:
-                continue
-            nodes = sorted({u for u, _ in pairs} | {v for _, v in pairs})
-            sub = sample_frontiers(graph, nodes, schedule.hop_count, cfg.sampler.fanout,
-                                   sub_seed(cfg.seed, "lp_ft", epoch, i))
-            tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-            res = odin_forward(graph, sub, tokens, params, schedule)
-            cls = res.cls_by_node()
-            tails = sorted({v for _, v in pairs})
-            tail_mat = ad.concat([ad.reshape(cls[v], (1, -1)) for v in tails], axis=0)
-            loss = None
-            for u, v in pairs:
-                scores = ad.reshape(ad.matmul(tail_mat, ad.reshape(cls[u], (-1, 1))), (1, -1))
-                gold = tails.index(v)
-                term = ad.logsumexp(scores, axis=-1)[0] - scores[0, gold]
-                loss = term if loss is None else loss + term
-            params.zero_grad()
-            loss.backward()
-            optimizer.step(params)
+    _finetune(cfg, graph, params, schedule, vocab, train_pairs, "lp_ft",
+              lambda pairs, res: linkpred_loss(res.cls, res.batch_nodes, pairs),
+              min_batch=2, nodes_of=lambda pairs: [v for pair in pairs for v in pair])
 
 
 def run_linkpred(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
@@ -271,37 +290,21 @@ def finetune_classify(cfg, graph, params, schedule, vocab, split, labels) -> Non
     params.heads["classifier_w"] = Tensor(
         rng.uniform(-1, 1, (d, len(classes))) / np.sqrt(d), requires_grad=True)
     params.heads["classifier_b"] = Tensor(np.zeros(len(classes)), requires_grad=True)
-    t = cfg.task
-    hyper = hyper_from_config(cfg)
-    hyper.lr_encoder = t.finetune_lr
-    hyper.lr_gnn = t.finetune_lr
-    optimizer = make_optimizer(hyper)
-    train = list(split.train_ids)
-    for epoch in range(t.finetune_epochs):
-        order = generator(cfg.seed, "clf_ft", epoch).permutation(len(train))
-        for i in range(0, len(train), t.finetune_batch):
-            batch = [train[j] for j in order[i: i + t.finetune_batch]]
-            sub = sample_frontiers(graph, batch, schedule.hop_count, cfg.sampler.fanout,
-                                   sub_seed(cfg.seed, "clf_ft", epoch, i))
-            tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-            res = odin_forward(graph, sub, tokens, params, schedule)
-            logits = ad.linear(res.cls, params.heads["classifier_w"],
-                               params.heads["classifier_b"])
-            gold = np.array([to_idx[labels[v]] for v in res.batch_nodes])
-            lse = ad.logsumexp(logits, axis=-1)
-            picked = ad.gather_elements(logits, np.arange(len(gold)), gold)
-            loss = (lse - picked).sum()
-            params.zero_grad()
-            loss.backward()
-            optimizer.step(params)
+
+    def loss(batch, res):
+        logits = ad.linear(res.cls, params.heads["classifier_w"],
+                           params.heads["classifier_b"])
+        return softmax_xent(logits, [to_idx[labels[v]] for v in res.batch_nodes])
+
+    _finetune(cfg, graph, params, schedule, vocab, split.train_ids, "clf_ft", loss)
 
 
 def run_classify(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
-    """The linear head always trains; the backbone is fine-tuned with it only
-    when `finetune` and `task.finetune_backbone` are both set."""
+    """The linear head always trains on the embeddings; with `finetune` the
+    backbone is fine-tuned first."""
     labels = graph.labels("coarse")
     split = make_few_shot_split(graph, cfg.task.classify_shots, "coarse", cfg.seed)
-    if finetune and cfg.task.finetune_backbone:
+    if finetune:
         finetune_classify(cfg, graph, params, schedule, vocab, split, labels)
     nodes = set(split.train_ids) | set(split.test_ids)
     emb = compute_embeddings(graph, nodes, params, schedule, vocab,
@@ -332,35 +335,14 @@ def dpr_finetune(cfg, graph, params, schedule, vocab, split, labels) -> None:
         cands = [label_ids[i] for i in ranked if label_ids[i] != labels[v]]
         hard_neg[v] = cands[0] if cands else label_ids[0]
 
-    hyper = hyper_from_config(cfg)
-    hyper.lr_encoder = t.finetune_lr
-    hyper.lr_gnn = t.finetune_lr
-    optimizer = make_optimizer(hyper)
-    train = list(split.train_ids)
-    for epoch in range(t.finetune_epochs):
-        order = generator(cfg.seed, "dpr_ft", epoch).permutation(len(train))
-        for i in range(0, len(train), t.finetune_batch):
-            batch = [train[j] for j in order[i: i + t.finetune_batch]]
-            if len(batch) < 2:
-                continue
-            sub = sample_frontiers(graph, batch, schedule.hop_count, cfg.sampler.fanout,
-                                   sub_seed(cfg.seed, "dpr_ft", epoch, i))
-            tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-            res = odin_forward(graph, sub, tokens, params, schedule)
-            cls = res.cls_by_node()
-            pool = sorted({labels[v] for v in batch} | {hard_neg[v] for v in batch})
-            pool_cls = encode_texts([graph.label_names[i] for i in pool], params,
-                                    schedule, vocab)
-            loss = None
-            for v in batch:
-                scores = ad.reshape(
-                    ad.matmul(pool_cls, ad.reshape(cls[v], (-1, 1))), (1, -1))
-                gold = pool.index(labels[v])
-                term = ad.logsumexp(scores, axis=-1)[0] - scores[0, gold]
-                loss = term if loss is None else loss + term
-            params.zero_grad()
-            loss.backward()
-            optimizer.step(params)
+    def loss(batch, res):
+        pool = sorted({labels[v] for v in batch} | {hard_neg[v] for v in batch})
+        keys = encode_texts([graph.label_names[i] for i in pool], params, schedule, vocab)
+        gold = [pool.index(labels[v]) for v in res.batch_nodes]
+        return softmax_xent(ad.matmul(res.cls, keys.T), gold)
+
+    _finetune(cfg, graph, params, schedule, vocab, split.train_ids, "dpr_ft", loss,
+              min_batch=2)
 
 
 def run_retrieval(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
@@ -407,7 +389,6 @@ def run_task(cfg: RunConfig, graph: TextGraph, task: str, checkpoint_path,
              finetune: bool = True) -> EvalReport:
     if task not in TASK_RUNNERS:
         raise ValueError(f"unknown task {task!r}, expected one of {sorted(TASK_RUNNERS)}")
-    params, meta, _ = load_model(checkpoint_path)
-    vocab = Vocab.load(Path(checkpoint_path).parent / "vocab.tsv")
+    params, _, _, vocab = load_checkpoint(checkpoint_path)
     schedule = cfg.schedule.build()
     return TASK_RUNNERS[task](cfg, graph, params, schedule, vocab, finetune=finetune)

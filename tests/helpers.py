@@ -1,8 +1,9 @@
 """Shared test oracles: central finite differences, reference forms of the
-autodiff primitives and random tensors."""
+autodiff primitives and of the per-pair losses, and random tensors."""
 
 import numpy as np
 
+from odin import autodiff as ad
 from odin.autodiff import Tensor
 
 
@@ -62,3 +63,31 @@ def rel_err(a, b, floor=1e-12):
 
 def rand_tensor(rng, *shape, scale=1.0, requires_grad=True):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def mnp_pair_loop_oracle(cls_by_node, plan):
+    """The contrastive node loss built one pair at a time:
+    softplus(s- - s+) per (anchor, positive, negative), summed."""
+    total = None
+    for v in sorted(plan.node_pairs):
+        anchor = cls_by_node[v]
+        for v_pos, v_neg in plan.node_pairs[v]:
+            s_pos = (anchor * cls_by_node[v_pos]).sum()
+            s_neg = (anchor * cls_by_node[v_neg]).sum()
+            term = ad.softplus(s_neg - s_pos)
+            total = term if total is None else total + term
+    return total
+
+
+def in_batch_pair_loop_oracle(query_by_id, key_by_id, pairs):
+    """The in-batch softmax built one pair at a time: the query of each
+    (query, key) pair scores every key of key_by_id, in sorted id order, and
+    its own key is the gold class; summed over pairs."""
+    ids = sorted(key_by_id)
+    key_mat = ad.concat([ad.reshape(key_by_id[k], (1, -1)) for k in ids], axis=0)
+    total = None
+    for q, k in pairs:
+        scores = ad.reshape(ad.matmul(key_mat, ad.reshape(query_by_id[q], (-1, 1))), (1, -1))
+        term = ad.logsumexp(scores, axis=-1)[0] - scores[0, ids.index(k)]
+        total = term if total is None else total + term
+    return total

@@ -1,0 +1,70 @@
+"""The command line end to end: synth, pretrain, resume, then finetune and
+eval of every task, all through cli.main on a tiny config."""
+
+import json
+
+from odin import cli
+
+TASKS = ("linkpred", "classify", "retrieve", "rerank")
+
+TINY = (
+    "paths.data_dir=data", "paths.out_dir=run",
+    "schedule.depth=4", "schedule.positions=[1,2]",
+    "dims.d=8", "dims.heads=2", "dims.max_len=12", "sampler.fanout=2",
+    "pretrain.epochs=1", "pretrain.batch_size=8",
+    "task.linkpred_shots=12", "task.classify_shots=2", "task.retrieve_shots=2",
+    "task.rerank_shots=2", "task.finetune_epochs=1", "task.finetune_batch=4",
+    "task.head_epochs=5", "task.recall_k=2", "task.rerank_candidates=3",
+)
+
+
+def _main(*argv, out=None):
+    sets = [arg for item in TINY + ((f"paths.out_dir={out}",) if out else ())
+            for arg in ("--set", item)]
+    assert cli.main([*argv, *sets]) == 0
+
+
+def _run_all(root, monkeypatch):
+    """Every report.json one pass writes, by path relative to `root`. Paths
+    in the config are relative, so two roots give the same config digest."""
+    monkeypatch.chdir(root)
+    assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
+                     "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
+    _main("pretrain")
+    first = (root / "run" / "report.json").read_bytes()
+    _main("pretrain", "--resume")
+    assert (root / "run" / "report.json").read_bytes() == first
+    for task in TASKS:
+        for command in ("finetune", "eval"):
+            _main(command, "--task", task, "--checkpoint", "run/checkpoint.bin",
+                  out=f"run/{command}")
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("report.json"))}
+
+
+def _keys(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+def test_cli_reports_repeat_byte_for_byte(tmp_path, monkeypatch):
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        runs.append(_run_all(tmp_path / name, monkeypatch))
+    want = {"run/report.json"} | {f"run/{c}/{t}/report.json"
+                                  for c in ("finetune", "eval") for t in TASKS}
+    assert set(runs[0]) == want
+    assert runs[0] == runs[1]
+    for path, blob in runs[0].items():
+        report = json.loads(blob)
+        assert not [k for k in _keys(report) if "wall" in k or k.endswith(("_ms", "_s"))], path
+    for task in TASKS:
+        reports = [json.loads(runs[0][f"run/{c}/{task}/report.json"])
+                   for c in ("finetune", "eval")]
+        assert all(r["task"] == task and 0.0 <= r["value"] <= 1.0 for r in reports)

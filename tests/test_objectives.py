@@ -9,18 +9,25 @@ from odin.autodiff import Tensor
 from odin.encoder import ModelDims, build_vocab
 from odin.fusion import make_schedule
 from odin.graph import TextGraph
+from odin.config import RunConfig
 from odin.objectives import (
     MaskPlan,
-    PretrainHyper,
     make_optimizer,
     mnp_loss,
     nmlm_loss,
+    optimize,
     plan_masks,
     pretrain_step,
-    total_loss,
+    softmax_xent,
 )
+from odin.runner import linkpred_loss
 
-from helpers import finite_diff_check
+from helpers import (
+    finite_diff_check,
+    in_batch_pair_loop_oracle,
+    mnp_pair_loop_oracle,
+    rand_tensor,
+)
 
 LN2 = math.log(2.0)
 
@@ -99,49 +106,115 @@ def test_plan_masks_positive_pool_from_sampled_subgraph():
     assert neg in (1, 2)  # batch members not adjacent to 0
 
 
-def test_plan_masks_all_positive_neighbors_switch():
-    g = TextGraph(("a", "b", "c", "d"),
-                  frozenset({(0, 1), (0, 2)}))
-    tokens = toks([1, 4], [1, 5], [1, 6], [1, 7])
-    plan, _ = plan_masks(tokens, g, 0.3, 0, 2, all_positive_neighbors=True)
-    assert len(plan.node_pairs[0]) == 2  # one pair per in-batch neighbor
-    assert {p for p, _ in plan.node_pairs[0]} == {1, 2}
-
-
 # -- mnp_loss ------------------------------------------------------------------
 
 
-def cls_map(**vecs):
-    return {int(k[1:]): Tensor(np.array(v, dtype=float)) for k, v in vecs.items()}
+def _check_against_oracle(vectorized, oracle, tensors):
+    """Value within 1e-12 relative and gradients within 1e-12 absolute of the
+    per-pair oracle; gradients also match finite differences."""
+    assert abs(vectorized().item() - oracle().item()) <= 1e-12 * abs(oracle().item())
+    grads = []
+    for fn in (oracle, vectorized):
+        for t in tensors:
+            t.zero_grad()
+        fn().backward()
+        grads.append([t.grad.copy() for t in tensors])
+    for want, got in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    finite_diff_check(vectorized, tensors)
+
+
+def mnp(plan, *rows):
+    """mnp_loss over [CLS] rows given for nodes 0, 1, 2, ..."""
+    return mnp_loss(Tensor(np.array(rows, dtype=float)), range(len(rows)), plan)
 
 
 def test_mnp_equal_scores_gives_ln2():
-    cls = cls_map(n0=[1.0, 0.0], n1=[0.5, 0.5], n2=[0.5, 0.5])
     plan = MaskPlan({}, {0: ((1, 2),)})
-    assert abs(mnp_loss(cls, plan).item() - LN2) < 1e-12
+    assert abs(mnp(plan, [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]).item() - LN2) < 1e-12
 
 
 def test_mnp_dominant_positive_goes_to_zero():
-    cls = cls_map(n0=[30.0, 0.0], n1=[30.0, 0.0], n2=[-30.0, 0.0])
     plan = MaskPlan({}, {0: ((1, 2),)})
-    assert mnp_loss(cls, plan).item() < 1e-12
+    assert mnp(plan, [30.0, 0.0], [30.0, 0.0], [-30.0, 0.0]).item() < 1e-12
 
 
 def test_mnp_scalar_arithmetic_oracle():
-    cls = cls_map(n0=[1.0, 0.0], n1=[1.0, 0.0], n2=[0.0, 1.0])
     plan = MaskPlan({}, {0: ((1, 2),)})
     want = -math.log(math.e / (math.e + 1.0))  # 0.31326168751822286
-    assert abs(mnp_loss(cls, plan).item() - want) < 1e-12
+    assert abs(mnp(plan, [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]).item() - want) < 1e-12
 
 
 def test_mnp_empty_plan_is_zero():
-    assert mnp_loss({}, MaskPlan({}, {})).item() == 0.0
+    assert mnp_loss(Tensor(np.zeros((0, 2))), (), MaskPlan({}, {})).item() == 0.0
 
 
 def test_mnp_sums_not_averages():
-    cls = cls_map(n0=[0.0, 0.0], n1=[0.0, 0.0], n2=[0.0, 0.0], n3=[0.0, 0.0])
     plan = MaskPlan({}, {0: ((1, 2),), 3: ((1, 2),)})
-    assert abs(mnp_loss(cls, plan).item() - 2 * LN2) < 1e-12
+    assert abs(mnp(plan, *[[0.0, 0.0]] * 4).item() - 2 * LN2) < 1e-12
+
+
+def test_mnp_rows_follow_the_node_order():
+    plan = MaskPlan({}, {7: ((3, 5),)})
+    cls = Tensor(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))  # nodes 5, 7, 3
+    want = -math.log(math.e / (math.e + 1.0))
+    assert abs(mnp_loss(cls, (5, 7, 3), plan).item() - want) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mnp_matches_per_pair_oracle(seed):
+    rng = np.random.default_rng(seed)
+    nodes = tuple(int(v) for v in rng.permutation(20)[:9])
+    node_pairs = {}
+    for v in nodes[:6]:  # few nodes, many pairs: rows repeat as anchor, positive, negative
+        node_pairs[v] = tuple((int(rng.choice(nodes)), int(rng.choice(nodes)))
+                              for _ in range(int(rng.integers(1, 4))))
+    plan = MaskPlan({}, node_pairs)
+    cls = rand_tensor(rng, len(nodes), 5)
+    _check_against_oracle(
+        lambda: mnp_loss(cls, nodes, plan),
+        lambda: mnp_pair_loop_oracle({v: cls[i] for i, v in enumerate(nodes)}, plan),
+        [cls])
+
+
+# -- in-batch softmax ----------------------------------------------------------------
+
+
+def test_softmax_xent_matches_per_row_oracle():
+    rng = np.random.default_rng(2)
+    logits = rng.standard_normal((5, 7))
+    gold = [3, 0, 3, 6, 1]
+    want = sum(np.log(np.exp(row).sum()) - row[k] for row, k in zip(logits, gold))
+    assert abs(softmax_xent(Tensor(logits), gold).item() - want) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linkpred_loss_matches_per_pair_oracle(seed):
+    rng = np.random.default_rng(seed)
+    nodes = tuple(int(v) for v in rng.permutation(30)[:8])
+    # heads and tails repeat, and a node can be a head in one pair, a tail in another
+    pairs = [(int(rng.choice(nodes)), int(rng.choice(nodes[:4]))) for _ in range(10)]
+    cls = rand_tensor(rng, len(nodes), 5)
+    row = {v: cls[i] for i, v in enumerate(nodes)}
+    tails = {v: row[v] for _, v in pairs}
+    _check_against_oracle(lambda: linkpred_loss(cls, nodes, pairs),
+                          lambda: in_batch_pair_loop_oracle(row, tails, pairs), [cls])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_label_softmax_matches_per_pair_oracle(seed):
+    # the retrieval fine-tune: nodes against a pool of label encodings, several
+    # nodes sharing a gold label and one pool label that is no node's gold
+    rng = np.random.default_rng(seed)
+    nodes, pool = (2, 5, 6, 9, 11), (1, 3, 4, 8)
+    gold = {2: 3, 5: 1, 6: 3, 9: 8, 11: 3}
+    queries, keys = rand_tensor(rng, len(nodes), 5), rand_tensor(rng, len(pool), 5)
+    _check_against_oracle(
+        lambda: softmax_xent(queries @ keys.T, [pool.index(gold[v]) for v in nodes]),
+        lambda: in_batch_pair_loop_oracle({v: queries[i] for i, v in enumerate(nodes)},
+                                          {k: keys[j] for j, k in enumerate(pool)},
+                                          [(v, gold[v]) for v in nodes]),
+        [queries, keys])
 
 
 # -- nmlm_loss -----------------------------------------------------------------
@@ -191,26 +264,6 @@ def test_nmlm_empty_plan_is_zero():
     assert nmlm_loss(states, (0,), MaskPlan({}, {}), p).item() == 0.0
 
 
-# -- total_loss -------------------------------------------------------------------
-
-
-def test_total_loss_values():
-    assert total_loss(Tensor(0.0), Tensor(0.0)).item() == 0.0
-    assert total_loss(Tensor(0.5), Tensor(1.5)).item() == 2.0
-
-
-def test_total_loss_recomposes():
-    rng = np.random.default_rng(8)
-    p = tiny_params(vocab_size=9, d=8)
-    states = Tensor(rng.standard_normal((2, 3, 8)))
-    cls = {0: Tensor(rng.standard_normal(8)), 1: Tensor(rng.standard_normal(8)),
-           2: Tensor(rng.standard_normal(8))}
-    plan = MaskPlan({0: ((1, 2),)}, {0: ((1, 2),)})
-    l1 = mnp_loss(cls, plan)
-    l2 = nmlm_loss(states, (0, 1), plan, p)
-    assert abs(total_loss(l1, l2).item() - (l1.item() + l2.item())) < 1e-12
-
-
 # -- gradients through the losses ----------------------------------------------
 
 
@@ -218,18 +271,13 @@ def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     p = tiny_params(vocab_size=10, d=4)
     states = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    cls0 = Tensor(rng.standard_normal(4), requires_grad=True)
-    cls1 = Tensor(rng.standard_normal(4), requires_grad=True)
-    cls2 = Tensor(rng.standard_normal(4), requires_grad=True)
+    cls = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     plan = MaskPlan({0: ((1, 3),), 1: ((2, 7),)}, {0: ((1, 2),)})
 
     def loss():
-        l1 = mnp_loss({0: cls0, 1: cls1, 2: cls2}, plan)
-        l2 = nmlm_loss(states, (0, 1), plan, p)
-        return total_loss(l1, l2)
+        return mnp_loss(cls, (0, 1, 2), plan) + nmlm_loss(states, (0, 1), plan, p)
 
-    finite_diff_check(loss, [states, cls0, cls1, cls2, p.mlm_head],
-                      probes=8, rng=rng)
+    finite_diff_check(loss, [states, cls, p.mlm_head], probes=8, rng=rng)
 
 
 # -- pretrain_step ------------------------------------------------------------------
@@ -253,32 +301,33 @@ def snapshot(params):
     return {n: p.data.copy() for n, p in params.named_parameters()}
 
 
+def step(batch, g, params, schedule, optimizer, vocab, seed):
+    return pretrain_step(batch, g, params, schedule, optimizer, vocab, seed,
+                         fanout=3, mask_ratio=0.15)
+
+
 def test_pretrain_step_zero_lr_leaves_params_bitwise():
     g, vocab, schedule, params = train_fixture()
-    hyper = PretrainHyper(lr_encoder=0.0, lr_gnn=0.0, fanout=3)
     before = snapshot(params)
-    rec = pretrain_step([0, 1, 2, 3], g, params, schedule, make_optimizer(hyper),
-                        hyper, vocab, step_seed=5)
+    rec = step([0, 1, 2, 3], g, params, schedule, make_optimizer("sgd", 0.0, 0.0), vocab, 5)
     after = snapshot(params)
     assert all(np.array_equal(before[k], after[k]) for k in before)
     assert rec["total"] >= 0.0
 
 
 def test_pretrain_step_published_default_rates():
-    hyper = PretrainHyper()
-    assert hyper.lr_encoder == 1e-5 and hyper.lr_gnn == 1e-3
-    assert hyper.batch_size == 32 and hyper.epochs == 10
-    assert hyper.mask_ratio == 0.15 and hyper.fanout == 5
+    cfg = RunConfig()
+    p = cfg.pretrain
+    assert p.lr_encoder == 1e-5 and p.lr_gnn == 1e-3
+    assert p.batch_size == 32 and p.epochs == 10
+    assert p.mask_ratio == 0.15 and cfg.sampler.fanout == 5
 
 
 def test_pretrain_step_deterministic():
     g, vocab, schedule, params_a = train_fixture(seed=3)
     _, _, _, params_b = train_fixture(seed=3)
-    hyper = PretrainHyper(lr_encoder=1e-3, lr_gnn=1e-2, fanout=3)
-    rec_a = pretrain_step([0, 1, 2], g, params_a, schedule, make_optimizer(hyper),
-                          hyper, vocab, step_seed=7)
-    rec_b = pretrain_step([0, 1, 2], g, params_b, schedule, make_optimizer(hyper),
-                          hyper, vocab, step_seed=7)
+    rec_a = step([0, 1, 2], g, params_a, schedule, make_optimizer("sgd", 1e-3, 1e-2), vocab, 7)
+    rec_b = step([0, 1, 2], g, params_b, schedule, make_optimizer("sgd", 1e-3, 1e-2), vocab, 7)
     assert rec_a["total"] == rec_b["total"]
     sa, sb = snapshot(params_a), snapshot(params_b)
     assert all(np.array_equal(sa[k], sb[k]) for k in sa)
@@ -286,10 +335,8 @@ def test_pretrain_step_deterministic():
 
 def test_pretrain_step_group_learning_rates_differ():
     g, vocab, schedule, params = train_fixture(seed=4)
-    hyper = PretrainHyper(lr_encoder=0.0, lr_gnn=1e-2, fanout=3)
     before = snapshot(params)
-    pretrain_step([0, 1, 2, 4], g, params, schedule, make_optimizer(hyper),
-                  hyper, vocab, step_seed=2)
+    step([0, 1, 2, 4], g, params, schedule, make_optimizer("sgd", 0.0, 1e-2), vocab, 2)
     after = snapshot(params)
     assert np.array_equal(before["token_emb"], after["token_emb"])
     assert not np.array_equal(before["stages.0.w1"], after["stages.0.w1"])
@@ -297,14 +344,54 @@ def test_pretrain_step_group_learning_rates_differ():
 
 def test_adam_optimizer_state_round_trip():
     g, vocab, schedule, params = train_fixture(seed=5)
-    hyper = PretrainHyper(optimizer="adam", lr_encoder=1e-3, lr_gnn=1e-3, fanout=3)
-    optim = make_optimizer(hyper)
-    pretrain_step([0, 1, 2], g, params, schedule, optim, hyper, vocab, step_seed=1)
+    optim = make_optimizer("adam", 1e-3, 1e-3)
+    step([0, 1, 2], g, params, schedule, optim, vocab, 1)
     state = optim.state_dict()
-    fresh = make_optimizer(hyper)
+    fresh = make_optimizer("adam", 1e-3, 1e-3)
     fresh.load_state_dict(state)
     assert fresh.t == optim.t
     assert all(np.array_equal(fresh.m[k], optim.m[k]) for k in optim.m)
+
+
+def test_make_optimizer_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        make_optimizer("rmsprop", 1e-3, 1e-3)
+
+
+# -- optimize ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_optimize_on_non_finite_loss_touches_nothing(bad):
+    g, vocab, schedule, params = train_fixture(seed=6)
+    optim = make_optimizer("adam", 1e-3, 1e-2)
+    step([0, 1, 2], g, params, schedule, optim, vocab, 3)  # Adam state and grads are set
+    before = snapshot(params)
+    grads = {n: p.grad.copy() for n, p in params.named_parameters() if p.grad is not None}
+    state = {"t": optim.t, "m": {k: v.copy() for k, v in optim.m.items()},
+             "v": {k: v.copy() for k, v in optim.v.items()}}
+    loss = params.token_emb.sum() * bad
+    with pytest.raises(FloatingPointError):
+        optimize(params, optim, loss)
+    after = snapshot(params)
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+    assert all(np.array_equal(grads[n], p.grad) for n, p in params.named_parameters()
+               if n in grads)
+    assert optim.t == state["t"]
+    for key in ("m", "v"):
+        got = getattr(optim, key)
+        assert sorted(got) == sorted(state[key])
+        assert all(np.array_equal(got[k], state[key][k]) for k in got)
+
+
+def test_optimize_steps_on_the_fresh_gradient():
+    rng = np.random.default_rng(12)
+    params = tiny_params(vocab_size=6, d=4)
+    params.token_emb.grad = np.full_like(params.token_emb.data, 5.0)  # stale
+    before = params.token_emb.data.copy()
+    weights = rng.standard_normal(params.token_emb.shape)
+    optimize(params, make_optimizer("sgd", 0.5, 0.0), (params.token_emb * weights).sum())
+    np.testing.assert_array_equal(params.token_emb.data, before - 0.5 * weights)
 
 
 def test_mask_ratio_bounds():

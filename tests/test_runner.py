@@ -1,5 +1,6 @@
 """End-to-end runs: whole-graph embeddings, the row-chunked block they use,
-eval without fine-tuning, and resumed pretraining."""
+eval without fine-tuning, repeatable fine-tunes, the checkpoint loader and
+resumed pretraining."""
 
 import json
 
@@ -152,7 +153,6 @@ def _write_init_checkpoint(cfg, graph, path):
 @pytest.mark.parametrize("finetune", [False, True])
 def test_classify_eval_leaves_loaded_parameters_untouched(tmp_path, monkeypatch, finetune):
     cfg = small_cfg(tmp_path)
-    cfg.task.finetune_backbone = True
     cfg.task.classify_shots, cfg.task.finetune_epochs, cfg.task.head_epochs = 2, 1, 5
     graph = small_graph()
     ckpt = tmp_path / "init" / "checkpoint.bin"
@@ -172,6 +172,54 @@ def test_classify_eval_leaves_loaded_parameters_untouched(tmp_path, monkeypatch,
     changed = [name for name, p in loaded[0].named_parameters()
                if name not in saved or not np.array_equal(p.data, saved[name])]
     assert bool(changed) == finetune
+
+
+@pytest.mark.parametrize("task", ["linkpred", "retrieve", "rerank"])
+def test_finetune_from_one_checkpoint_repeats(tmp_path, task):
+    cfg = small_cfg(tmp_path)
+    cfg.task.finetune_epochs, cfg.task.finetune_batch = 2, 4
+    cfg.task.linkpred_shots, cfg.task.retrieve_shots, cfg.task.rerank_shots = 12, 3, 3
+    cfg.task.recall_k, cfg.task.rerank_candidates = 2, 3
+    graph = small_graph()
+    ckpt = tmp_path / "init" / "checkpoint.bin"
+    _write_init_checkpoint(cfg, graph, ckpt)
+    reports = [runner.run_task(cfg, graph, task, ckpt).to_json() for _ in range(2)]
+    assert reports[0] == reports[1]
+
+
+# -- checkpoint loading --------------------------------------------------------------
+
+
+def test_vocab_from_another_graph_is_rejected(tmp_path):
+    cfg = small_cfg(tmp_path)
+    graph = small_graph()
+    ckpt = tmp_path / "init" / "checkpoint.bin"
+    _write_init_checkpoint(cfg, graph, ckpt)
+    other = generate(SyntheticSpec(n_nodes=30, n_classes=3, vocab_size=90,
+                                   words_per_node=6, seed=5))
+    other_vocab, _, _ = runner.build_fresh_model(cfg, other)
+    assert other_vocab.size != runner.build_fresh_model(cfg, graph)[0].size
+    other_vocab.save(ckpt.parent / "vocab.tsv")
+    with pytest.raises(ValueError, match="vocab"):
+        runner.run_task(cfg, graph, "classify", ckpt, finetune=False)
+    with pytest.raises(ValueError, match="vocab"):
+        runner.load_checkpoint(ckpt)
+
+
+def test_zero_epochs_writes_the_random_init_checkpoint(tmp_path):
+    cfg = small_cfg(tmp_path, epochs=0)
+    graph = small_graph()
+    out = tmp_path / "run"
+    report = runner.run_pretrain(cfg, graph, out)
+    assert report["steps"] == 0 and report["epoch_mean_loss"] == []
+    params, meta, _, vocab = runner.load_checkpoint(out / "checkpoint.bin")
+    assert (meta["epoch"], meta["step"]) == (-1, 0)
+    _, _, fresh = runner.build_fresh_model(cfg, graph)
+    for (name, p), (_, q) in zip(params.named_parameters(), fresh.named_parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+    for task in ("linkpred", "classify"):
+        rep = runner.run_task(cfg, graph, task, out / "checkpoint.bin", finetune=False)
+        assert rep.task == task and 0.0 <= rep.value <= 1.0
 
 
 # -- resumed pretraining ---------------------------------------------------------------
