@@ -289,32 +289,35 @@ def _square(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation; smooth, so finite-difference checks behave. The cubic
-    # term is built from products: numpy's float64 pow costs ~40x a multiply.
+    # tanh approximation 0.5 x (1 + tanh u), u = C (x + 0.044715 x^3), in the
+    # equal form x * sigmoid(2u) = x / (1 + exp(-2u)): 1 + tanh u cancels for
+    # x < -2 and is exactly 0 below x ~ -7.2. Where exp(-2u) overflows to inf,
+    # sigmoid's limit 0 is the right value. Smooth, so finite-difference checks
+    # behave. The cubic term is built from products: numpy's float64 pow costs
+    # ~40x a multiply.
     x = a.data
-    t = _square(x)
-    t *= 0.044715
-    t += 1.0
-    t *= x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out_data = t + 1.0
-    out_data *= x
-    out_data *= 0.5
+    s = _square(x)
+    s *= 0.044715
+    s += 1.0
+    s *= x
+    s *= -2.0 * _GELU_C
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    out_data = x * s
 
     def backward(g):
-        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
-        xdinner = _square(x)
-        xdinner *= 3 * 0.044715
-        xdinner += 1.0
-        xdinner *= x
-        xdinner *= _GELU_C
-        ga = _square(t)
-        np.subtract(1.0, ga, out=ga)
-        ga *= xdinner
-        ga += 1.0
-        ga += t
-        ga *= 0.5
+        # d/dx = s + x s (1 - s) 2u', with u' = C (1 + 3 * 0.044715 x^2)
+        dinner = _square(x)
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= x
+        dinner *= 2.0 * _GELU_C
+        ga = np.subtract(1.0, s)
+        ga *= s
+        ga *= dinner
+        ga += s
         ga *= g
         a._accum(ga)
 

@@ -118,7 +118,7 @@ def _finetune_eval(args, finetune: bool) -> int:
     graph = _graph_from_cfg(cfg)
     ckpt = args.checkpoint or str(Path(cfg.paths.out_dir) / "checkpoint.bin")
     report = run_task(cfg, graph, args.task, ckpt, finetune=finetune)
-    out_dir = Path(cfg.paths.out_dir) / args.task
+    out_dir = Path(cfg.paths.out_dir) / args.command / args.task
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     print(report.to_json())
@@ -141,9 +141,7 @@ def cmd_sweep(args) -> int:
     for positions, strategy in cells:
         metrics = {"linkpred": [], "classify": []}
         for s in range(args.seeds):
-            cell_cfg = load_config(args.config) if args.config else RunConfig()
-            for item in args.set or []:
-                apply_override(cell_cfg, item)
+            cell_cfg = _load_cfg(args)
             cell_cfg.schedule.positions = positions
             cell_cfg.schedule.strategy = strategy
             cell_cfg.schedule.preset = None
@@ -271,9 +269,7 @@ def cmd_timing(args) -> int:
         sub = sample_frontiers(graph, batch_nodes, sched.hop_count,
                                cfg.sampler.fanout, cfg.seed)
         counts[name] = encoded_node_count(sub, sched.depth, sched.positions)
-        run_cfg = load_config(args.config) if args.config else RunConfig()
-        for item in args.set or []:
-            apply_override(run_cfg, item)
+        run_cfg = _load_cfg(args)
         run_cfg.schedule.preset = None
         run_cfg.schedule.depth = sched.depth
         run_cfg.schedule.positions = list(sched.positions)

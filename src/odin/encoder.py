@@ -55,7 +55,9 @@ class Vocab:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 tok, idx = line.rstrip("\n").split("\t")
-                assert int(idx) == len(id_to_token), "vocab ids must be dense"
+                if int(idx) != len(id_to_token):
+                    raise ValueError(f"{path}: vocab ids must be dense, got id {idx} "
+                                     f"where {len(id_to_token)} was expected")
                 id_to_token.append(tok)
         return cls({t: i for i, t in enumerate(id_to_token)}, tuple(id_to_token))
 
@@ -214,33 +216,6 @@ def init_params(
     return ParamSet(dims, vocab_size, depth, token_emb, pos_emb, layers, stages, mlm_head)
 
 
-# -- token states ---------------------------------------------------------------
-
-
-@dataclass
-class TokenStates:
-    """Hidden vectors for one node's token sequence; row 0 is [CLS]."""
-
-    states: Tensor  # (seq_len, d)
-    layer: int = 0
-
-    @property
-    def cls(self) -> Tensor:
-        return self.states[0]
-
-
-def embed(tokens: np.ndarray, params: ParamSet) -> TokenStates:
-    """Token embedding plus position embedding, layer index 0."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.max(initial=0) >= params.vocab_size or tokens.min(initial=0) < 0:
-        raise IndexError("token id out of range")
-    if len(tokens) > params.dims.max_len:
-        raise ValueError("sequence longer than max_len")
-    rows = ad.take_rows(params.token_emb, tokens)
-    pos = params.pos_emb[: len(tokens)]
-    return TokenStates(rows + pos, layer=0)
-
-
 def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
     """(N, T) padded token ids -> (N, T, d) initial states."""
     n, t = token_matrix.shape
@@ -291,14 +266,6 @@ def attention_core(
     return ad.linear(_merge_heads(ctx), lp.wo, lp.bo)
 
 
-def _promote(states: Tensor | TokenStates):
-    if isinstance(states, TokenStates):
-        return ad.reshape(states.states, (1,) + states.states.shape), states.layer, True
-    if states.ndim == 2:
-        return ad.reshape(states, (1,) + states.shape), None, True
-    return states, None, False
-
-
 def attention_block(
     x: Tensor,
     agg: Tensor | None,
@@ -318,17 +285,6 @@ def attention_block(
             ones = np.ones((key_mask.shape[0], 1), dtype=bool)
             mask = np.concatenate([ones, key_mask], axis=1)
     return attention_core(x, kv, lp, heads, key_mask=mask)
-
-
-def asymmetric_attention(states, agg, lp: LayerParams, heads: int) -> Tensor | TokenStates:
-    """Per-node form of attention_block; accepts (T, d) or TokenStates."""
-    x3, layer, squeeze = _promote(states)
-    agg3 = None if agg is None else ad.reshape(agg, (1, agg.shape[-1]))
-    out = attention_block(x3, agg3, lp, heads)
-    if squeeze:
-        out2 = ad.reshape(out, out.shape[1:])
-        return TokenStates(out2, layer) if layer is not None else out2
-    return out
 
 
 def transformer_block(
@@ -357,17 +313,6 @@ def transformer_block(
     h = ad.layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
     m = ad.linear(ad.gelu(ad.linear(h, lp.w_up, lp.b_up)), lp.w_down, lp.b_down)
     return ad.layer_norm(h + m, lp.ln2_g, lp.ln2_b)
-
-
-def transformer_layer(states, agg, lp: LayerParams, heads: int):
-    """Per-node form of transformer_block; layer index advances by one."""
-    x3, layer, squeeze = _promote(states)
-    agg3 = None if agg is None else ad.reshape(agg, (1, agg.shape[-1]))
-    out = transformer_block(x3, agg3, lp, heads)
-    if squeeze:
-        out2 = ad.reshape(out, out.shape[1:])
-        return TokenStates(out2, layer + 1) if layer is not None else out2
-    return out
 
 
 def mlm_logits(state: Tensor, params: ParamSet) -> Tensor:

@@ -8,14 +8,18 @@ layers apply one of four cheap aggregation strategies. Each layer's
 aggregation output is prepended to that node's token sequence as attention
 context for exactly one block.
 
-Nodes that fall outside the current frontier freeze; later aggregations read
-their last computed [CLS] state.
+The frontiers are nested (B_A ⊂ ... ⊂ B_0), so the forward keeps B_0 in
+prefix order: the sorted batch B_A first, then each ring B_{a-1} \\ B_a,
+sorted. Every frontier is then the first |B_a| rows, and a layer runs on a
+slice. Nodes that fall outside the current frontier freeze: their [CLS] row
+keeps the value of the last layer that ran them, and later aggregations read
+it there.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,83 +87,15 @@ def light_preset(name: str) -> LayerSchedule:
     return make_schedule(depth, positions, "PG")
 
 
-# -- aggregation ---------------------------------------------------------------
-
-
-def tg_aggregate(cls_self: Tensor, cls_neighbors, w1: Tensor, w2: Tensor) -> Tensor:
-    """w1 @ mean(neighbor [CLS]) + w2 @ own [CLS]; empty neighborhoods
-    contribute a zero mean term."""
-    if cls_self.shape != (w2.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: state {cls_self.shape} vs weights {w2.shape}"
-        )
-    out = ad.matmul(w2, ad.reshape(cls_self, (-1, 1)))
-    if cls_neighbors:
-        stack = ad.concat([ad.reshape(c, (1, -1)) for c in cls_neighbors], axis=0)
-        mean = stack.mean(axis=0).reshape(-1, 1)
-        out = out + ad.matmul(w1, mean)
-    return ad.reshape(out, (-1,))
-
-
-@dataclass
-class AggCache:
-    """Per-forward cache: the last graph-enhanced token of every node and the
-    stage that produced it, plus the stage weights for parameter reuse."""
-
-    stages: list[StageParams]
-    rows: Tensor | None = None  # (num_base_nodes, d)
-    stage: int | None = None
-    node_to_row: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def primed(self) -> bool:
-        return self.stage is not None
-
-    def lookup(self, node: int) -> Tensor:
-        if not self.primed:
-            raise ValueError("cache is empty before the first graph-aggregation layer")
-        return self.rows[self.node_to_row[node]]
-
-    def stage_weights(self) -> StageParams:
-        if not self.primed:
-            raise ValueError("no stage has run yet")
-        return self.stages[self.stage]
-
-
-def simple_aggregate(strategy, cls_self, cls_neighbors, cache: AggCache, node: int):
-    """The four cheap strategies. Returns None when no token is injected.
-
-    Parameter-reusing strategies requested before any aggregation stage has
-    run degrade to VA (there is nothing to reuse yet).
-    """
-    if strategy == "VA":
-        return None
-    if strategy == "ME":
-        stack = ad.concat(
-            [ad.reshape(cls_self, (1, -1))] + [ad.reshape(c, (1, -1)) for c in cls_neighbors],
-            axis=0,
-        )
-        return stack.mean(axis=0)
-    if strategy in ("PE", "PG") and not cache.primed:
-        log.warning("%s requested before the first aggregation stage; using VA", strategy)
-        return None
-    if strategy == "PE":
-        return cache.lookup(node)
-    if strategy == "PG":
-        sp = cache.stage_weights()
-        return tg_aggregate(cls_self, cls_neighbors, sp.w1, sp.w2)
-    raise ConfigError(f"unknown strategy {strategy!r}")
-
-
 # -- fused forward -----------------------------------------------------------------
 
 
 @dataclass
 class _Frontier:
-    rows: np.ndarray          # positions of the active nodes within base order
-    nbr_flat: np.ndarray      # positions of their sampled neighbors, concatenated
-    nbr_seg: np.ndarray       # segment id into rows for each flat entry
-    counts: np.ndarray        # (len(rows), 1) neighbor counts, float
+    size: int                 # active nodes: the first `size` rows of the prefix order
+    nbr_flat: np.ndarray      # rows of their sampled neighbors, concatenated
+    nbr_seg: np.ndarray       # active row of each flat entry
+    counts: np.ndarray        # (size, 1) neighbor counts, float
 
 
 @dataclass
@@ -167,33 +103,46 @@ class ForwardResult:
     batch_nodes: tuple[int, ...]      # sorted batch ids; rows of cls/final_states
     cls: Tensor                       # (B, d) final [CLS] per batch node
     final_states: Tensor              # (B, T, d) final token states per batch node
-    lengths: np.ndarray               # (B,) true sequence lengths
-    base_nodes: tuple[int, ...]       # all encoded nodes (B_0 order)
-    base_cls: Tensor                  # (|B_0|, d) most recent [CLS] of every node
+    base_nodes: tuple[int, ...]       # row order of base_cls and cls_trace: the prefix
+                                      # order of B_0 (batch first), not sorted
+    base_cls: Tensor                  # (|B_0|, d) last computed [CLS] of every node;
+                                      # a frozen node keeps the row it had when it left
     hops_consumed: int                # value of the hop counter after the pass
     cls_trace: list[np.ndarray] | None = None  # per-layer (|B_0|, d) snapshots
 
 
-def _build_frontiers(sub: SampledSubgraph, pos: dict[int, int]) -> list[_Frontier]:
+def _prefix_order(sub: SampledSubgraph) -> tuple[int, ...]:
+    """B_A, then each ring B_{a-1} \\ B_a, each sorted: every frontier B_a is
+    the first |B_a| nodes."""
+    order: list[int] = []
+    seen: set[int] = set()
+    for front in sub.frontiers:
+        ring = [v for v in front if v not in seen]
+        order.extend(ring)
+        seen.update(ring)
+    return tuple(order)
+
+
+def _build_frontiers(sub: SampledSubgraph, order) -> list[_Frontier]:
+    # the neighbor lists are concatenated in row order, so each frontier's
+    # entries are a prefix of the flat arrays
+    row = {v: i for i, v in enumerate(order)}
+    nbrs = [sub.sampled_adj.get(v, ()) for v in order]
+    counts = np.array([len(x) for x in nbrs], dtype=np.intp)
+    flat = np.array([row[u] for x in nbrs for u in x], dtype=np.intp)
+    seg = np.repeat(np.arange(len(order), dtype=np.intp), counts)
+    ends = np.concatenate([[0], np.cumsum(counts)])
     out = []
     for m in range(sub.hop_count + 1):
-        nodes = sub.budget(m)
-        rows = np.array([pos[v] for v in nodes], dtype=np.intp)
-        flat, seg = [], []
-        counts = np.zeros((len(nodes), 1))
-        for i, v in enumerate(nodes):
-            nbrs = sub.sampled_adj.get(v, ())
-            counts[i, 0] = len(nbrs)
-            flat.extend(pos[u] for u in nbrs)
-            seg.extend([i] * len(nbrs))
-        out.append(_Frontier(rows, np.array(flat, dtype=np.intp),
-                             np.array(seg, dtype=np.intp), counts))
+        n = len(sub.budget(m))
+        out.append(_Frontier(n, flat[:ends[n]], seg[:ends[n]],
+                             counts[:n, None].astype(np.float64)))
     return out
 
 
 def _neighbor_mean(cls_all: Tensor, fr: _Frontier) -> Tensor:
     gathered = ad.take_rows(cls_all, fr.nbr_flat)
-    sums = ad.segment_sum(gathered, fr.nbr_seg, len(fr.rows))
+    sums = ad.segment_sum(gathered, fr.nbr_seg, fr.size)
     return sums * (1.0 / np.maximum(fr.counts, 1.0))
 
 
@@ -201,11 +150,12 @@ def _batch_tg(cls_act: Tensor, mean_nb: Tensor, sp: StageParams) -> Tensor:
     return ad.matmul(mean_nb, sp.w1.T) + ad.matmul(cls_act, sp.w2.T)
 
 
-def _check_finite(data: np.ndarray, layer: int, nodes, rows_local: np.ndarray):
+def _check_finite(data: np.ndarray, layer: int, order):
+    """Rows of `data` are the first rows of the prefix order."""
     if np.isfinite(data).all():
         return
     bad_rows = np.where(~np.isfinite(data.reshape(data.shape[0], -1)).all(axis=1))[0]
-    node = nodes[rows_local[bad_rows[0]]] if len(bad_rows) else "?"
+    node = order[bad_rows[0]] if len(bad_rows) else "?"
     raise FloatingPointError(f"non-finite activation at layer {layer}, node {node}")
 
 
@@ -237,107 +187,95 @@ def odin_forward(
     frontier only. `rows`, if set, bounds how many nodes each Transformer
     block processes at once (see transformer_block); the result is the same.
     With identity_encoder=True the Transformer blocks are skipped and each
-    aggregation layer updates the node state to tanh(aggregate(...))
-    instead, turning the stack into a plain message-passing network over the
-    same frontiers (a test hook).
+    layer sets the active nodes' state to tanh(aggregate(...)) instead
+    (nodes keep their state when the layer injects nothing), turning the
+    stack into a plain message-passing network over the same frontiers (a
+    test hook).
     """
     if sub.hop_count != schedule.hop_count:
         raise ConfigError(
             f"schedule expects {schedule.hop_count} hop(s) but subgraph has "
             f"{sub.hop_count}"
         )
-    base = sub.base
-    pos = {v: i for i, v in enumerate(base)}
-    frontiers = _build_frontiers(sub, pos)
+    order = _prefix_order(sub)
+    frontiers = _build_frontiers(sub, order)
     heads = params.dims.heads
-    cache = AggCache(stages=params.stages)
     trace: list[np.ndarray] | None = [] if record_trace else None
 
     if identity_encoder:
         if init_features is None:
             raise ValueError("identity_encoder requires init_features")
         cls_all = Tensor(np.stack([np.asarray(init_features[v], dtype=np.float64)
-                                   for v in base]))
+                                   for v in order]))
         states = None
-        lengths = np.ones(len(base), dtype=np.intp)
-        key_mask = None
     else:
-        missing = [v for v in base if v not in tokens_by_node]
+        missing = [v for v in order if v not in tokens_by_node]
         if missing:
             raise ValueError(f"missing token states for sampled node(s) {missing[:5]}")
-        token_mat, lengths = pad_tokens(tokens_by_node, base)
+        token_mat, lengths = pad_tokens(tokens_by_node, order)
         key_mask = np.arange(token_mat.shape[1])[None, :] < lengths[:, None]
         states = embed_batch(token_mat, params)
         states = transformer_block(states, None, params.layers[0], heads, key_mask, rows)
-        _check_finite(states.data, 0, base, np.arange(len(base), dtype=np.intp))
+        _check_finite(states.data, 0, order)
         cls_all = states[:, 0, :]
     if trace is not None:
         trace.append(cls_all.data.copy())
 
+    # m counts the aggregation stages run so far; it selects the frontier,
+    # and stage m - 1 produced last_agg
     m = 0
-    stage_ptr = 0
-    warned_fallback = False
+    last_agg = None
     for layer in range(1, schedule.depth):
         fr = frontiers[min(m, sub.hop_count)]
-        cls_act = ad.take_rows(cls_all, fr.rows)
+        n = fr.size
+        cls_act = cls_all[:n]
         is_tg = schedule.is_tg(layer)
 
         agg = None
         if is_tg:
-            sp = params.stages[stage_ptr]
-            agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), sp)
+            agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), params.stages[m])
         elif schedule.strategy == "ME":
-            total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, len(fr.rows))
+            total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
             agg = (total + cls_act) * (1.0 / (fr.counts + 1.0))
+        elif schedule.strategy in ("PE", "PG") and m == 0:
+            if layer == 1:  # every layer before the first stage falls back; warn once
+                log.warning("%s before the first aggregation stage; using VA",
+                            schedule.strategy)
         elif schedule.strategy == "PE":
-            if cache.primed:
-                agg = ad.take_rows(cache.rows, fr.rows)
-            elif not warned_fallback:
-                log.warning("PE before the first aggregation stage; using VA")
-                warned_fallback = True
+            agg = last_agg[:n]
         elif schedule.strategy == "PG":
-            if cache.primed:
-                agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), cache.stage_weights())
-            elif not warned_fallback:
-                log.warning("PG before the first aggregation stage; using VA")
-                warned_fallback = True
+            agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), params.stages[m - 1])
 
         if identity_encoder:
-            new_cls = ad.tanh(agg) if agg is not None else cls_act
-            cls_all = ad.scatter_rows(cls_all, fr.rows, new_cls)
-            _check_finite(new_cls.data, layer, base, fr.rows)
+            new_cls = cls_act if agg is None else ad.tanh(agg)
+            _check_finite(new_cls.data, layer, order)
         else:
-            sub_states = ad.take_rows(states, fr.rows)
-            new_sub = transformer_block(
-                sub_states, agg, params.layers[layer], heads, key_mask[fr.rows], rows
-            )
-            _check_finite(new_sub.data, layer, base, fr.rows)
-            states = ad.scatter_rows(states, fr.rows, new_sub)
-            cls_all = ad.scatter_rows(cls_all, fr.rows, new_sub[:, 0, :])
+            if n < states.shape[0]:
+                states = states[:n]
+                key_mask = key_mask[:n]
+            states = transformer_block(states, agg, params.layers[layer], heads,
+                                       key_mask, rows)
+            _check_finite(states.data, layer, order)
+            new_cls = states[:, 0, :]
+        cls_all = ad.concat([new_cls, cls_all[n:]]) if n < len(order) else new_cls
 
         if is_tg:
-            if cache.rows is None:
-                cache.rows = Tensor(np.zeros_like(cls_all.data))
-                cache.node_to_row = pos
-            cache.rows = ad.scatter_rows(cache.rows, fr.rows, agg)
-            cache.stage = stage_ptr
-            stage_ptr += 1
+            last_agg = agg
             m += 1
         if trace is not None:
             trace.append(cls_all.data.copy())
 
-    batch_rows = np.array([pos[v] for v in sub.batch], dtype=np.intp)
-    cls_out = ad.take_rows(cls_all, batch_rows)
+    b = len(sub.batch)
+    cls_out = cls_all[:b]
     if identity_encoder:
-        final_states = ad.reshape(cls_out, (len(batch_rows), 1, -1))
+        final_states = ad.reshape(cls_out, (b, 1, -1))
     else:
-        final_states = ad.take_rows(states, batch_rows)
+        final_states = states[:b]
     return ForwardResult(
         batch_nodes=sub.batch,
         cls=cls_out,
         final_states=final_states,
-        lengths=lengths[batch_rows],
-        base_nodes=base,
+        base_nodes=order,
         base_cls=cls_all,
         hops_consumed=m,
         cls_trace=trace,

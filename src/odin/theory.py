@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import ModelDims, ParamSet, build_vocab, embed, init_params, transformer_layer
+from .encoder import ModelDims, ParamSet, build_vocab, embed_batch, init_params, transformer_block
 from .fusion import LayerSchedule, make_schedule, odin_forward, tokenize_nodes
 from .graph import TextGraph
 from .rngutil import generator
@@ -144,10 +144,10 @@ def transformer_reduction_check(
     res = odin_forward(graph, sub, tokens, params, schedule)
     worst = 0.0
     for i, v in enumerate(res.batch_nodes):
-        x = embed(tokens[v], params).states
+        x = embed_batch(tokens[v][None], params)
         for lp in params.layers:
-            x = transformer_layer(x, None, lp, params.dims.heads)
-        worst = max(worst, float(np.max(np.abs(res.cls.data[i] - x.data[0]))))
+            x = transformer_block(x, None, lp, params.dims.heads)
+        worst = max(worst, float(np.max(np.abs(res.cls.data[i] - x.data[0, 0]))))
     return worst
 
 
@@ -191,11 +191,14 @@ def gnn_reduction_check(
                        identity_encoder=True, init_features=init_features,
                        record_trace=True)
     oracle = mean_gnn_oracle(sub, init_features, w1s, w2s)
-    # trace has one entry after every layer; the oracle includes the initial
-    # state, and the identity layer 0 leaves it unchanged
-    worst = float(np.max(np.abs(res.cls_trace[0] - oracle[0])))
-    for got, want in zip(res.cls_trace[1:], oracle[1:]):
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    # trace has one entry after every layer, in res.base_nodes order; the
+    # oracle is in sub.base order and includes the initial state, which the
+    # identity layer 0 leaves unchanged
+    row = {v: i for i, v in enumerate(res.base_nodes)}
+    rows = [row[v] for v in sub.base]
+    worst = 0.0
+    for got, want in zip(res.cls_trace, oracle):
+        worst = max(worst, float(np.max(np.abs(got[rows] - want))))
     return worst
 
 

@@ -1,10 +1,17 @@
 """Shared test oracles: central finite differences, reference forms of the
-autodiff primitives and of the per-pair losses, and random tensors."""
+autodiff primitives, of the per-pair losses and of the per-node forward, and
+random tensors."""
+
+import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from odin import autodiff as ad
 from odin.autodiff import Tensor
+from odin.encoder import embed_batch, transformer_block
+
+log = logging.getLogger(__name__)
 
 
 def finite_diff_check(fn, tensors, step=1e-5, rtol=1e-4, atol=1e-8, probes=None, rng=None):
@@ -45,6 +52,14 @@ def gelu_oracle(x):
     """The tanh-approximation GELU written directly, cubic term by pow."""
     c = np.sqrt(2.0 / np.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def gelu_longdouble_oracle(x):
+    """The same tanh approximation as x * sigmoid(2u), evaluated in long double."""
+    x = np.asarray(x, dtype=np.longdouble)
+    c = np.sqrt(np.longdouble(2) / np.longdouble(np.pi))
+    u = c * (x + np.longdouble(0.044715) * x * x * x)
+    return x / (1 + np.exp(-2 * u))
 
 
 def add_at_oracle(idx, values, num_rows):
@@ -91,3 +106,89 @@ def in_batch_pair_loop_oracle(query_by_id, key_by_id, pairs):
         term = ad.logsumexp(scores, axis=-1)[0] - scores[0, ids.index(k)]
         total = term if total is None else total + term
     return total
+
+
+# -- per-node forward -----------------------------------------------------------
+
+
+def tg_aggregate(cls_self: Tensor, cls_neighbors, w1: Tensor, w2: Tensor) -> Tensor:
+    """w1 @ mean(neighbor [CLS]) + w2 @ own [CLS] for one node; empty
+    neighborhoods contribute a zero mean term."""
+    if cls_self.shape != (w2.shape[1],):
+        raise ValueError(
+            f"dimension mismatch: state {cls_self.shape} vs weights {w2.shape}"
+        )
+    out = ad.matmul(w2, ad.reshape(cls_self, (-1, 1)))
+    if cls_neighbors:
+        stack = ad.concat([ad.reshape(c, (1, -1)) for c in cls_neighbors], axis=0)
+        mean = stack.mean(axis=0).reshape(-1, 1)
+        out = out + ad.matmul(w1, mean)
+    return ad.reshape(out, (-1,))
+
+
+@dataclass
+class AggCache:
+    """The last graph-enhanced token of every node, the stage that produced
+    it, and the stage weights for parameter reuse."""
+
+    stages: list
+    tokens: dict = field(default_factory=dict)  # node -> (d,) token
+    stage: int | None = None
+
+    @property
+    def primed(self) -> bool:
+        return self.stage is not None
+
+
+def simple_aggregate(strategy, cls_self, cls_neighbors, cache: AggCache, node: int):
+    """The four cheap strategies for one node. Returns None when no token is
+    injected; PE and PG before any aggregation stage degrade to VA."""
+    if strategy == "VA":
+        return None
+    if strategy == "ME":
+        stack = ad.concat(
+            [ad.reshape(cls_self, (1, -1))] + [ad.reshape(c, (1, -1)) for c in cls_neighbors],
+            axis=0,
+        )
+        return stack.mean(axis=0)
+    if not cache.primed:
+        log.warning("%s requested before the first aggregation stage; using VA", strategy)
+        return None
+    if strategy == "PE":
+        return cache.tokens[node]
+    if strategy == "PG":
+        sp = cache.stages[cache.stage]
+        return tg_aggregate(cls_self, cls_neighbors, sp.w1, sp.w2)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def per_node_forward(sub, tokens_by_node, params, schedule):
+    """The fused forward one node at a time: unpadded one-row blocks, and
+    each layer updates every node of its frontier from the previous layer's
+    [CLS] states while the other nodes keep theirs. Returns node -> (1, T, d)
+    final token states."""
+    heads = params.dims.heads
+    states = {v: transformer_block(embed_batch(tokens_by_node[v][None], params), None,
+                                   params.layers[0], heads)
+              for v in sub.base}
+    cache = AggCache(params.stages)
+    m = 0
+    for layer in range(1, schedule.depth):
+        cls = {v: x[0, 0] for v, x in states.items()}
+        tg = schedule.is_tg(layer)
+        updated, aggs = {}, {}
+        for v in sub.budget(min(m, sub.hop_count)):
+            nbrs = [cls[u] for u in sub.sampled_adj.get(v, ())]
+            if tg:
+                sp = params.stages[m]
+                agg = aggs[v] = tg_aggregate(cls[v], nbrs, sp.w1, sp.w2)
+            else:
+                agg = simple_aggregate(schedule.strategy, cls[v], nbrs, cache, v)
+            agg = None if agg is None else ad.reshape(agg, (1, -1))
+            updated[v] = transformer_block(states[v], agg, params.layers[layer], heads)
+        states.update(updated)
+        if tg:
+            cache.tokens.update(aggs)
+            cache.stage = m
+            m += 1
+    return states

@@ -1,12 +1,21 @@
 """Gradient checks for every autodiff primitive against central differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from odin import autodiff as ad
 from odin.autodiff import Tensor
 
-from helpers import add_at_oracle, finite_diff_check, gelu_oracle, rand_tensor, rel_err
+from helpers import (
+    add_at_oracle,
+    finite_diff_check,
+    gelu_longdouble_oracle,
+    gelu_oracle,
+    rand_tensor,
+    rel_err,
+)
 
 
 @pytest.fixture
@@ -177,18 +186,28 @@ def test_backward_accumulates_through_shared_subexpression(rng):
 def test_gelu_matches_tanh_formula_oracle():
     x = np.linspace(-10.0, 10.0, 20001)
     got = ad.gelu(Tensor(x)).data
+    # Everywhere, against the same formula in long double: exp(-2u) carries
+    # the float64 rounding of 2u, up to |2u| ~ 88 ulps of relative error here.
+    assert rel_err(got, gelu_longdouble_oracle(x), floor=1e-300) < 5e-14
+    assert np.all(got[x < 0] < 0.0)
     want = gelu_oracle(x)
-    # Saturated tails: tanh rounds to exactly -1 or 1 on both sides.
-    tails = np.abs(x) >= 7.5
-    np.testing.assert_array_equal(got[tails], want[tails])
-    # Where 1 + tanh(.) does not cancel, the results agree to 1e-14 relative.
+    # Where 1 + tanh(.) does not cancel, the float64 forms agree to 1e-14 relative.
     calm = x >= -2.0
     assert rel_err(got[calm], want[calm], floor=1e-300) < 1e-14
-    # Below -2, 1 + tanh(.) cancels: a one-ulp change in tanh (the two forms
-    # round the inner term differently) moves the output by up to 1e-11 of
-    # itself, an absolute 0.5 * |x| * ulp(1). That is the oracle's own
-    # rounding error, so the bound there is relative to |x|.
+    # Below -2 the tanh form's own rounding error is an absolute
+    # 0.5 * |x| * ulp(1), so the bound there is relative to |x|.
     assert np.max(np.abs(got - want) / np.maximum(np.abs(x), 1e-300)) < 1e-14
+
+
+def test_gelu_emits_no_warning_for_large_inputs():
+    x = Tensor(np.linspace(-1e3, 1e3, 2001), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.gelu(x)
+        out.backward(np.ones(2001))
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(x.grad))
+    np.testing.assert_array_equal(out.data[-10:], x.data[-10:])
+    np.testing.assert_array_equal(x.grad[:10], 0.0)
 
 
 def test_gelu_gradient_in_tails_and_at_zero():

@@ -3,7 +3,7 @@ eval of every task, all through cli.main on a tiny config."""
 
 import json
 
-from odin import cli
+from odin import checkpoint, cli
 
 TASKS = ("linkpred", "classify", "retrieve", "rerank")
 
@@ -18,15 +18,15 @@ TINY = (
 )
 
 
-def _main(*argv, out=None):
-    sets = [arg for item in TINY + ((f"paths.out_dir={out}",) if out else ())
-            for arg in ("--set", item)]
+def _main(*argv):
+    sets = [arg for item in TINY for arg in ("--set", item)]
     assert cli.main([*argv, *sets]) == 0
 
 
 def _run_all(root, monkeypatch):
     """Every report.json one pass writes, by path relative to `root`. Paths
-    in the config are relative, so two roots give the same config digest."""
+    in the config are relative, so two roots give the same config digest.
+    finetune and eval share one out_dir and must not overwrite each other."""
     monkeypatch.chdir(root)
     assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
                      "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
@@ -36,8 +36,7 @@ def _run_all(root, monkeypatch):
     assert (root / "run" / "report.json").read_bytes() == first
     for task in TASKS:
         for command in ("finetune", "eval"):
-            _main(command, "--task", task, "--checkpoint", "run/checkpoint.bin",
-                  out=f"run/{command}")
+            _main(command, "--task", task, "--checkpoint", "run/checkpoint.bin")
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("report.json"))}
 
@@ -68,3 +67,16 @@ def test_cli_reports_repeat_byte_for_byte(tmp_path, monkeypatch):
         reports = [json.loads(runs[0][f"run/{c}/{task}/report.json"])
                    for c in ("finetune", "eval")]
         assert all(r["task"] == task and 0.0 <= r["value"] <= 1.0 for r in reports)
+
+
+def test_sweep_runs_every_cell_under_the_overrides(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
+                     "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
+    _main("sweep", "--grid", "1:VA;1,2:PG", "--seeds", "1")
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert [(r["positions"], r["strategy"]) for r in report["rows"]] == [
+        ([1], "VA"), ([1, 2], "PG")]
+    cells = sorted((tmp_path / "run").glob("cell-*/checkpoint.bin"))
+    assert len(cells) == 2
+    assert all(checkpoint.load_model(c)[0].dims.d == 8 for c in cells)

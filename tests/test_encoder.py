@@ -69,6 +69,13 @@ def test_vocab_round_trip(tmp_path):
     assert Vocab.load(path) == v
 
 
+def test_vocab_load_rejects_ids_that_are_not_dense(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("[PAD]\t0\n[CLS]\t1\n[MASK]\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="dense"):
+        Vocab.load(path)
+
+
 def test_tokenize_empty_text():
     v = build_vocab(["x"])
     ids = tokenize("", v, max_len=8)
@@ -105,14 +112,14 @@ def test_embed_zero_tables():
     p = small_params()
     p.token_emb.data[:] = 0.0
     p.pos_emb.data[:] = 0.0
-    ts = enc.embed(np.array([1, 4, 5]), p)
-    assert np.all(ts.states.data == 0.0) and ts.layer == 0
+    out = enc.embed_batch(np.array([[1, 4, 5]]), p)
+    assert out.shape == (1, 3, 8) and np.all(out.data == 0.0)
 
 
 def test_embed_single_cls():
     p = small_params()
-    ts = enc.embed(np.array([1]), p)
-    np.testing.assert_allclose(ts.states.data[0], p.token_emb.data[1] + p.pos_emb.data[0])
+    out = enc.embed_batch(np.array([[1]]), p)
+    np.testing.assert_allclose(out.data[0, 0], p.token_emb.data[1] + p.pos_emb.data[0])
 
 
 def test_embed_matches_gather_oracle():
@@ -120,14 +127,14 @@ def test_embed_matches_gather_oracle():
     p = small_params()
     toks = np.array([1, 7, 3])
     want = np.stack([p.token_emb.data[t] + p.pos_emb.data[i] for i, t in enumerate(toks)])
-    got = enc.embed(toks, p).states.data
+    got = enc.embed_batch(toks[None], p).data[0]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_embed_rejects_out_of_range():
     p = small_params(vocab_size=5)
     with pytest.raises(IndexError):
-        enc.embed(np.array([1, 9]), p)
+        enc.embed_batch(np.array([[1, 9]]), p)
 
 
 def test_embed_batch_matches_per_node():
@@ -135,7 +142,7 @@ def test_embed_batch_matches_per_node():
     mat = np.array([[1, 4, 0], [1, 2, 3]])
     batch = enc.embed_batch(mat, p).data
     for i in range(2):
-        single = enc.embed(mat[i], p).states.data
+        single = enc.embed_batch(mat[i:i + 1], p).data[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
@@ -147,17 +154,17 @@ def test_attention_single_token_value_identity():
     lp = make_layer_params(d)
     lp.wv.data[:] = np.eye(d)
     lp.wo.data[:] = np.eye(d)
-    x = Tensor(np.array([[1.0, -2.0, 3.0, 0.5]]))
-    out = enc.asymmetric_attention(x, None, lp, heads=2)
+    x = Tensor(np.array([[[1.0, -2.0, 3.0, 0.5]]]))
+    out = enc.attention_block(x, None, lp, heads=2)
     np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
 
 def test_attention_all_zero_projections_ignore_agg():
     d = 4
     lp = make_layer_params(d)
-    x = Tensor(np.random.default_rng(0).standard_normal((3, d)))
-    agg = Tensor(np.full(d, 100.0))
-    out = enc.asymmetric_attention(x, agg, lp, heads=2)
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 3, d)))
+    agg = Tensor(np.full((1, d), 100.0))
+    out = enc.attention_block(x, agg, lp, heads=2)
     assert np.all(out.data == 0.0)
 
 
@@ -165,19 +172,19 @@ def test_attention_matches_dense_oracle():
     rng = np.random.default_rng(7)
     d, heads = 8, 2
     lp = make_layer_params(d, rng)
-    x = Tensor(rng.standard_normal((2, d)) * 0.3)
-    agg = Tensor(rng.standard_normal(d) * 0.3)
-    got = enc.asymmetric_attention(x, agg, lp, heads).data
-    want = dense_attention_oracle(x.data, agg.data, lp, heads)
+    x = Tensor(rng.standard_normal((1, 2, d)) * 0.3)
+    agg = Tensor(rng.standard_normal((1, d)) * 0.3)
+    got = enc.attention_block(x, agg, lp, heads).data[0]
+    want = dense_attention_oracle(x.data[0], agg.data, lp, heads)
     assert np.max(np.abs(got - want)) < 1e-6
 
 
 def test_attention_output_rows_equal_query_count():
     rng = np.random.default_rng(3)
     lp = make_layer_params(8, rng)
-    x = Tensor(rng.standard_normal((5, 8)))
-    agg = Tensor(rng.standard_normal(8))
-    assert enc.asymmetric_attention(x, agg, lp, heads=2).shape == (5, 8)
+    x = Tensor(rng.standard_normal((1, 5, 8)))
+    agg = Tensor(rng.standard_normal((1, 8)))
+    assert enc.attention_block(x, agg, lp, heads=2).shape == (1, 5, 8)
 
 
 def test_attention_weights_are_distributions():
@@ -223,8 +230,8 @@ def test_attention_key_mask_hides_rows():
 def test_layer_zero_weights_is_double_layernorm():
     d = 4
     lp = make_layer_params(d)
-    x = Tensor(np.random.default_rng(0).standard_normal((3, d)))
-    got = enc.transformer_layer(x, None, lp, heads=2).data
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 3, d)))
+    got = enc.transformer_block(x, None, lp, heads=2).data
     ones, zeros = Tensor(np.ones(d)), Tensor(np.zeros(d))
     want = ad.layer_norm(ad.layer_norm(x, ones, zeros), ones, zeros).data
     np.testing.assert_allclose(got, want, atol=1e-10)
@@ -234,33 +241,26 @@ def test_layer_shape_contract_with_agg():
     rng = np.random.default_rng(1)
     lp = make_layer_params(8, rng)
     for t in (1, 3, 6):
-        x = Tensor(rng.standard_normal((t, 8)))
-        agg = Tensor(rng.standard_normal(8))
-        assert enc.transformer_layer(x, agg, lp, heads=2).shape == (t, 8)
+        x = Tensor(rng.standard_normal((1, t, 8)))
+        agg = Tensor(rng.standard_normal((1, 8)))
+        assert enc.transformer_block(x, agg, lp, heads=2).shape == (1, t, 8)
 
 
 def test_layer_matches_composed_sublayers():
     rng = np.random.default_rng(23)
     d, heads = 8, 2
     lp = make_layer_params(d, rng)
-    x = Tensor(rng.standard_normal((2, d)) * 0.5)
-    agg = Tensor(rng.standard_normal(d) * 0.5)
-    got = enc.transformer_layer(x, agg, lp, heads).data
+    x = Tensor(rng.standard_normal((1, 2, d)) * 0.5)
+    agg = Tensor(rng.standard_normal((1, d)) * 0.5)
+    got = enc.transformer_block(x, agg, lp, heads).data[0]
 
-    attn = dense_attention_oracle(x.data, agg.data, lp, heads)
-    h = ad.layer_norm(Tensor(x.data + attn), lp.ln1_g, lp.ln1_b).data
+    attn = dense_attention_oracle(x.data[0], agg.data, lp, heads)
+    h = ad.layer_norm(Tensor(x.data[0] + attn), lp.ln1_g, lp.ln1_b).data
     up = h @ lp.w_up.data + lp.b_up.data
     act = ad.gelu(Tensor(up)).data
     m = act @ lp.w_down.data + lp.b_down.data
     want = ad.layer_norm(Tensor(h + m), lp.ln2_g, lp.ln2_b).data
     np.testing.assert_allclose(got, want, atol=1e-9)
-
-
-def test_layer_increments_token_states_index():
-    p = small_params()
-    ts = enc.embed(np.array([1, 4]), p)
-    out = enc.transformer_layer(ts, None, p.layers[0], p.dims.heads)
-    assert isinstance(out, enc.TokenStates) and out.layer == 1
 
 
 def test_layer_shift_invariance():
@@ -270,9 +270,9 @@ def test_layer_shift_invariance():
     rng = np.random.default_rng(29)
     lp = make_layer_params(8, rng)
     lp.wo.data[:] = 0.0
-    x = rng.standard_normal((3, 8))
-    a = enc.transformer_layer(Tensor(x), None, lp, heads=2).data
-    b = enc.transformer_layer(Tensor(x + 7.3), None, lp, heads=2).data
+    x = rng.standard_normal((1, 3, 8))
+    a = enc.transformer_block(Tensor(x), None, lp, heads=2).data
+    b = enc.transformer_block(Tensor(x + 7.3), None, lp, heads=2).data
     assert np.max(np.abs(a - b)) < 1e-5
 
 
@@ -280,14 +280,14 @@ def test_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(31)
     d, heads = 4, 2
     lp = make_layer_params(d, rng)
-    x = Tensor(rng.standard_normal((2, d)) * 0.4, requires_grad=True)
-    agg = Tensor(rng.standard_normal(d) * 0.4, requires_grad=True)
-    w = Tensor(rng.standard_normal((2, d)))
+    x = Tensor(rng.standard_normal((1, 2, d)) * 0.4, requires_grad=True)
+    agg = Tensor(rng.standard_normal((1, d)) * 0.4, requires_grad=True)
+    w = Tensor(rng.standard_normal((1, 2, d)))
     tensors = [x, agg, lp.wq, lp.wk, lp.wv, lp.wo, lp.w_up, lp.w_down,
                lp.ln1_g, lp.ln1_b, lp.ln2_g, lp.ln2_b, lp.bq, lp.b_up]
 
     def loss():
-        out = enc.transformer_layer(x, agg, lp, heads)
+        out = enc.transformer_block(x, agg, lp, heads)
         return (out * w).sum()
 
     finite_diff_check(loss, tensors, probes=6, rng=rng)

@@ -2,24 +2,25 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from odin import autodiff as ad
 from odin import encoder as enc
 from odin import fusion
 from odin.autodiff import Tensor
 from odin.encoder import ConfigError, ModelDims, build_vocab
-from odin.fusion import (
-    AggCache,
-    light_preset,
-    make_schedule,
-    odin_forward,
-    simple_aggregate,
-    tg_aggregate,
-    tokenize_nodes,
-)
+from odin.fusion import light_preset, make_schedule, odin_forward, tokenize_nodes
 from odin.graph import TextGraph
 from odin.sampler import sample_frontiers
 
-from helpers import finite_diff_check
+from helpers import (
+    AggCache,
+    finite_diff_check,
+    per_node_forward,
+    simple_aggregate,
+    tg_aggregate,
+)
 
 
 def toy_graph(n=12, extra_edges=(), seed=0):
@@ -87,7 +88,7 @@ def test_light_presets():
         light_preset("light-9")
 
 
-# -- aggregation ops ----------------------------------------------------------
+# -- per-node aggregation oracles ---------------------------------------------
 
 
 def test_tg_aggregate_weight_identities():
@@ -145,10 +146,10 @@ def test_simple_aggregate_me_arithmetic_oracle():
 
 def test_simple_aggregate_pe_returns_cached_token_bit_identically():
     rng = np.random.default_rng(2)
-    rows = Tensor(rng.standard_normal((3, 4)))
-    cache = AggCache(stages=[], rows=rows, stage=0, node_to_row={7: 1})
+    token = Tensor(rng.standard_normal(4))
+    cache = AggCache(stages=[], tokens={7: token}, stage=0)
     got = simple_aggregate("PE", Tensor(np.zeros(4)), [], cache, 7)
-    assert np.array_equal(got.data, rows.data[1])
+    assert np.array_equal(got.data, token.data)
 
 
 def test_simple_aggregate_pg_equals_tg():
@@ -156,7 +157,7 @@ def test_simple_aggregate_pg_equals_tg():
     sp = enc.StageParams(
         w1=Tensor(rng.standard_normal((4, 4))), w2=Tensor(rng.standard_normal((4, 4)))
     )
-    cache = AggCache(stages=[sp], stage=0, rows=Tensor(np.zeros((1, 4))))
+    cache = AggCache(stages=[sp], stage=0)
     cls_self = Tensor(rng.standard_normal(4))
     nbrs = [Tensor(rng.standard_normal(4)) for _ in range(2)]
     got = simple_aggregate("PG", cls_self, nbrs, cache, 0)
@@ -177,10 +178,10 @@ def test_simple_aggregate_va_and_fallbacks(caplog):
 
 def per_node_transformer_cls(tokens, params):
     """Oracle: isolated per-node stack, no fusion machinery involved."""
-    x = enc.embed(tokens, params).states
+    x = enc.embed_batch(tokens[None], params)
     for lp in params.layers:
-        x = enc.transformer_layer(x, None, lp, params.dims.heads)
-    return x.data[0]
+        x = enc.transformer_block(x, None, lp, params.dims.heads)
+    return x.data[0, 0]
 
 
 def test_no_aggregation_schedule_equals_per_node_transformer():
@@ -202,13 +203,12 @@ def test_single_isolated_node_tg_layers_inject_self_term():
     # audited sub-op composition: layer 0 plain, layer 1 with agg = W2 @ cls,
     # layer 2 PG reuses stage 0 weights on the newer cls
     tokens = fusion.tokenize(g.texts[0], vocab, params.dims.max_len)
-    x = enc.embed(tokens, params).states
-    x = enc.transformer_layer(x, None, params.layers[0], 2)
-    agg = tg_aggregate(x[0], [], params.stages[0].w1, params.stages[0].w2)
-    x = enc.transformer_layer(x, agg, params.layers[1], 2)
-    agg = tg_aggregate(x[0], [], params.stages[0].w1, params.stages[0].w2)
-    x = enc.transformer_layer(x, agg, params.layers[2], 2)
-    assert np.max(np.abs(res.cls.data[0] - x.data[0])) < 1e-9
+    x = enc.embed_batch(tokens[None], params)
+    x = enc.transformer_block(x, None, params.layers[0], 2)
+    for layer in (1, 2):
+        agg = tg_aggregate(x[0, 0], [], params.stages[0].w1, params.stages[0].w2)
+        x = enc.transformer_block(x, ad.reshape(agg, (1, -1)), params.layers[layer], 2)
+    assert np.max(np.abs(res.cls.data[0] - x.data[0, 0])) < 1e-9
 
 
 def test_forward_standard_schedule_structure():
@@ -294,7 +294,7 @@ def test_frozen_nodes_keep_last_state():
     outer = sorted(set(sub.base) - set(sub.budget(1)))
     if not outer:
         pytest.skip("sampling produced no outer-frontier nodes")
-    pos = {v: i for i, v in enumerate(sub.base)}
+    pos = {v: i for i, v in enumerate(res.base_nodes)}
     rows = [pos[v] for v in outer]
     # outer nodes were last touched at layer 1 (the first aggregation layer)
     assert np.array_equal(res.cls_trace[1][rows], res.cls_trace[3][rows])
@@ -330,8 +330,50 @@ def test_identity_mode_matches_independent_gnn_oracle():
         h.update(upd)
         m += 1
         traces.append(np.stack([h[v] for v in sub.base]))
+    pos = {v: i for i, v in enumerate(res.base_nodes)}
+    rows = [pos[v] for v in sub.base]
     for got, want in zip(res.cls_trace, traces):
-        assert np.max(np.abs(got - want)) < 1e-6
+        assert np.max(np.abs(got[rows] - want)) < 1e-6
+
+
+@pytest.mark.parametrize("strategy", ["VA", "ME", "PE", "PG"])
+def test_forward_matches_per_node_reference(strategy, caplog):
+    # layer 1 precedes the first stage (the PE/PG fallback), and fanout 2
+    # leaves nodes that freeze after layer 2 and after layer 4
+    g = toy_graph(40, extra_edges=((0, 9), (3, 17), (5, 30), (12, 33)), seed=13)
+    vocab, schedule, params = build_model(g, 6, [2, 4], strategy, seed=6)
+    with caplog.at_level(logging.WARNING):
+        res, sub = run_forward(g, [0, 3, 5], schedule, params, vocab, fanout=2, seed=4)
+    assert len(sub.batch) < len(sub.budget(1)) < len(sub.base)
+    assert caplog.text.count("using VA") == (1 if strategy in ("PE", "PG") else 0)
+    tokens = tokenize_nodes(g, sub.base, vocab, params.dims.max_len)
+    want = per_node_forward(sub, tokens, params, schedule)
+    for i, v in enumerate(res.batch_nodes):
+        t = len(tokens[v])
+        np.testing.assert_allclose(res.cls.data[i], want[v].data[0, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.final_states.data[i, :t], want[v].data[0],
+                                   rtol=0, atol=1e-12)
+    for i, v in enumerate(res.base_nodes):
+        np.testing.assert_allclose(res.base_cls.data[i], want[v].data[0, 0],
+                                   rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 30), hops=st.integers(0, 3),
+       fanout=st.integers(1, 4))
+def test_base_nodes_put_every_frontier_first(seed, n, hops, fanout):
+    g = toy_graph(n, seed=seed % 31)
+    batch = {seed % n, (seed // 7) % n}
+    sub = sample_frontiers(g, batch, hops, fanout, seed)
+    schedule = make_schedule(hops + 1, range(1, hops + 1), "VA")
+    params = enc.init_params(4, ModelDims(d=2, heads=1, max_len=4), hops + 1, hops, seed=0)
+    feats = {v: np.full(2, float(v)) for v in sub.base}
+    res = odin_forward(g, sub, {}, params, schedule, identity_encoder=True,
+                       init_features=feats)
+    assert res.base_nodes[:len(sub.batch)] == sub.batch
+    for a in range(hops + 1):
+        assert set(res.base_nodes[:len(sub.budget(a))]) == set(sub.budget(a))
+    assert sorted(res.base_nodes) == list(sub.base)
 
 
 def test_forward_gradients_flow_to_stage_weights():
