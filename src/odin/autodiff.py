@@ -5,6 +5,12 @@ how to push gradients to its parents; backward() walks the tape in reverse
 topological order. Only the primitives the model actually needs are
 implemented.
 
+backward() frees each non-leaf gradient once that node's closure has pushed
+it to its parents, so after backward() only leaves (tensors without a
+closure, such as parameters) and the root hold a `grad`. Calling backward()
+again on the same tape, after zeroing the leaves, gives the same leaf
+gradients.
+
 Aliasing rule: a backward closure never writes into the arrays it closed
 over (forward inputs and saved intermediates) or into the incoming gradient.
 Gradients are passed on and accumulated without copies, and fused closures
@@ -85,7 +91,8 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None):
-        """Accumulate gradients of self w.r.t. every tensor on the tape."""
+        """Accumulate gradients of self into every leaf on the tape; each
+        non-leaf gradient is freed once its closure has used it."""
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -107,6 +114,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     def _accum(self, g: np.ndarray):
         # No closure mutates gradient arrays in place, so aliasing is safe.
@@ -526,12 +535,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b), flattening leading axes so numpy issues one big GEMM."""
-    lead = x.shape[:-1]
-    flat = reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
-    out = matmul(flat, w)
+    """x @ w (+ b) as one tape node, flattening leading axes so numpy issues
+    one big GEMM; the bias is added into the GEMM's output in place."""
+    x2d = x.data.reshape(-1, x.shape[-1])
+    out_data = x2d @ w.data
     if b is not None:
-        out = add(out, b)
-    if x.ndim != 2:
-        out = reshape(out, lead + (w.shape[-1],))
-    return out
+        out_data += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        x._accum((g2 @ w.data.T).reshape(x.shape))
+        w._accum(x2d.T @ g2)
+        if b is not None:
+            b._accum(g2.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), parents, backward)

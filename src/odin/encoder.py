@@ -221,6 +221,8 @@ def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
     n, t = token_matrix.shape
     if t > params.dims.max_len:
         raise ValueError("sequence longer than max_len")
+    if np.any(token_matrix < 0):
+        raise IndexError("negative token id")
     flat = ad.take_rows(params.token_emb, token_matrix.reshape(-1))
     rows = ad.reshape(flat, (n, t, params.dims.d))
     return rows + params.pos_emb[:t]

@@ -69,6 +69,9 @@ def make_schedule(depth: int, positions, strategy: str = "PG") -> LayerSchedule:
         raise ConfigError(f"aggregation positions must be increasing, got {positions}")
     if depth <= len(positions):
         raise ConfigError("depth must exceed the number of aggregation layers")
+    first_stage = positions[0] if positions else depth
+    if strategy in ("PE", "PG") and first_stage > 1:
+        log.warning("%s before the first aggregation stage; using VA", strategy)
     return LayerSchedule(depth, positions, strategy)
 
 
@@ -237,13 +240,11 @@ def odin_forward(
         elif schedule.strategy == "ME":
             total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
             agg = (total + cls_act) * (1.0 / (fr.counts + 1.0))
-        elif schedule.strategy in ("PE", "PG") and m == 0:
-            if layer == 1:  # every layer before the first stage falls back; warn once
-                log.warning("%s before the first aggregation stage; using VA",
-                            schedule.strategy)
-        elif schedule.strategy == "PE":
+        # PE and PG have nothing to reuse before the first stage, so those
+        # layers run as VA (make_schedule warns)
+        elif schedule.strategy == "PE" and m > 0:
             agg = last_agg[:n]
-        elif schedule.strategy == "PG":
+        elif schedule.strategy == "PG" and m > 0:
             agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), params.stages[m - 1])
 
         if identity_encoder:

@@ -104,7 +104,6 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     the checkpoint holds the random init (epoch -1, step 0)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    schedule = cfg.schedule.build()
     p = cfg.pretrain
     ckpt_path = out / "checkpoint.bin"
     log_path = out / "train_log.jsonl"
@@ -115,6 +114,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     optimizer = make_optimizer(p.optimizer, p.lr_encoder, p.lr_gnn)
     if resume and ckpt_path.exists():
         params, meta, opt_state, vocab = load_checkpoint(ckpt_path)
+        schedule = cfg.schedule.build()
         if meta["config_digest"] != digest:
             raise ValueError("checkpoint was produced by a different config")
         start_epoch = int(meta["epoch"]) + 1

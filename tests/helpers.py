@@ -62,6 +62,18 @@ def gelu_longdouble_oracle(x):
     return x / (1 + np.exp(-2 * u))
 
 
+def linear_oracle(x, w, b=None):
+    """x @ w (+ b) composed from reshape, matmul, add and reshape tape nodes."""
+    lead = x.shape[:-1]
+    flat = ad.reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
+    out = ad.matmul(flat, w)
+    if b is not None:
+        out = ad.add(out, b)
+    if x.ndim != 2:
+        out = ad.reshape(out, lead + (w.shape[-1],))
+    return out
+
+
 def add_at_oracle(idx, values, num_rows):
     """out[r] = sum of values[i] over idx[i] == r, by unbuffered np.add.at."""
     out = np.zeros((num_rows,) + np.shape(values)[1:])

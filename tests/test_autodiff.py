@@ -1,5 +1,6 @@
 """Gradient checks for every autodiff primitive against central differences."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     finite_diff_check,
     gelu_longdouble_oracle,
     gelu_oracle,
+    linear_oracle,
     rand_tensor,
     rel_err,
 )
@@ -168,6 +170,37 @@ def test_linear_matches_manual(rng):
     finite_diff_check(lambda: ad.linear(x, w, b).sum(), [x, w, b])
 
 
+@pytest.mark.parametrize("lead", [(6,), (2, 3)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+def test_linear_matches_composite_oracle_bit_for_bit(rng, lead, bias):
+    x = rand_tensor(rng, *lead, 4)
+    w = rand_tensor(rng, 4, 5)
+    b = rand_tensor(rng, 5) if bias else None
+    leaves = [x, w] + ([b] if bias else [])
+    weights = rng.standard_normal(lead + (5,))
+
+    def grads(op):
+        for t in leaves:
+            t.zero_grad()
+        out = op(x, w, b)
+        (out * weights).sum().backward()
+        return out.data, [t.grad.copy() for t in leaves]
+
+    got, got_grads = grads(ad.linear)
+    want, want_grads = grads(linear_oracle)
+    np.testing.assert_array_equal(got, want)
+    for g_fused, g_oracle in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g_fused, g_oracle)
+    finite_diff_check(lambda: (ad.linear(x, w, b) * weights).sum(), leaves)
+
+
+def test_linear_is_one_tape_node(rng):
+    x = rand_tensor(rng, 2, 3, 4)
+    out = ad.linear(x, rand_tensor(rng, 4, 5), rand_tensor(rng, 5))
+    assert out.shape == (2, 3, 5)
+    assert all(p._backward is None for p in out._parents)
+
+
 def test_no_grad_skips_tape(rng):
     x = rand_tensor(rng, 3)
     with ad.no_grad():
@@ -181,6 +214,42 @@ def test_backward_accumulates_through_shared_subexpression(rng):
     loss = (y + y).sum()
     loss.backward()
     np.testing.assert_allclose(x.grad, 4 * x.data, atol=1e-12)
+
+
+def test_backward_frees_non_leaf_gradients_and_repeats(rng):
+    x = rand_tensor(rng, 3, 4)
+    w = rand_tensor(rng, 4, 2)
+    c = rand_tensor(rng, 3, 2, requires_grad=False)
+    h = ad.matmul(x, w)
+    t = ad.tanh(h)
+    m = t * c
+    loss = m.sum()
+    loss.backward()
+    assert h.grad is None and t.grad is None and m.grad is None
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    first = [x.grad.copy(), w.grad.copy()]
+    x.zero_grad()
+    w.zero_grad()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, first[0])
+    np.testing.assert_array_equal(w.grad, first[1])
+
+
+def test_backward_peak_memory_is_a_few_arrays(rng):
+    # every intermediate gradient is freed once used, so a long chain's
+    # backward holds a bounded number of arrays, not one per node
+    a = rand_tensor(rng, 500, 200)
+    y = a
+    for _ in range(50):
+        y = ad.tanh(y)
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * a.data.nbytes
 
 
 def test_gelu_matches_tanh_formula_oracle():

@@ -137,6 +137,12 @@ def test_embed_rejects_out_of_range():
         enc.embed_batch(np.array([[1, 9]]), p)
 
 
+def test_embed_rejects_negative_ids():
+    p = small_params(vocab_size=5)
+    with pytest.raises(IndexError):
+        enc.embed_batch(np.array([[1, -1]]), p)
+
+
 def test_embed_batch_matches_per_node():
     p = small_params()
     mat = np.array([[1, 4, 0], [1, 2, 3]])

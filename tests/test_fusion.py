@@ -79,6 +79,21 @@ def test_schedule_rejects_zero():
         make_schedule(6, [0, 2], "VA")
 
 
+@pytest.mark.parametrize("depth,positions,strategy,warns", [
+    (6, [2, 4], "PG", True),
+    (6, [2, 4], "PE", True),
+    (6, [], "PG", True),
+    (6, [1, 4], "PG", False),
+    (6, [2, 4], "VA", False),
+    (6, [2, 4], "ME", False),
+    (1, [], "PG", False),
+])
+def test_schedule_warns_once_when_pe_pg_fall_back(caplog, depth, positions, strategy, warns):
+    with caplog.at_level(logging.WARNING):
+        make_schedule(depth, positions, strategy)
+    assert caplog.text.count("using VA") == int(warns)
+
+
 def test_light_presets():
     a = light_preset("light-2,4")
     assert (a.depth, a.positions, a.strategy) == (6, (2, 4), "PG")
@@ -341,11 +356,14 @@ def test_forward_matches_per_node_reference(strategy, caplog):
     # layer 1 precedes the first stage (the PE/PG fallback), and fanout 2
     # leaves nodes that freeze after layer 2 and after layer 4
     g = toy_graph(40, extra_edges=((0, 9), (3, 17), (5, 30), (12, 33)), seed=13)
-    vocab, schedule, params = build_model(g, 6, [2, 4], strategy, seed=6)
+    with caplog.at_level(logging.WARNING):
+        vocab, schedule, params = build_model(g, 6, [2, 4], strategy, seed=6)
+    assert caplog.text.count("using VA") == (1 if strategy in ("PE", "PG") else 0)
+    caplog.clear()
     with caplog.at_level(logging.WARNING):
         res, sub = run_forward(g, [0, 3, 5], schedule, params, vocab, fanout=2, seed=4)
+    assert "using VA" not in caplog.text
     assert len(sub.batch) < len(sub.budget(1)) < len(sub.base)
-    assert caplog.text.count("using VA") == (1 if strategy in ("PE", "PG") else 0)
     tokens = tokenize_nodes(g, sub.base, vocab, params.dims.max_len)
     want = per_node_forward(sub, tokens, params, schedule)
     for i, v in enumerate(res.batch_nodes):
