@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: synth, ingest, pretrain, finetune, eval, sweep, theory, timing.
+Subcommands: synth, ingest, pretrain, finetune, eval, sweep, theory.
 Every command is deterministic under (config, seed); artifacts that must be
 reproducible byte-for-byte (report.json, checkpoints, generated data) never
 contain wall-clock values, which live in the .jsonl/.log files instead.
@@ -9,6 +9,7 @@ contain wall-clock values, which live in the .jsonl/.log files instead.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import logging
@@ -19,12 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_override, load_config
-from .fusion import light_preset, make_schedule
+from .encoder import ModelDims, build_vocab, init_params
 from .graph import load_graph, save_graph
+from .rngutil import generator
 from .runner import run_pretrain, run_task
 from .sampler import encoded_node_count, sample_frontiers
 from .synth import SyntheticSpec, generate, intra_class_fraction
-from .rngutil import generator, sub_seed
+from .theory import (
+    BASELINE_THRESHOLD,
+    FUSED_THRESHOLD,
+    collapse_gap_demo,
+    gnn_reduction_check,
+    structural_separation_check,
+    textual_separation_check,
+    transformer_reduction_check,
+)
 
 log = logging.getLogger(__name__)
 
@@ -126,74 +136,77 @@ def _finetune_eval(args, finetune: bool) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Grid of (schedule x strategy) cells; each cell pretrains (or reuses a
-    cached checkpoint keyed by its own config digest) and runs link
-    prediction + classification over the requested seeds."""
+    """Grid of schedule cells. A cell is either 'positions:strategy', such as
+    '1,6,11:PG', or a schedule preset name, such as 'light-2,4'. Per seed,
+    each cell pretrains (or reuses a checkpoint cached under its config
+    digest) and runs link prediction and classification. A row reports the
+    built schedule, the nodes one pretrain batch encodes at the first seed,
+    and each task's mean and std over the seeds. The wall time of each
+    pretrain goes to sweep.log, never to report.json."""
     cfg = _load_cfg(args)
-    graph = _graph_from_cfg(cfg)
     cells = []
-    for spec in args.grid.split(";"):
-        sched_part, strat = spec.split(":")
-        positions = [int(x) for x in sched_part.split(",") if x]
-        cells.append((positions, strat))
-    out_root = Path(cfg.paths.out_dir)
-    rows = []
-    for positions, strategy in cells:
-        metrics = {"linkpred": [], "classify": []}
-        for s in range(args.seeds):
-            cell_cfg = _load_cfg(args)
-            cell_cfg.schedule.positions = positions
-            cell_cfg.schedule.strategy = strategy
+    for cell in args.grid.split(";"):
+        cell_cfg = copy.deepcopy(cfg)
+        if ":" in cell:
+            sched_part, _, cell_cfg.schedule.strategy = cell.partition(":")
+            cell_cfg.schedule.positions = [int(x) for x in sched_part.split(",") if x]
             cell_cfg.schedule.preset = None
-            cell_cfg.seed = cfg.seed + s
-            cell_cfg.validate()
-            digest = cell_cfg.digest()
-            cell_dir = out_root / f"cell-{digest}"
-            cell_cfg.paths.out_dir = str(cell_dir)
-            if not (cell_dir / "checkpoint.bin").exists():
-                run_pretrain(cell_cfg, graph, cell_dir)
-            for task in ("linkpred", "classify"):
-                rep = run_task(cell_cfg, graph, task, cell_dir / "checkpoint.bin")
-                metrics[task].append(rep.value)
-        rows.append({
-            "positions": positions,
-            "strategy": strategy,
-            "linkpred_mean": round(float(np.mean(metrics["linkpred"])), 6),
-            "linkpred_std": round(float(np.std(metrics["linkpred"])), 6),
-            "classify_mean": round(float(np.mean(metrics["classify"])), 6),
-            "classify_std": round(float(np.std(metrics["classify"])), 6),
-            "seeds": args.seeds,
-        })
+        else:
+            cell_cfg.schedule.preset = cell
+        cell_cfg.validate()  # every cell, before the first one runs
+        cells.append((cell, cell_cfg))
+    graph = _graph_from_cfg(cfg)
+    out_root = Path(cfg.paths.out_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    batch = range(min(cfg.pretrain.batch_size, graph.num_nodes))
+    rows = []
+    with open(out_root / "sweep.log", "w", encoding="utf-8") as sweep_log:
+        for cell, cell_cfg in cells:
+            schedule = cell_cfg.schedule.build()
+            sub = sample_frontiers(graph, batch, schedule.hop_count, cfg.sampler.fanout, cfg.seed)
+            metrics = {"linkpred": [], "classify": []}
+            for s in range(args.seeds):
+                seed_cfg = copy.deepcopy(cell_cfg)
+                seed_cfg.seed = cfg.seed + s
+                cell_dir = out_root / f"cell-{seed_cfg.digest()}"
+                seed_cfg.paths.out_dir = str(cell_dir)
+                if not (cell_dir / "checkpoint.bin").exists():
+                    started = time.perf_counter()
+                    run_pretrain(seed_cfg, graph, cell_dir)
+                    sweep_log.write(f"{cell}\tseed={seed_cfg.seed}\t{cell_dir.name}\t"
+                                    f"wall_s={time.perf_counter() - started:.3f}\n")
+                for task, values in metrics.items():
+                    rep = run_task(seed_cfg, graph, task, cell_dir / "checkpoint.bin")
+                    values.append(rep.value)
+            row = {
+                "cell": cell,
+                "depth": schedule.depth,
+                "positions": list(schedule.positions),
+                "strategy": schedule.strategy,
+                "encoded_nodes_per_batch": encoded_node_count(sub, schedule.depth,
+                                                              schedule.positions),
+                "seeds": args.seeds,
+            }
+            for task, values in metrics.items():
+                row[f"{task}_mean"] = round(float(np.mean(values)), 6)
+                row[f"{task}_std"] = round(float(np.std(values)), 6)
+            rows.append(row)
     payload = {"command": "sweep", "config_digest": cfg.digest(), "rows": rows}
     path = _write_report(out_root, payload)
-    header = f"{'positions':<14} {'strategy':<9} {'linkpred':<17} {'classify':<17}"
-    print(header)
+    print(f"{'cell':<14} {'nodes/batch':>11}  {'linkpred':<13} {'classify':<13}")
     for r in rows:
-        print(f"{str(r['positions']):<14} {r['strategy']:<9} "
-              f"{r['linkpred_mean']:.3f}±{r['linkpred_std']:.3f}      "
+        print(f"{r['cell']:<14} {r['encoded_nodes_per_batch']:>11}  "
+              f"{r['linkpred_mean']:.3f}±{r['linkpred_std']:.3f}   "
               f"{r['classify_mean']:.3f}±{r['classify_std']:.3f}")
     print(f"report: {path}")
     return 0
 
 
 def cmd_theory(args) -> int:
-    from .encoder import ModelDims, build_vocab, init_params
-    from .synth import SyntheticSpec as SSpec
-    from .theory import (
-        BASELINE_THRESHOLD,
-        FUSED_THRESHOLD,
-        collapse_gap_demo,
-        gnn_reduction_check,
-        structural_separation_check,
-        textual_separation_check,
-        transformer_reduction_check,
-    )
-    from .synth import generate as synth_generate
-
     results = []
 
-    g = synth_generate(SSpec(n_nodes=20, n_classes=2, vocab_size=60, words_per_node=6,
-                             seed=args.seed, avg_degree=4, ensure_connected=True))
+    g = generate(SyntheticSpec(n_nodes=20, n_classes=2, vocab_size=60, words_per_node=6,
+                               seed=args.seed, avg_degree=4, ensure_connected=True))
     vocab = build_vocab(g.texts)
     params = init_params(vocab.size, ModelDims(d=16, heads=2, max_len=12), 3, 0, args.seed)
     dev = transformer_reduction_check(g, range(5), params, vocab, seed=args.seed)
@@ -252,51 +265,6 @@ def cmd_theory(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_timing(args) -> int:
-    """Wall time and per-batch encoded-node counts of the schedule presets.
-    Counts are deterministic and form the report; times go to the log."""
-    cfg = _load_cfg(args)
-    graph = _graph_from_cfg(cfg)
-    schedules = [
-        ("light-2", light_preset("light-2")),
-        ("light-2,4", light_preset("light-2,4")),
-        ("full-1,6,11", make_schedule(12, [1, 6, 11], cfg.schedule.strategy)),
-    ]
-    batch_nodes = list(range(min(cfg.pretrain.batch_size, graph.num_nodes)))
-    counts = {}
-    times = {}
-    for name, sched in schedules:
-        sub = sample_frontiers(graph, batch_nodes, sched.hop_count,
-                               cfg.sampler.fanout, cfg.seed)
-        counts[name] = encoded_node_count(sub, sched.depth, sched.positions)
-        run_cfg = _load_cfg(args)
-        run_cfg.schedule.preset = None
-        run_cfg.schedule.depth = sched.depth
-        run_cfg.schedule.positions = list(sched.positions)
-        run_cfg.schedule.strategy = sched.strategy
-        run_cfg.pretrain.epochs = 1
-        run_cfg.paths.out_dir = str(Path(cfg.paths.out_dir) / f"timing-{name}")
-        started = time.perf_counter()
-        run_pretrain(run_cfg, graph, run_cfg.paths.out_dir)
-        times[name] = time.perf_counter() - started
-    ordering_ok = counts["light-2"] < counts["light-2,4"] < counts["full-1,6,11"]
-    payload = {
-        "command": "timing",
-        "config_digest": cfg.digest(),
-        "encoded_nodes_per_batch": counts,
-        "count_ordering_ok": ordering_ok,
-    }
-    path = _write_report(cfg.paths.out_dir, payload)
-    with open(Path(cfg.paths.out_dir) / "timing.log", "w", encoding="utf-8") as fh:
-        for name, _ in schedules:
-            fh.write(f"{name}\tencoded_nodes={counts[name]}\twall_s={times[name]:.3f}\n")
-    for name, _ in schedules:
-        print(f"{name:<12} encoded_nodes/batch={counts[name]:<6} wall={times[name]:.2f}s")
-    print(f"count ordering light-2 < light-2,4 < full: {ordering_ok}")
-    print(f"report: {path}")
-    return 0 if ordering_ok else 1
-
-
 # -- parser ---------------------------------------------------------------------
 
 
@@ -347,11 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--checkpoint", default=None)
         sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("sweep", help="schedule x strategy ablation grid")
+    sp = sub.add_parser("sweep", help="schedule ablation grid: cost and quality per cell")
     sp.add_argument("--config", default=None)
     sp.add_argument("--set", action="append", metavar="KEY=VALUE")
     sp.add_argument("--grid", required=True,
-                    help="semicolon-separated cells like '1,6,11:PG;3,6,9:ME'")
+                    help="semicolon-separated cells, each 'positions:strategy' or a "
+                         "preset name, like '1,6,11:PG;3,6,9:ME;light-2,4'")
     sp.add_argument("--seeds", type=int, default=3)
     sp.set_defaults(func=cmd_sweep)
 
@@ -361,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile-seeds", type=int, default=3)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_theory)
-
-    sp = sub.add_parser("timing", help="schedule cost comparison")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sp.set_defaults(func=cmd_timing)
     return p
 
 

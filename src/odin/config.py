@@ -6,11 +6,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .encoder import ConfigError
+from .encoder import ConfigError, ModelDims
 from .fusion import LayerSchedule, light_preset, make_schedule
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -24,13 +27,6 @@ class ScheduleConfig:
         if self.preset:
             return light_preset(self.preset)
         return make_schedule(self.depth, self.positions, self.strategy)
-
-
-@dataclass
-class DimsConfig:
-    d: int = 32
-    heads: int = 4
-    max_len: int = 32
 
 
 @dataclass
@@ -79,7 +75,7 @@ class PathsConfig:
 class RunConfig:
     seed: int = 0
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    dims: DimsConfig = field(default_factory=DimsConfig)
+    dims: ModelDims = field(default_factory=ModelDims)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
@@ -96,9 +92,13 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def validate(self) -> None:
-        self.schedule.build()  # raises on malformed schedules
-        if self.dims.d % self.dims.heads:
-            raise ConfigError("model dim must be divisible by head count")
+        """Raise ConfigError on a malformed schedule or dims. Warn when PE or
+        PG layers precede the first aggregation stage: those run as VA."""
+        schedule = self.schedule.build()
+        self.dims.check()
+        first_stage = schedule.positions[0] if schedule.positions else schedule.depth
+        if schedule.strategy in ("PE", "PG") and first_stage > 1:
+            log.warning("%s before the first aggregation stage; using VA", schedule.strategy)
 
     def data_files(self):
         base = Path(self.paths.data_dir)
@@ -108,7 +108,7 @@ class RunConfig:
 
 _SECTIONS = {
     "schedule": ScheduleConfig,
-    "dims": DimsConfig,
+    "dims": ModelDims,
     "sampler": SamplerConfig,
     "pretrain": PretrainConfig,
     "task": TaskConfig,

@@ -91,14 +91,20 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> np.ndarray:
 # -- parameters ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModelDims:
+    """Model widths: the `dims` section of a run config and the shape record
+    of a ParamSet. The MLP hidden width is d * mlp_ratio."""
+
     d: int = 32
     heads: int = 4
     max_len: int = 32
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
         if self.d % self.heads != 0:
             raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
 
@@ -316,11 +322,3 @@ def transformer_block(
     m = ad.linear(ad.gelu(ad.linear(h, lp.w_up, lp.b_up)), lp.w_down, lp.b_down)
     return ad.layer_norm(h + m, lp.ln2_g, lp.ln2_b)
 
-
-def mlm_logits(state: Tensor, params: ParamSet) -> Tensor:
-    """Scores over the vocabulary: one dot product per token row."""
-    w = params.mlm_weight()
-    single = state.ndim == 1
-    x = ad.reshape(state, (1, -1)) if single else state
-    logits = ad.matmul(x, w.T)
-    return ad.reshape(logits, (-1,)) if single else logits

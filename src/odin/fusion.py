@@ -18,7 +18,6 @@ it there.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ from .autodiff import Tensor
 from .encoder import ConfigError, ParamSet, StageParams, embed_batch, tokenize, transformer_block
 from .graph import TextGraph
 from .sampler import SampledSubgraph, sample_frontiers
-
-log = logging.getLogger(__name__)
 
 STRATEGIES = ("VA", "ME", "PE", "PG")
 
@@ -69,9 +66,6 @@ def make_schedule(depth: int, positions, strategy: str = "PG") -> LayerSchedule:
         raise ConfigError(f"aggregation positions must be increasing, got {positions}")
     if depth <= len(positions):
         raise ConfigError("depth must exceed the number of aggregation layers")
-    first_stage = positions[0] if positions else depth
-    if strategy in ("PE", "PG") and first_stage > 1:
-        log.warning("%s before the first aggregation stage; using VA", strategy)
     return LayerSchedule(depth, positions, strategy)
 
 
@@ -241,7 +235,7 @@ def odin_forward(
             total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
             agg = (total + cls_act) * (1.0 / (fr.counts + 1.0))
         # PE and PG have nothing to reuse before the first stage, so those
-        # layers run as VA (make_schedule warns)
+        # layers run as VA (RunConfig.validate warns)
         elif schedule.strategy == "PE" and m > 0:
             agg = last_agg[:n]
         elif schedule.strategy == "PG" and m > 0:

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_model, save_model
 from .config import RunConfig
-from .encoder import ModelDims, Vocab, build_vocab, init_params, word_tokens
+from .encoder import Vocab, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
 from .graph import TaskSplit, TextGraph, make_few_shot_split
 from .objectives import Adam, make_optimizer, optimize, pretrain_step, softmax_xent
@@ -58,9 +58,8 @@ def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
 
 def build_fresh_model(cfg: RunConfig, graph: TextGraph):
     vocab = build_vocab(graph.texts, cfg.pretrain.min_freq)
-    dims = ModelDims(d=cfg.dims.d, heads=cfg.dims.heads, max_len=cfg.dims.max_len)
     schedule = cfg.schedule.build()
-    params = init_params(vocab.size, dims, schedule.depth, schedule.hop_count,
+    params = init_params(vocab.size, cfg.dims, schedule.depth, schedule.hop_count,
                          cfg.seed, tie_mlm=cfg.pretrain.tie_mlm)
     return vocab, schedule, params
 

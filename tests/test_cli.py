@@ -1,9 +1,15 @@
-"""The command line end to end: synth, pretrain, resume, then finetune and
-eval of every task, all through cli.main on a tiny config."""
+"""The command line end to end: synth, ingest, pretrain, resume, finetune
+and eval of every task, sweep and theory, all through cli.main on a tiny
+config."""
 
 import json
 
+import pytest
+
 from odin import checkpoint, cli
+from odin.encoder import ConfigError
+from odin.graph import load_graph
+from odin.sampler import encoded_node_count, sample_frontiers
 
 TASKS = ("linkpred", "classify", "retrieve", "rerank")
 
@@ -23,13 +29,17 @@ def _main(*argv):
     assert cli.main([*argv, *sets]) == 0
 
 
+def _synth():
+    assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
+                     "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
+
+
 def _run_all(root, monkeypatch):
     """Every report.json one pass writes, by path relative to `root`. Paths
     in the config are relative, so two roots give the same config digest.
     finetune and eval share one out_dir and must not overwrite each other."""
     monkeypatch.chdir(root)
-    assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
-                     "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
+    _synth()
     _main("pretrain")
     first = (root / "run" / "report.json").read_bytes()
     _main("pretrain", "--resume")
@@ -71,12 +81,58 @@ def test_cli_reports_repeat_byte_for_byte(tmp_path, monkeypatch):
 
 def test_sweep_runs_every_cell_under_the_overrides(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
-                     "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
-    _main("sweep", "--grid", "1:VA;1,2:PG", "--seeds", "1")
-    report = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert [(r["positions"], r["strategy"]) for r in report["rows"]] == [
-        ([1], "VA"), ([1, 2], "PG")]
+    _synth()
+    _main("sweep", "--grid", "1:VA;1,2:PG;light-2", "--seeds", "1")
+    blob = (tmp_path / "run" / "report.json").read_bytes()
+    report = json.loads(blob)
+    assert [(r["cell"], r["depth"], r["positions"], r["strategy"]) for r in report["rows"]] == [
+        ("1:VA", 4, [1], "VA"), ("1,2:PG", 4, [1, 2], "PG"), ("light-2", 6, [2], "PG")]
+    # cost as the spec states it: the first batch_size nodes' frontiers at the first seed
+    graph = load_graph("data/nodes.jsonl", "data/edges.txt")
+    for row in report["rows"]:
+        sub = sample_frontiers(graph, range(8), len(row["positions"]), fanout=2, seed=0)
+        assert row["encoded_nodes_per_batch"] == encoded_node_count(
+            sub, row["depth"], row["positions"])
+    assert not [k for k in _keys(report) if "wall" in k or k.endswith(("_ms", "_s"))]
     cells = sorted((tmp_path / "run").glob("cell-*/checkpoint.bin"))
-    assert len(cells) == 2
+    assert len(cells) == 3
     assert all(checkpoint.load_model(c)[0].dims.d == 8 for c in cells)
+    assert len((tmp_path / "run" / "sweep.log").read_text().splitlines()) == 3
+    # a second sweep reuses every cached cell, so it pretrains nothing
+    _main("sweep", "--grid", "1:VA;1,2:PG;light-2", "--seeds", "1")
+    assert (tmp_path / "run" / "report.json").read_bytes() == blob
+    assert (tmp_path / "run" / "sweep.log").read_text() == ""
+
+
+@pytest.mark.parametrize("argv,match", [
+    (("pretrain", "--set", "dims.heads=3"), "heads"),
+    (("sweep", "--grid", "light-9", "--seeds", "1"), "light-9"),
+])
+def test_malformed_config_raises_config_error(tmp_path, monkeypatch, argv, match):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    with pytest.raises(ConfigError, match=match):
+        cli.main(list(argv))
+    assert not (tmp_path / "runs").exists()  # raised before any run started
+
+
+def test_ingest_writes_an_identical_normalized_copy(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    files = ("nodes.jsonl", "edges.txt", "labels.jsonl")
+    capsys.readouterr()
+    assert cli.main(["ingest", "--nodes", "data/nodes.jsonl", "--edges", "data/edges.txt",
+                     "--labels", "data/labels.jsonl", "--out", "copy"]) == 0
+    stats = json.loads(capsys.readouterr().out.split("\nnormalized")[0])
+    assert stats["nodes"] == 30 and stats["has_fine_labels"]
+    for name in files:
+        assert (tmp_path / "copy" / name).read_bytes() == (tmp_path / "data" / name).read_bytes()
+
+
+def test_theory_passes_and_writes_its_report(tmp_path):
+    out = tmp_path / "theory"
+    assert cli.main(["theory", "--separation-seeds", "2", "--profile-seeds", "1",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["checks"]) == 6 and all(c["passed"] for c in report["checks"])
+    assert (out / "smoothing_profiles.csv").read_text().startswith("model,seed,layer,")

@@ -9,6 +9,7 @@ from odin import autodiff as ad
 from odin import encoder as enc
 from odin import fusion
 from odin.autodiff import Tensor
+from odin.config import RunConfig
 from odin.encoder import ConfigError, ModelDims, build_vocab
 from odin.fusion import light_preset, make_schedule, odin_forward, tokenize_nodes
 from odin.graph import TextGraph
@@ -89,8 +90,12 @@ def test_schedule_rejects_zero():
     (1, [], "PG", False),
 ])
 def test_schedule_warns_once_when_pe_pg_fall_back(caplog, depth, positions, strategy, warns):
+    # the config check warns; building the schedule again stays silent
+    cfg = RunConfig()
+    cfg.schedule.depth, cfg.schedule.positions, cfg.schedule.strategy = depth, positions, strategy
     with caplog.at_level(logging.WARNING):
-        make_schedule(depth, positions, strategy)
+        cfg.validate()
+        cfg.schedule.build()
     assert caplog.text.count("using VA") == int(warns)
 
 
@@ -358,9 +363,6 @@ def test_forward_matches_per_node_reference(strategy, caplog):
     g = toy_graph(40, extra_edges=((0, 9), (3, 17), (5, 30), (12, 33)), seed=13)
     with caplog.at_level(logging.WARNING):
         vocab, schedule, params = build_model(g, 6, [2, 4], strategy, seed=6)
-    assert caplog.text.count("using VA") == (1 if strategy in ("PE", "PG") else 0)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING):
         res, sub = run_forward(g, [0, 3, 5], schedule, params, vocab, fanout=2, seed=4)
     assert "using VA" not in caplog.text
     assert len(sub.batch) < len(sub.budget(1)) < len(sub.base)
