@@ -82,9 +82,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- graph machinery -----------------------------------------------------
 
     def zero_grad(self):

@@ -8,6 +8,7 @@ deterministic (no timestamps), so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from .encoder import ModelDims, ParamSet, init_params
 
 MAGIC = b"ODINCKPT\x01\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -75,21 +76,14 @@ def load_arrays(path):
     return arrays, header["meta"]
 
 
-def params_to_arrays(params: ParamSet) -> dict[str, np.ndarray]:
-    return {name: p.data for name, p in params.named_parameters()}
-
-
 def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
-    arrays = dict(params_to_arrays(params))
+    arrays = {name: p.data for name, p in params.named_parameters()}
     meta = dict(meta)
     meta["model"] = {
         "vocab_size": params.vocab_size,
         "depth": params.depth,
         "num_stages": len(params.stages),
-        "d": params.dims.d,
-        "heads": params.dims.heads,
-        "max_len": params.dims.max_len,
-        "mlp_ratio": params.dims.mlp_ratio,
+        "dims": dataclasses.asdict(params.dims),
         "tie_mlm": params.mlm_head is None,
         "head_names": sorted(params.heads),
     }
@@ -108,10 +102,8 @@ def load_model(path):
     """Returns (params, meta, optimizer_state_or_None)."""
     arrays, meta = load_arrays(path)
     spec = meta["model"]
-    dims = ModelDims(d=spec["d"], heads=spec["heads"], max_len=spec["max_len"],
-                     mlp_ratio=spec["mlp_ratio"])
-    params = init_params(spec["vocab_size"], dims, spec["depth"], spec["num_stages"],
-                         seed=0, tie_mlm=spec["tie_mlm"])
+    params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
+                         spec["num_stages"], seed=0, tie_mlm=spec["tie_mlm"])
     from .autodiff import Tensor
     for name in spec.get("head_names", []):
         params.heads[name] = Tensor(arrays[f"heads.{name}"], requires_grad=True)

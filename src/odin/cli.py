@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import hashlib
 import json
 import logging
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 
 from .config import RunConfig, apply_override, load_config
 from .encoder import ModelDims, build_vocab, init_params
+from .fusion import LayerSchedule, light_preset
 from .graph import load_graph, save_graph
 from .rngutil import generator
 from .runner import run_pretrain, run_task
@@ -58,6 +60,15 @@ def _write_report(out_dir, payload: dict) -> Path:
 def _graph_from_cfg(cfg: RunConfig):
     nodes, edges, labels = cfg.data_files()
     return load_graph(nodes, edges, labels)
+
+
+def _data_digest(cfg: RunConfig) -> str:
+    """Digest of the graph files the config reads."""
+    digest = hashlib.sha256()
+    for path in cfg.data_files():
+        if path is not None:
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()[:12]
 
 
 # -- commands ------------------------------------------------------------------
@@ -137,38 +148,41 @@ def _finetune_eval(args, finetune: bool) -> int:
 
 def cmd_sweep(args) -> int:
     """Grid of schedule cells. A cell is either 'positions:strategy', such as
-    '1,6,11:PG', or a schedule preset name, such as 'light-2,4'. Per seed,
-    each cell pretrains (or reuses a checkpoint cached under its config
-    digest) and runs link prediction and classification. A row reports the
-    built schedule, the nodes one pretrain batch encodes at the first seed,
-    and each task's mean and std over the seeds. The wall time of each
-    pretrain goes to sweep.log, never to report.json."""
+    '1,6,11:PG', at the config's schedule.depth, or a schedule preset name,
+    such as 'light-2,4', which sets the whole schedule (see light_preset).
+    Per seed, each cell pretrains (or reuses a checkpoint cached under its
+    config digest and the digest of the graph files) and runs link prediction
+    and classification. A row reports the schedule, the nodes one pretrain
+    batch encodes at the first seed, and each task's mean and std over the
+    seeds. The wall time of each pretrain goes to sweep.log, never to
+    report.json."""
     cfg = _load_cfg(args)
     cells = []
     for cell in args.grid.split(";"):
         cell_cfg = copy.deepcopy(cfg)
         if ":" in cell:
-            sched_part, _, cell_cfg.schedule.strategy = cell.partition(":")
-            cell_cfg.schedule.positions = [int(x) for x in sched_part.split(",") if x]
-            cell_cfg.schedule.preset = None
+            sched_part, _, strategy = cell.partition(":")
+            positions = [int(x) for x in sched_part.split(",") if x]
+            cell_cfg.schedule = LayerSchedule(cfg.schedule.depth, positions, strategy)
         else:
-            cell_cfg.schedule.preset = cell
+            cell_cfg.schedule = light_preset(cell)
         cell_cfg.validate()  # every cell, before the first one runs
         cells.append((cell, cell_cfg))
     graph = _graph_from_cfg(cfg)
+    data_digest = _data_digest(cfg)
     out_root = Path(cfg.paths.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     batch = range(min(cfg.pretrain.batch_size, graph.num_nodes))
     rows = []
     with open(out_root / "sweep.log", "w", encoding="utf-8") as sweep_log:
         for cell, cell_cfg in cells:
-            schedule = cell_cfg.schedule.build()
+            schedule = cell_cfg.schedule
             sub = sample_frontiers(graph, batch, schedule.hop_count, cfg.sampler.fanout, cfg.seed)
             metrics = {"linkpred": [], "classify": []}
             for s in range(args.seeds):
                 seed_cfg = copy.deepcopy(cell_cfg)
                 seed_cfg.seed = cfg.seed + s
-                cell_dir = out_root / f"cell-{seed_cfg.digest()}"
+                cell_dir = out_root / f"cell-{seed_cfg.digest()}-{data_digest}"
                 seed_cfg.paths.out_dir = str(cell_dir)
                 if not (cell_dir / "checkpoint.bin").exists():
                     started = time.perf_counter()
@@ -319,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None)
     sp.add_argument("--set", action="append", metavar="KEY=VALUE")
     sp.add_argument("--grid", required=True,
-                    help="semicolon-separated cells, each 'positions:strategy' or a "
-                         "preset name, like '1,6,11:PG;3,6,9:ME;light-2,4'")
+                    help="semicolon-separated cells, each 'positions:strategy' at "
+                         "schedule.depth or a schedule preset name, like '1,6,11:PG;light-2,4'")
     sp.add_argument("--seeds", type=int, default=3)
     sp.set_defaults(func=cmd_sweep)
 

@@ -1,5 +1,11 @@
 """Run configuration: a nested dataclass tree, JSON on disk, dotted-path
-overrides from the command line, and a content digest embedded in artifacts."""
+overrides from the command line, and a content digest embedded in artifacts.
+
+The `schedule` section is the fusion.LayerSchedule and `dims` the
+encoder.ModelDims the model runs on. A config file and `--set` share one
+setter: it rejects unknown paths and values not of the field default's type
+(an int may stand for a float and a list for positions; a bool never for an int).
+"""
 
 from __future__ import annotations
 
@@ -11,22 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .encoder import ConfigError, ModelDims
-from .fusion import LayerSchedule, light_preset, make_schedule
+from .fusion import LayerSchedule
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ScheduleConfig:
-    depth: int = 12
-    positions: list[int] = field(default_factory=lambda: [1, 6, 11])
-    strategy: str = "PG"
-    preset: str | None = None  # overrides the three fields above when set
-
-    def build(self) -> LayerSchedule:
-        if self.preset:
-            return light_preset(self.preset)
-        return make_schedule(self.depth, self.positions, self.strategy)
 
 
 @dataclass
@@ -74,7 +67,7 @@ class PathsConfig:
 @dataclass
 class RunConfig:
     seed: int = 0
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    schedule: LayerSchedule = field(default_factory=LayerSchedule)
     dims: ModelDims = field(default_factory=ModelDims)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
@@ -94,7 +87,8 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ConfigError on a malformed schedule or dims. Warn when PE or
         PG layers precede the first aggregation stage: those run as VA."""
-        schedule = self.schedule.build()
+        schedule = self.schedule
+        schedule.check()
         self.dims.check()
         first_stage = schedule.positions[0] if schedule.positions else schedule.depth
         if schedule.strategy in ("PE", "PG") and first_stage > 1:
@@ -106,37 +100,44 @@ class RunConfig:
         return base / "nodes.jsonl", base / "edges.txt", (labels if labels.exists() else None)
 
 
-_SECTIONS = {
-    "schedule": ScheduleConfig,
-    "dims": ModelDims,
-    "sampler": SamplerConfig,
-    "pretrain": PretrainConfig,
-    "task": TaskConfig,
-    "paths": PathsConfig,
-}
+def _field_names(obj) -> set[str]:
+    return {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    cfg = RunConfig()
-    for key, value in data.items():
-        if key == "seed":
-            cfg.seed = int(value)
-        elif key in _SECTIONS:
-            section = _SECTIONS[key]()
-            known = {f.name for f in dataclasses.fields(section)}
-            for k, v in value.items():
-                if k not in known:
-                    raise ConfigError(f"unknown config field {key}.{k}")
-                setattr(section, k, v)
-            setattr(cfg, key, section)
-        else:
-            raise ConfigError(f"unknown config section {key!r}")
-    return cfg
+def _set(cfg: RunConfig, path: str, value) -> None:
+    """Set the config value at a dotted path such as 'pretrain.epochs'."""
+    *sections, name = path.split(".")
+    obj = cfg
+    for part in sections:
+        obj = getattr(obj, part) if part in _field_names(obj) else None
+    if name not in _field_names(obj):
+        raise ConfigError(f"unknown config path {path!r}")
+    default = getattr(type(obj)(), name)
+    if dataclasses.is_dataclass(default):
+        raise ConfigError(f"{path!r} is a config section; set its fields, as in {path}.<field>")
+    if isinstance(default, float) and type(value) is int:
+        value = float(value)
+    elif isinstance(default, tuple) and type(value) is list:
+        value = tuple(value)
+    if isinstance(default, tuple):  # each item typed like the default's
+        ok = type(value) is tuple and all(type(v) is type(default[0]) for v in value)
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise ConfigError(f"config value {path}={value!r} must be a "
+                          f"{type(default).__name__}")
+    setattr(obj, name, value)
 
 
 def load_config(path) -> RunConfig:
-    data = json.loads(Path(path).read_text())
-    return config_from_dict(data)
+    cfg = RunConfig()
+    for key, value in json.loads(Path(path).read_text()).items():
+        if isinstance(value, dict):
+            for name, item in value.items():
+                _set(cfg, f"{key}.{name}", item)
+        else:
+            _set(cfg, key, value)
+    return cfg
 
 
 def apply_override(cfg: RunConfig, dotted: str) -> None:
@@ -150,12 +151,4 @@ def apply_override(cfg: RunConfig, dotted: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    parts = target.split(".")
-    obj = cfg
-    for p in parts[:-1]:
-        if not hasattr(obj, p):
-            raise ConfigError(f"unknown config path {target!r}")
-        obj = getattr(obj, p)
-    if not hasattr(obj, parts[-1]):
-        raise ConfigError(f"unknown config path {target!r}")
-    setattr(obj, parts[-1], value)
+    _set(cfg, target, value)

@@ -31,14 +31,38 @@ from .sampler import SampledSubgraph, sample_frontiers
 STRATEGIES = ("VA", "ME", "PE", "PG")
 
 
-@dataclass(frozen=True)
+@dataclass
 class LayerSchedule:
-    """Total depth, the positions of trainable graph-aggregation layers, and
-    the strategy the remaining layers use."""
+    """The `schedule` section of a run config: total depth, the positions of
+    trainable graph-aggregation layers, and the strategy the other layers
+    use. A Light Odin preset is one value of it. check() runs on construction
+    and from RunConfig.validate, as a config sets fields one at a time."""
 
-    depth: int
-    positions: tuple[int, ...]
-    strategy: str
+    depth: int = 12
+    positions: tuple[int, ...] = (1, 6, 11)
+    strategy: str = "PG"
+
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ConfigError on a malformed schedule; make positions a tuple of ints."""
+        self.positions = tuple(int(p) for p in self.positions)
+        depth, positions, strategy = self.depth, self.positions, self.strategy
+        if depth < 1:
+            raise ConfigError("depth must be >= 1")
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+        bad = [p for p in positions if not 1 <= p <= depth - 1]
+        if bad:
+            raise ConfigError(
+                f"aggregation positions {bad} out of range 1..{depth - 1} (layer 0 never "
+                "aggregates and no aggregation may follow the last block)"
+            )
+        # distinct positions in 1..depth-1 leave depth > hop_count
+        if list(positions) != sorted(set(positions)):
+            raise ConfigError(f"aggregation positions must be strictly increasing, "
+                              f"got {positions}")
 
     @property
     def hop_count(self) -> int:
@@ -46,27 +70,6 @@ class LayerSchedule:
 
     def is_tg(self, layer: int) -> bool:
         return layer in self.positions
-
-
-def make_schedule(depth: int, positions, strategy: str = "PG") -> LayerSchedule:
-    positions = tuple(int(p) for p in positions)
-    if depth < 1:
-        raise ConfigError("depth must be >= 1")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    bad = [p for p in positions if not 1 <= p <= depth - 1]
-    if bad:
-        raise ConfigError(
-            f"aggregation positions {bad} out of range 1..{depth - 1} (layer 0 never "
-            "aggregates and no aggregation may follow the last block)"
-        )
-    if len(set(positions)) != len(positions):
-        raise ConfigError(f"duplicate aggregation positions in {positions}")
-    if list(positions) != sorted(positions):
-        raise ConfigError(f"aggregation positions must be increasing, got {positions}")
-    if depth <= len(positions):
-        raise ConfigError("depth must exceed the number of aggregation layers")
-    return LayerSchedule(depth, positions, strategy)
 
 
 _PRESETS = {
@@ -81,7 +84,7 @@ def light_preset(name: str) -> LayerSchedule:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of {sorted(_PRESETS)}")
     depth, positions = _PRESETS[name]
-    return make_schedule(depth, positions, "PG")
+    return LayerSchedule(depth, positions, "PG")
 
 
 # -- fused forward -----------------------------------------------------------------
@@ -104,7 +107,6 @@ class ForwardResult:
                                       # order of B_0 (batch first), not sorted
     base_cls: Tensor                  # (|B_0|, d) last computed [CLS] of every node;
                                       # a frozen node keeps the row it had when it left
-    hops_consumed: int                # value of the hop counter after the pass
     cls_trace: list[np.ndarray] | None = None  # per-layer (|B_0|, d) snapshots
 
 
@@ -194,6 +196,10 @@ def odin_forward(
             f"schedule expects {schedule.hop_count} hop(s) but subgraph has "
             f"{sub.hop_count}"
         )
+    # extra stages are allowed: the separation checks run a model under a schedule with none
+    if len(params.layers) != schedule.depth or len(params.stages) < schedule.hop_count:
+        raise ConfigError(f"a model of {len(params.layers)} layers and {len(params.stages)} "
+                          f"stage(s) does not fit {schedule}")
     order = _prefix_order(sub)
     frontiers = _build_frontiers(sub, order)
     heads = params.dims.heads
@@ -272,7 +278,6 @@ def odin_forward(
         final_states=final_states,
         base_nodes=order,
         base_cls=cls_all,
-        hops_consumed=m,
         cls_trace=trace,
     )
 

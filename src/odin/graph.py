@@ -75,9 +75,6 @@ class TextGraph:
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def labels(self, kind: str) -> tuple:
         if kind == "fine":
             got = self.fine_labels

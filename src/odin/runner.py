@@ -58,7 +58,7 @@ def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
 
 def build_fresh_model(cfg: RunConfig, graph: TextGraph):
     vocab = build_vocab(graph.texts, cfg.pretrain.min_freq)
-    schedule = cfg.schedule.build()
+    schedule = cfg.schedule
     params = init_params(vocab.size, cfg.dims, schedule.depth, schedule.hop_count,
                          cfg.seed, tie_mlm=cfg.pretrain.tie_mlm)
     return vocab, schedule, params
@@ -113,7 +113,6 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     optimizer = make_optimizer(p.optimizer, p.lr_encoder, p.lr_gnn)
     if resume and ckpt_path.exists():
         params, meta, opt_state, vocab = load_checkpoint(ckpt_path)
-        schedule = cfg.schedule.build()
         if meta["config_digest"] != digest:
             raise ValueError("checkpoint was produced by a different config")
         start_epoch = int(meta["epoch"]) + 1
@@ -122,7 +121,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
             optimizer.load_state_dict(opt_state)
         log.info("resuming at epoch %d", start_epoch)
     else:
-        vocab, schedule, params = build_fresh_model(cfg, graph)
+        vocab, _, params = build_fresh_model(cfg, graph)
         vocab.save(out / "vocab.tsv")
         if p.epochs == 0:
             save_model(ckpt_path, params,
@@ -143,7 +142,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
             total = 0.0
             for i in range(steps_per_epoch):
                 batch = train_nodes[order[i * p.batch_size:(i + 1) * p.batch_size]]
-                rec = pretrain_step(batch.tolist(), graph, params, schedule, optimizer,
+                rec = pretrain_step(batch.tolist(), graph, params, cfg.schedule, optimizer,
                                     vocab, sub_seed(cfg.seed, "step", epoch, i),
                                     fanout=cfg.sampler.fanout, mask_ratio=p.mask_ratio)
                 rec.update(step=global_step, epoch=epoch)
@@ -389,5 +388,4 @@ def run_task(cfg: RunConfig, graph: TextGraph, task: str, checkpoint_path,
     if task not in TASK_RUNNERS:
         raise ValueError(f"unknown task {task!r}, expected one of {sorted(TASK_RUNNERS)}")
     params, _, _, vocab = load_checkpoint(checkpoint_path)
-    schedule = cfg.schedule.build()
-    return TASK_RUNNERS[task](cfg, graph, params, schedule, vocab, finetune=finetune)
+    return TASK_RUNNERS[task](cfg, graph, params, cfg.schedule, vocab, finetune=finetune)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import ModelDims, ParamSet, build_vocab, embed_batch, init_params, transformer_block
-from .fusion import LayerSchedule, make_schedule, odin_forward, tokenize_nodes
+from .fusion import LayerSchedule, odin_forward, tokenize_nodes
 from .graph import TextGraph
 from .rngutil import generator
 from .sampler import SampledSubgraph, sample_frontiers
@@ -107,7 +107,7 @@ def oversmoothing_profile(
         raise ValueError(f"unknown model tag {model!r}")
 
     dims = dims or ModelDims()
-    schedule = schedule or make_schedule(depth, [1, 6, 11], "PG")
+    schedule = schedule or LayerSchedule(depth)
     if schedule.depth != depth:
         raise ValueError("schedule depth must match the requested depth")
     vocab = build_vocab(graph.texts)
@@ -137,7 +137,7 @@ def transformer_reduction_check(
     parameters. sabotage_position deliberately inserts one aggregation layer
     to prove the check can fail."""
     positions = [] if sabotage_position is None else [sabotage_position]
-    schedule = make_schedule(params.depth, positions, "VA")
+    schedule = LayerSchedule(params.depth, positions, "VA")
     sub = sample_frontiers(graph, batch, schedule.hop_count,
                            max(graph.max_degree(), 1), seed)
     tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
@@ -180,7 +180,7 @@ def gnn_reduction_check(
     num = len(w1s)
     d = np.asarray(w1s[0]).shape[0]
     depth = num + 1  # layer 0 is the (identity) text pass
-    schedule = make_schedule(depth, list(range(1, depth)), "VA")
+    schedule = LayerSchedule(depth, range(1, depth), "VA")
     dims = ModelDims(d=d, heads=1, max_len=4)
     params = init_params(4, dims, depth, num, seed=0)
     for sp, w1, w2 in zip(params.stages, w1s, w2s):
@@ -239,13 +239,13 @@ def structural_separation_check(
     )
     dims = dims or ModelDims(d=16, heads=2, max_len=8)
     vocab = build_vocab(graph.texts)
-    schedule = make_schedule(depth, list(positions), "PG")
+    schedule = LayerSchedule(depth, positions, "PG")
     params = init_params(vocab.size, dims, depth, schedule.hop_count, seed)
     if zero_w1:
         for sp in params.stages:
             sp.w1.data[:] = 0.0
     fused = _forward_cls_pair(graph, (0, 1), params, vocab, schedule, seed)
-    reduction_schedule = make_schedule(depth, [], "VA")
+    reduction_schedule = LayerSchedule(depth, (), "VA")
     reduction = _forward_cls_pair(graph, (0, 1), params, vocab, reduction_schedule, seed)
     return SeparationResult(fused=fused, reduction=reduction)
 
@@ -266,13 +266,13 @@ def textual_separation_check(
     graph = TextGraph(("hub text", leaf_u, leaf_v), frozenset({(0, 1), (0, 2)}))
     dims = dims or ModelDims(d=16, heads=2, max_len=8)
     vocab = build_vocab(graph.texts)
-    schedule = make_schedule(depth, list(positions), "PG")
+    schedule = LayerSchedule(depth, positions, "PG")
     params = init_params(vocab.size, dims, depth, schedule.hop_count, seed)
     fused = _forward_cls_pair(graph, (1, 2), params, vocab, schedule, seed)
 
     # identity-encoder run from constant init features
     const = {v: np.ones(dims.d) for v in range(graph.num_nodes)}
-    all_tg = make_schedule(depth, list(range(1, depth)), "VA")
+    all_tg = LayerSchedule(depth, range(1, depth), "VA")
     gnn_params = init_params(4, dims, depth, depth - 1, seed)
     sub = sample_frontiers(graph, range(3), all_tg.hop_count, 4, seed)
     res = odin_forward(graph, sub, {}, gnn_params, all_tg,
@@ -307,7 +307,7 @@ def collapse_gap_demo(seeds=(0, 1, 2)):
     Returns {"baseline": [profile per seed], "odin": [profile per seed]}.
     """
     graph = generate(COLLAPSE_FIXTURE)
-    schedule = make_schedule(*COLLAPSE_SCHEDULE)
+    schedule = LayerSchedule(*COLLAPSE_SCHEDULE)
     probe = range(graph.num_nodes)
     out = {"baseline": [], "odin": []}
     for seed in seeds:

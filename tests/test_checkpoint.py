@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from odin import checkpoint
-from odin.checkpoint import load_arrays, save_arrays
+from odin.checkpoint import CheckpointError, load_arrays, load_model, save_arrays, save_model
+from odin.encoder import ModelDims, init_params
 
 
 class _DiskFull:
@@ -71,3 +72,21 @@ def test_write_failing_part_way_keeps_previous_checkpoint(tmp_path, monkeypatch)
     for name, want in _arrays(0).items():
         np.testing.assert_array_equal(arrays[name], want)
     assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+
+def test_model_round_trips_its_dims_and_rejects_an_older_format(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.bin"
+    dims = ModelDims(d=8, heads=2, max_len=6, mlp_ratio=3)
+    params = init_params(10, dims, 3, 1, seed=0)
+    save_model(path, params, {"step": 0})
+    loaded, meta, _ = load_model(path)
+    assert loaded.dims == dims and meta["model"]["dims"] == {
+        "d": 8, "heads": 2, "max_len": 6, "mlp_ratio": 3}
+    for (name, want), (_, got) in zip(params.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+    # a file of the earlier format holds no dims record; it must not load
+    monkeypatch.setattr(checkpoint, "FORMAT_VERSION", checkpoint.FORMAT_VERSION - 1)
+    save_model(path, params, {"step": 0})
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="version"):
+        load_model(path)

@@ -24,14 +24,18 @@ TINY = (
 )
 
 
-def _main(*argv):
-    sets = [arg for item in TINY for arg in ("--set", item)]
-    assert cli.main([*argv, *sets]) == 0
+def _argv(*argv, extra=()):
+    """argv with every TINY override, then the `extra` ones, which win."""
+    return [*argv, *(arg for item in (*TINY, *extra) for arg in ("--set", item))]
 
 
-def _synth():
+def _main(*argv, extra=()):
+    assert cli.main(_argv(*argv, extra=extra)) == 0
+
+
+def _synth(seed=1):
     assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "3",
-                     "--vocab-size", "40", "--words-per-node", "6", "--seed", "1"]) == 0
+                     "--vocab-size", "40", "--words-per-node", "6", "--seed", str(seed)]) == 0
 
 
 def _run_all(root, monkeypatch):
@@ -104,9 +108,32 @@ def test_sweep_runs_every_cell_under_the_overrides(tmp_path, monkeypatch):
     assert (tmp_path / "run" / "sweep.log").read_text() == ""
 
 
+def test_sweep_cells_are_keyed_on_the_graph_and_the_schedule(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "run" / "sweep.log"
+    _synth()
+    _main("sweep", "--grid", "light-2;1:VA", "--seeds", "1")
+    assert len(log.read_text().splitlines()) == 2
+    # a new graph in data/ must not reuse checkpoints pretrained on the old one
+    _synth(seed=2)
+    _main("sweep", "--grid", "light-2;1:VA", "--seeds", "1")
+    assert len(log.read_text().splitlines()) == 2
+    # light-2 is the schedule 2:PG at depth 6, so it is one cell
+    _main("sweep", "--grid", "2:PG", "--seeds", "1", extra=("schedule.depth=6",))
+    assert log.read_text() == ""
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert [(r["depth"], r["positions"], r["strategy"]) for r in report["rows"]] == [
+        (6, [2], "PG")]
+    assert len(list((tmp_path / "run").glob("cell-*"))) == 4
+
+
 @pytest.mark.parametrize("argv,match", [
     (("pretrain", "--set", "dims.heads=3"), "heads"),
     (("sweep", "--grid", "light-9", "--seeds", "1"), "light-9"),
+    (("pretrain", "--set", "pretrain.epochs=abc"), "epochs"),
+    (("pretrain", "--set", "schedule=foo"), "schedule"),
+    (("pretrain", "--set", "dims=3"), "dims"),
+    (("pretrain", "--set", "schedule.preset=light-2"), "preset"),
 ])
 def test_malformed_config_raises_config_error(tmp_path, monkeypatch, argv, match):
     monkeypatch.chdir(tmp_path)
@@ -114,6 +141,33 @@ def test_malformed_config_raises_config_error(tmp_path, monkeypatch, argv, match
     with pytest.raises(ConfigError, match=match):
         cli.main(list(argv))
     assert not (tmp_path / "runs").exists()  # raised before any run started
+
+
+def test_rejected_override_leaves_an_existing_run_untouched(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _main("pretrain")
+    run = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in sorted(run.iterdir()) if p.is_file()}
+    assert before["train_log.jsonl"] and before["vocab.tsv"]
+    with pytest.raises(ConfigError, match="epochs"):
+        cli.main(_argv("pretrain", extra=("pretrain.epochs=abc",)))
+    assert {p.name: p.read_bytes() for p in sorted(run.iterdir()) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("schedule", [
+    ("schedule.depth=6", "schedule.positions=[2,4]"),  # more layers than the checkpoint
+    ("schedule.depth=3", "schedule.positions=[1,2]"),  # fewer layers
+    ("schedule.depth=4", "schedule.positions=[1,2,3]"),  # more stages
+])
+def test_eval_rejects_a_checkpoint_that_does_not_fit_the_schedule(
+        tmp_path, monkeypatch, schedule):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _main("pretrain")
+    with pytest.raises(ConfigError, match="does not fit"):
+        cli.main(_argv("eval", "--task", "classify", extra=schedule))
+    assert not (tmp_path / "run" / "eval").exists()
 
 
 def test_ingest_writes_an_identical_normalized_copy(tmp_path, monkeypatch, capsys):

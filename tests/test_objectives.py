@@ -7,7 +7,7 @@ from odin import encoder as enc
 from odin import objectives as obj
 from odin.autodiff import Tensor
 from odin.encoder import ModelDims, build_vocab
-from odin.fusion import make_schedule
+from odin.fusion import LayerSchedule
 from odin.graph import TextGraph
 from odin.config import RunConfig
 from odin.objectives import (
@@ -292,7 +292,7 @@ def train_fixture(seed=0):
         edges.add((int(rng.integers(0, v)), v))
     g = TextGraph(texts, frozenset(edges))
     vocab = build_vocab(g.texts)
-    schedule = make_schedule(3, [1], "PG")
+    schedule = LayerSchedule(3, [1], "PG")
     params = enc.init_params(vocab.size, ModelDims(d=8, heads=2, max_len=8), 3, 1, seed)
     return g, vocab, schedule, params
 

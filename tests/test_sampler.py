@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odin.fusion import light_preset, make_schedule
+from odin.fusion import LayerSchedule, light_preset
 from odin.graph import TextGraph
 from odin.sampler import SampledSubgraph, encoded_node_count, sample_frontiers
 
@@ -132,7 +132,7 @@ def test_light_presets_encode_fewer_nodes_than_the_full_schedule():
     g = random_graph(40, 0.1, 8)
     counts = []
     for schedule in (light_preset("light-2"), light_preset("light-2,4"),
-                     make_schedule(12, [1, 6, 11], "PG")):
+                     LayerSchedule(12, [1, 6, 11], "PG")):
         sub = sample_frontiers(g, range(4), schedule.hop_count, fanout=5, seed=0)
         counts.append(encoded_node_count(sub, schedule.depth, schedule.positions))
     assert counts[0] < counts[1] < counts[2]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from odin.encoder import ModelDims, build_vocab, init_params
-from odin.fusion import make_schedule
 from odin.graph import TextGraph
 from odin.sampler import sample_frontiers
 from odin.synth import SyntheticSpec, generate
