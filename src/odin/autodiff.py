@@ -191,8 +191,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -201,8 +203,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g, b.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -211,8 +215,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g * b.data, a.shape))
-        b._accum(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -221,8 +227,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g / b.data, a.shape))
-        b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out_data, (a, b), backward)
 

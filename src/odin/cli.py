@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_override, load_config
-from .encoder import ModelDims, build_vocab, init_params
+from .encoder import ConfigError, ModelDims, build_vocab, init_params
 from .fusion import LayerSchedule, light_preset
 from .graph import load_graph, save_graph
 from .rngutil import generator
@@ -162,7 +162,10 @@ def cmd_sweep(args) -> int:
         cell_cfg = copy.deepcopy(cfg)
         if ":" in cell:
             sched_part, _, strategy = cell.partition(":")
-            positions = [int(x) for x in sched_part.split(",") if x]
+            try:
+                positions = [int(x) for x in sched_part.split(",") if x]
+            except ValueError:
+                raise ConfigError(f"sweep cell {cell!r}: positions must be integers") from None
             cell_cfg.schedule = LayerSchedule(cfg.schedule.depth, positions, strategy)
         else:
             cell_cfg.schedule = light_preset(cell)

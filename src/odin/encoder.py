@@ -305,20 +305,40 @@ def transformer_block(
 ) -> Tensor:
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)). The agg
     token is consumed by the attention; output length equals input length.
+    The output is exactly 0 at PAD positions (key_mask False); a mask
+    without a False entry is dropped, so input without PAD pays for no
+    masking and no zeroing.
 
-    With `rows`, the block runs over chunks of at most that many sequences
-    and joins their outputs, so its intermediates stay that size. Sequences
-    do not interact inside a block, so the output is the same; the chunks
-    are slices, so gradients flow through them too."""
-    if rows is not None and x.shape[0] > rows:
+    With `rows`, the block stable-sorts the sequences by real length (one
+    past the last True of key_mask), runs on chunks of at most that many
+    sequences, each trimmed to its longest sequence, and returns the rows in
+    the input order with the trimmed columns 0. Sequences do not interact
+    inside a block, so real positions get the same output up to rounding,
+    while no chunk spends work on the PAD columns it trimmed. The chunks are
+    row gathers and slices, so gradients flow through them too."""
+    if key_mask is not None and key_mask.all():
+        key_mask = None  # no PAD: nothing to mask or zero
+    if rows is not None:
+        n, t, d = x.shape
+        ends = np.full(n, t) if key_mask is None else t - np.argmax(key_mask[:, ::-1], axis=1)
+        order = np.argsort(ends, kind="stable")
         parts = []
-        for i in range(0, x.shape[0], rows):
-            part_agg = None if agg is None else agg[i:i + rows]
-            part_mask = None if key_mask is None else key_mask[i:i + rows]
-            parts.append(transformer_block(x[i:i + rows], part_agg, lp, heads, part_mask))
-        return ad.concat(parts, axis=0)
+        for i in range(0, n, rows):
+            idx = order[i:i + rows]
+            width = int(ends[idx[-1]])  # sorted ascending: the last is the longest
+            part = transformer_block(ad.take_rows(x, idx)[:, :width],
+                                     None if agg is None else ad.take_rows(agg, idx), lp,
+                                     heads, None if key_mask is None else key_mask[idx, :width])
+            if width < t:
+                part = ad.concat([part, Tensor(np.zeros((len(idx), t - width, d)))], axis=1)
+            parts.append(part)
+        joined = ad.concat(parts, axis=0)
+        del parts  # without a tape nothing else holds the chunks
+        return ad.take_rows(joined, np.argsort(order))
     attn = attention_block(x, agg, lp, heads, key_mask=key_mask)
     h = ad.layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
     m = ad.linear(ad.gelu(ad.linear(h, lp.w_up, lp.b_up)), lp.w_down, lp.b_down)
-    return ad.layer_norm(h + m, lp.ln2_g, lp.ln2_b)
-
+    out = ad.layer_norm(h + m, lp.ln2_g, lp.ln2_b)
+    if key_mask is not None:
+        out = out * key_mask[:, :, None]
+    return out

@@ -102,7 +102,8 @@ class _Frontier:
 class ForwardResult:
     batch_nodes: tuple[int, ...]      # sorted batch ids; rows of cls/final_states
     cls: Tensor                       # (B, d) final [CLS] per batch node
-    final_states: Tensor              # (B, T, d) final token states per batch node
+    final_states: Tensor              # (B, T, d) final token states per batch node;
+                                      # exactly 0 at PAD positions
     base_nodes: tuple[int, ...]       # row order of base_cls and cls_trace: the prefix
                                       # order of B_0 (batch first), not sorted
     base_cls: Tensor                  # (|B_0|, d) last computed [CLS] of every node;
@@ -184,7 +185,8 @@ def odin_forward(
 
     Returns final [CLS] vectors (and final token states) for the batch
     frontier only. `rows`, if set, bounds how many nodes each Transformer
-    block processes at once (see transformer_block); the result is the same.
+    block processes at once, in chunks trimmed of PAD (see
+    transformer_block); the result is the same up to rounding.
     With identity_encoder=True the Transformer blocks are skipped and each
     layer sets the active nodes' state to tanh(aggregate(...)) instead
     (nodes keep their state when the layer injects nothing), turning the

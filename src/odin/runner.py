@@ -9,8 +9,10 @@ thread, so changing the count moves losses in the last ULP.
 
 Inference rule: a node's embedding is the final [CLS] that odin_forward
 returns for it when the batch is the whole graph. It does not depend on
-which other nodes are requested or how they are batched. The pass encodes
-num_nodes x depth node-layers whatever nodes are requested.
+which other nodes are requested, and it depends on how nodes are batched
+only through rounding (at most 1e-13). The pass encodes num_nodes x depth
+node-layers whatever nodes are requested; each layer costs the sum of its
+chunks' widths, not num_nodes x the longest text.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_model, save_model
 from .config import RunConfig
-from .encoder import Vocab, build_vocab, init_params, word_tokens
+from .encoder import ConfigError, Vocab, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
 from .graph import TaskSplit, TextGraph, make_few_shot_split
 from .objectives import Adam, make_optimizer, optimize, pretrain_step, softmax_xent
@@ -185,8 +187,13 @@ def compute_embeddings(
     the whole graph, no node freezes, and each node's neighbors are drawn
     once, at the batch-node hop. The pass costs num_nodes x depth node-layers
     whatever `nodes` is; restricting it to the connected components that hold
-    `nodes` is not done. `batch_size` bounds how many nodes each Transformer
-    block processes at once, which bounds memory, not the result.
+    `nodes` is not done. Each Transformer block runs over chunks of at most
+    `batch_size` nodes of similar text length, each trimmed to its longest
+    text (see transformer_block), so a layer encodes the sum over chunks of
+    chunk size x chunk width token rows rather than num_nodes x the longest
+    text. `batch_size` bounds memory; it moves an embedding only by rounding
+    (at most 1e-13), and for a fixed `batch_size` embeddings repeat bit for
+    bit whatever `nodes` is.
     """
     nodes = sorted(set(nodes))
     if not nodes:
@@ -388,4 +395,7 @@ def run_task(cfg: RunConfig, graph: TextGraph, task: str, checkpoint_path,
     if task not in TASK_RUNNERS:
         raise ValueError(f"unknown task {task!r}, expected one of {sorted(TASK_RUNNERS)}")
     params, _, _, vocab = load_checkpoint(checkpoint_path)
+    if params.dims != cfg.dims:
+        raise ConfigError(f"a checkpoint of dims {params.dims} does not fit the "
+                          f"config's {cfg.dims}")
     return TASK_RUNNERS[task](cfg, graph, params, cfg.schedule, vocab, finetune=finetune)

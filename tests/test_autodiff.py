@@ -235,6 +235,25 @@ def test_backward_frees_non_leaf_gradients_and_repeats(rng):
     np.testing.assert_array_equal(w.grad, first[1])
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_constant_operands_get_no_gradient(rng, op):
+    """A constant operand of add/sub/mul/div, on either side, gets no
+    gradient; the other operand's gradient is the one it gets when the
+    constant is on the tape too."""
+    x_data = rng.standard_normal((3, 4))
+    c_data = rng.random((1, 4)) + 0.5  # broadcast, and away from 0 for div
+    weights = rng.standard_normal((3, 4))
+    grads = {}
+    for on_tape in (False, True):
+        x = Tensor(x_data, requires_grad=True)
+        c = Tensor(c_data, requires_grad=on_tape)
+        for out in (op(x, c), op(c, x)):
+            (out * weights).sum().backward()
+        grads[on_tape] = x.grad, c.grad
+    assert grads[False][1] is None and grads[True][1] is not None
+    np.testing.assert_array_equal(grads[False][0], grads[True][0])
+
+
 def test_backward_peak_memory_is_a_few_arrays(rng):
     # every intermediate gradient is freed once used, so a long chain's
     # backward holds a bounded number of arrays, not one per node

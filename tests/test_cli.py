@@ -134,6 +134,7 @@ def test_sweep_cells_are_keyed_on_the_graph_and_the_schedule(tmp_path, monkeypat
     (("pretrain", "--set", "schedule=foo"), "schedule"),
     (("pretrain", "--set", "dims=3"), "dims"),
     (("pretrain", "--set", "schedule.preset=light-2"), "preset"),
+    (("sweep", "--grid", "a:PG", "--seeds", "1"), "a:PG"),
 ])
 def test_malformed_config_raises_config_error(tmp_path, monkeypatch, argv, match):
     monkeypatch.chdir(tmp_path)
@@ -159,6 +160,7 @@ def test_rejected_override_leaves_an_existing_run_untouched(tmp_path, monkeypatc
     ("schedule.depth=6", "schedule.positions=[2,4]"),  # more layers than the checkpoint
     ("schedule.depth=3", "schedule.positions=[1,2]"),  # fewer layers
     ("schedule.depth=4", "schedule.positions=[1,2,3]"),  # more stages
+    ("dims.d=16", "dims.heads=4"),  # other dims
 ])
 def test_eval_rejects_a_checkpoint_that_does_not_fit_the_schedule(
         tmp_path, monkeypatch, schedule):

@@ -274,7 +274,8 @@ def test_forward_non_finite_raises_with_location():
     params.token_emb.data[4] = np.inf
     sub = sample_frontiers(g, [0], 1, 4, 0)
     tokens = {v: np.array([1, 4]) for v in sub.base}
-    with pytest.raises(FloatingPointError, match="layer 0"):
+    with (pytest.warns(RuntimeWarning, match="invalid value"),
+          pytest.raises(FloatingPointError, match="layer 0")):
         odin_forward(g, sub, tokens, params, schedule)
 
 

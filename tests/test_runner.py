@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from odin import autodiff as ad
-from odin import runner
+from odin import encoder, runner
 from odin.checkpoint import load_arrays, save_model
 from odin.config import RunConfig
 from odin.encoder import ModelDims, init_params, transformer_block
@@ -84,6 +84,20 @@ def test_embeddings_match_one_unchunked_forward_with_grad(tmp_path):
     np.testing.assert_allclose(want, res.cls.data, rtol=0, atol=1e-12)
 
 
+def test_embeddings_agree_across_eval_batch(tmp_path):
+    cfg = small_cfg(tmp_path)
+    graph = small_graph()
+    assert len({len(text.split()) for text in graph.texts}) > 2  # chunks trim differently
+    vocab, schedule, params = runner.build_fresh_model(cfg, graph)
+    runs = []
+    for batch in (1, 4, 7, graph.num_nodes):
+        cfg.task.eval_batch = batch
+        emb = _embed(cfg, graph, range(graph.num_nodes), params, schedule, vocab)
+        runs.append(np.stack([emb[v] for v in range(graph.num_nodes)]))
+    for got in runs[1:]:
+        np.testing.assert_allclose(got, runs[0], rtol=0, atol=1e-13)
+
+
 def test_embeddings_of_no_nodes_run_no_pass(tmp_path, monkeypatch):
     cfg = small_cfg(tmp_path)
     graph = small_graph()
@@ -119,6 +133,33 @@ def test_block_in_row_chunks_equals_whole_block(rows):
     with ad.no_grad():
         chunked = transformer_block(x, agg, lp, 2, key_mask, rows=rows)
     assert chunked.shape == whole.shape
+    np.testing.assert_allclose(chunked.data, whole.data, rtol=0, atol=1e-13)
+
+
+def test_block_output_is_zero_at_pad_positions():
+    lp, x, agg, key_mask, _ = _block_inputs()
+    assert not key_mask.all()
+    for rows in (None, 4):
+        out = transformer_block(x, agg, lp, 2, key_mask, rows=rows).data
+        assert np.all(out[~key_mask] == 0)
+
+
+def test_block_chunks_are_trimmed_to_their_longest_sequence(monkeypatch):
+    lp, x, agg, _, _ = _block_inputs()
+    lengths = np.array([5, 1, 3, 2, 5, 1, 4, 1, 3, 1, 3])
+    key_mask = np.arange(5)[None, :] < lengths[:, None]
+    whole = transformer_block(x, agg, lp, 2, key_mask)
+    seen = []
+    attend = encoder.attention_block
+
+    def record(x, agg, lp, heads, key_mask=None):
+        seen.append((x.shape[:2], key_mask is None))
+        return attend(x, agg, lp, heads, key_mask=key_mask)
+
+    monkeypatch.setattr(encoder, "attention_block", record)
+    chunked = transformer_block(x, agg, lp, 2, key_mask, rows=4)
+    # sorted lengths 1 1 1 1 | 2 3 3 3 | 4 5 5; a chunk without PAD gets no mask
+    assert seen == [((4, 1), True), ((4, 3), False), ((3, 5), False)]
     np.testing.assert_allclose(chunked.data, whole.data, rtol=0, atol=1e-13)
 
 
