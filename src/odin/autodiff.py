@@ -13,9 +13,11 @@ gradients.
 
 Aliasing rule: a backward closure never writes into the arrays it closed
 over (forward inputs and saved intermediates) or into the incoming gradient.
-Gradients are passed on and accumulated without copies, and fused closures
-such as gelu's keep only the forward's arrays and build their result in
-fresh arrays.
+Gradients are passed on and accumulated without copies. Fused closures build
+their result in fresh arrays: attention keeps its softmax weights and no other
+score-sized array, and gelu keeps its derivative instead of x and s. Row sums
+over the last axis are BLAS matvecs or einsum, so they can differ from numpy's
+pairwise `x.sum(axis=-1)` in the last ulps.
 """
 
 from __future__ import annotations
@@ -177,9 +179,14 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
+def _on_tape(parents) -> bool:
+    """Whether an op over `parents` records a tape node."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._backward is not None for p in parents)
+
+
 def _make(data, parents, backward) -> Tensor:
     """Build an op output; drop the tape when grad is off or no parent needs it."""
-    if _GRAD_ENABLED and any(p.requires_grad or p._backward is not None for p in parents):
+    if _on_tape(parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data)
 
@@ -295,11 +302,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """x * x in a fresh array, also for 0-d x (where x * x is a numpy scalar)."""
-    return np.multiply(x, x, out=np.empty_like(x))
+_GELU_A, _GELU_B = -2.0 * _GELU_C * 0.044715, -2.0 * _GELU_C  # -2u = (A x^2 + B) x
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -308,32 +311,30 @@ def gelu(a: Tensor) -> Tensor:
     # x < -2 and is exactly 0 below x ~ -7.2. Where exp(-2u) overflows to inf,
     # sigmoid's limit 0 is the right value. Smooth, so finite-difference checks
     # behave. The cubic term is built from products: numpy's float64 pow costs
-    # ~40x a multiply.
+    # ~40x a multiply. On the tape the forward turns x^2 into the derivative
+    # s + x s (1 - s) 2u', the one array backward keeps; off it, into the output.
     x = a.data
-    s = _square(x)
-    s *= 0.044715
-    s += 1.0
+    sq = np.multiply(x, x, out=np.empty_like(x))  # an array also for 0-d x
+    s = np.multiply(sq, _GELU_A, out=np.empty_like(x))
+    s += _GELU_B
     s *= x
-    s *= -2.0 * _GELU_C
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    out_data = x * s
+    if not _on_tape((a,)):
+        return Tensor(np.multiply(x, s, out=sq))
+    sq *= 6.0 * _GELU_C * 0.044715  # x 2u' = x (2C + 6C 0.044715 x^2)
+    sq += 2.0 * _GELU_C
+    sq *= x
+    out_data = np.subtract(1.0, s)
+    out_data *= s
+    sq *= out_data
+    sq += s  # the derivative
+    np.multiply(x, s, out=out_data)
 
     def backward(g):
-        # d/dx = s + x s (1 - s) 2u', with u' = C (1 + 3 * 0.044715 x^2)
-        dinner = _square(x)
-        dinner *= 3 * 0.044715
-        dinner += 1.0
-        dinner *= x
-        dinner *= 2.0 * _GELU_C
-        ga = np.subtract(1.0, s)
-        ga *= s
-        ga *= dinner
-        ga += s
-        ga *= g
-        a._accum(ga)
+        a._accum(g * sq)
 
     return _make(out_data, (a,), backward)
 
@@ -393,6 +394,10 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
+    """Basic indexing only: with an array key, a repeated index would get
+    only its last gradient; take_rows and gather_elements accumulate."""
+    if any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,))):
+        raise TypeError("getitem takes basic indices only; use take_rows or gather_elements")
     out_data = a.data[key]
 
     def backward(g):
@@ -486,19 +491,68 @@ def gather_elements(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 # -- fused numerical primitives ------------------------------------------------
 
 
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of the fresh array x, in place when x is
+    C-contiguous. The row max goes one column at a time and the row sums are
+    one BLAS matvec: numpy's per-row reductions cost far more on short rows."""
+    rows = x.reshape(-1, x.shape[-1])
+    top = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        np.maximum(top, rows[:, j], out=top)
+    rows -= top[:, None]
+    np.exp(rows, out=rows)
+    rows /= (rows @ np.ones(rows.shape[1]))[:, None]
+    return rows.reshape(x.shape)
+
+
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis. `mask` is an additive constant array
     (0 for keep, -inf for drop) broadcastable to a's shape."""
-    x = a.data if mask is None else a.data + mask
-    shift = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - shift)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax_(a.data.copy() if mask is None else a.data + mask)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accum((g - dot) * out_data)
+        ga = g - np.einsum("...i,...i->...", g, out_data)[..., None]
+        ga *= out_data
+        a._accum(ga)
 
     return _make(out_data, (a,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(hd) + mask) v as one tape node, for
+    (N, T, d) q over (N, T', d) k and v; `mask` is an additive (N, T') array
+    (0 keep, -inf drop). Heads are strided views of d = heads * hd columns;
+    backward keeps the weights, the one score-sized array."""
+    hd = q.shape[-1] // heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(x):  # (N, L, d) -> (N, heads, L, hd) view
+        return x.reshape(x.shape[0], x.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    kh, vh = split(k.data), split(v.data)
+    w = split(q.data * scale) @ kh.transpose(0, 1, 3, 2)
+    if mask is not None:
+        w += mask[:, None, None, :]
+    w = _softmax_(w)
+    out_data = np.empty(q.shape)
+    np.matmul(w, vh, out=split(out_data))
+
+    def backward(g):
+        gh = split(g)
+        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        np.matmul(w.transpose(0, 1, 3, 2), gh, out=split(gv))
+        gs = gh @ vh.transpose(0, 1, 3, 2)  # then the softmax Jacobian and the scale
+        gs -= np.einsum("...i,...i->...", gs, w)[..., None]
+        gs *= w
+        gs *= scale
+        np.matmul(gs, kh, out=split(gq))
+        np.matmul(gs.transpose(0, 1, 3, 2), split(q.data), out=split(gk))
+        q._accum(gq)
+        k._accum(gk)
+        v._accum(gv)
+
+    return _make(out_data, (q, k, v), backward)
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
@@ -516,27 +570,28 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = gain.data * xhat + bias.data
-
-    n = x.shape[-1]
+    n = a.shape[-1]
+    x = a.data.reshape(-1, n)
+    mean_of = np.full(n, 1.0 / n)
+    xhat = x - (x @ mean_of)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps)[:, None]
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
+        g2 = g.reshape(-1, n)
         # d/dx of (x - mu) / sqrt(var + eps), all reductions over last axis
-        ga = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        a._accum(ga)
-        red = tuple(range(g.ndim - 1))
-        gain._accum((g * xhat).sum(axis=red))
-        bias._accum(g.sum(axis=red))
+        ga = g2 * gain.data
+        dot = np.einsum("ij,ij->i", ga, xhat) / n
+        ga -= (ga @ mean_of)[:, None]
+        ga -= xhat * dot[:, None]
+        ga *= inv
+        a._accum(ga.reshape(a.shape))
+        gain._accum(np.einsum("ij,ij->j", g2, xhat))
+        bias._accum(np.ones(len(g2)) @ g2)
 
-    return _make(out_data, (a, gain, bias), backward)
+    return _make(out_data.reshape(a.shape), (a, gain, bias), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -237,16 +237,6 @@ def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
 # -- attention and the block ------------------------------------------------------
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    n, t, d = x.shape
-    return ad.transpose(ad.reshape(x, (n, t, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    n, h, t, hd = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (n, t, h * hd))
-
-
 def attention_core(
     queries_from: Tensor,
     keys_from: Tensor,
@@ -254,24 +244,19 @@ def attention_core(
     heads: int,
     key_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head attention of (N, T, d) queries over (N, T', d) keys/values.
+    """Multi-head attention of (N, T, d) queries over (N, T', d) keys/values:
+    the q, k and v linears, one `ad.attention` node (heads, scale, masked
+    softmax and weighted sum of values), then the output linear.
 
     key_mask, if given, is (N, T') with True marking attendable positions.
     """
     d = queries_from.shape[-1]
     if d % heads:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    hd = d // heads
-    q = _split_heads(ad.linear(queries_from, lp.wq, lp.bq), heads)
-    k = _split_heads(ad.linear(keys_from, lp.wk, lp.bk), heads)
-    v = _split_heads(ad.linear(keys_from, lp.wv, lp.bv), heads)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-    mask = None
-    if key_mask is not None:
-        mask = np.where(key_mask, 0.0, -np.inf)[:, None, None, :]
-    weights = ad.softmax(scores, mask=mask)
-    ctx = ad.matmul(weights, v)
-    return ad.linear(_merge_heads(ctx), lp.wo, lp.bo)
+    mask = None if key_mask is None else np.where(key_mask, 0.0, -np.inf)
+    ctx = ad.attention(ad.linear(queries_from, lp.wq, lp.bq), ad.linear(keys_from, lp.wk, lp.bk),
+                       ad.linear(keys_from, lp.wv, lp.bv), heads, mask)
+    return ad.linear(ctx, lp.wo, lp.bo)
 
 
 def attention_block(

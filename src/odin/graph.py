@@ -163,6 +163,23 @@ def _parse_node_file(path: Path):
     return tuple(texts), fine_t, coarse_t
 
 
+def _parse_label_file(path: Path) -> dict[int, str]:
+    names: dict[int, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                rec = json.loads(raw)
+                lid, name = int(rec["id"]), str(rec["name"])
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise GraphFormatError(f"{path}:{lineno}: not a JSON {{id, name}} record") from exc
+            if lid in names:
+                raise GraphFormatError(f"{path}:{lineno}: duplicate label id {lid}")
+            names[lid] = name
+    return names
+
+
 def load_graph(node_file, edge_file, label_file=None) -> TextGraph:
     """Load and validate a TextGraph from its two on-disk files.
 
@@ -177,14 +194,7 @@ def load_graph(node_file, edge_file, label_file=None) -> TextGraph:
             "dropped %d self-loop(s) and %d duplicate edge(s) from %s",
             self_loops, duplicates, edge_file,
         )
-    label_names = None
-    if label_file is not None:
-        label_names = {}
-        with open(label_file, encoding="utf-8") as fh:
-            for raw in fh:
-                if raw.strip():
-                    rec = json.loads(raw)
-                    label_names[int(rec["id"])] = str(rec["name"])
+    label_names = None if label_file is None else _parse_label_file(Path(label_file))
     return TextGraph(texts, edges, fine, coarse, label_names)
 
 

@@ -74,6 +74,60 @@ def linear_oracle(x, w, b=None):
     return out
 
 
+def softmax_oracle(a, mask=None):
+    """Softmax over the last axis with numpy's row sums, in fresh arrays."""
+    x = a.data if mask is None else a.data + mask
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        a._accum((g - dot) * out_data)
+
+    return ad._make(out_data, (a,), backward)
+
+
+def layer_norm_oracle(a, gain, bias, eps=1e-12):
+    """Layer norm with numpy's row means and a fresh array per step."""
+    x = a.data
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    out_data = gain.data * xhat + bias.data
+
+    def backward(g):
+        dxhat = g * gain.data
+        a._accum(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+        red = tuple(range(g.ndim - 1))
+        gain._accum((g * xhat).sum(axis=red))
+        bias._accum(g.sum(axis=red))
+
+    return ad._make(out_data, (a, gain, bias), backward)
+
+
+def split_heads(x, heads):
+    """(N, T, d) -> (N, heads, T, d / heads) as reshape and transpose nodes."""
+    n, t, d = x.shape
+    return ad.transpose(ad.reshape(x, (n, t, heads, d // heads)), (0, 2, 1, 3))
+
+
+def merge_heads(x):
+    """(N, heads, T, hd) -> (N, T, heads * hd), the inverse of split_heads."""
+    n, h, t, hd = x.shape
+    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (n, t, h * hd))
+
+
+def attention_oracle(q, k, v, heads, mask=None):
+    """Multi-head attention composed of tape nodes: split the heads, scale
+    the scores, softmax_oracle, weight the values, merge the heads."""
+    hd = q.shape[-1] // heads
+    qh, kh, vh = (split_heads(x, heads) for x in (q, k, v))
+    scores = ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
+    weights = softmax_oracle(scores, None if mask is None else mask[:, None, None, :])
+    return merge_heads(ad.matmul(weights, vh))
+
+
 def add_at_oracle(idx, values, num_rows):
     """out[r] = sum of values[i] over idx[i] == r, by unbuffered np.add.at."""
     out = np.zeros((num_rows,) + np.shape(values)[1:])

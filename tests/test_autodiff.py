@@ -11,12 +11,15 @@ from odin.autodiff import Tensor
 
 from helpers import (
     add_at_oracle,
+    attention_oracle,
     finite_diff_check,
     gelu_longdouble_oracle,
     gelu_oracle,
+    layer_norm_oracle,
     linear_oracle,
     rand_tensor,
     rel_err,
+    softmax_oracle,
 )
 
 
@@ -111,6 +114,48 @@ def test_layer_norm_shift_invariance(rng):
     assert np.max(np.abs(a - c)) < 1e-5
 
 
+def _value_and_grads(fn, inputs, seed):
+    for t in inputs:
+        t.zero_grad()
+    out = fn(*inputs)
+    out.backward(seed)
+    return out.data, [t.grad for t in inputs]
+
+
+def _assert_matches_oracle(fn, oracle, inputs, seed, mask=None, atol=1e-12):
+    """fn and oracle agree in value and in every input gradient, and fn
+    writes into none of its inputs, its mask or the incoming gradient."""
+    arrays = [t.data for t in inputs] + [seed] + ([] if mask is None else [mask])
+    before = [x.copy() for x in arrays]
+    got, got_grads = _value_and_grads(fn, inputs, seed)
+    for x, b in zip(arrays, before):
+        np.testing.assert_array_equal(x, b)
+    want, want_grads = _value_and_grads(oracle, inputs, seed)
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_matches_oracle(rng, masked):
+    x = rand_tensor(rng, 3, 4, 7, scale=3.0)
+    mask = None
+    if masked:
+        mask = np.zeros((3, 1, 7))
+        mask[0, :, 5:] = mask[2, :, 1:3] = -np.inf
+    _assert_matches_oracle(lambda a: ad.softmax(a, mask=mask),
+                           lambda a: softmax_oracle(a, mask=mask),
+                           [x], rng.standard_normal((3, 4, 7)), mask)
+
+
+def test_layer_norm_matches_oracle(rng):
+    x = rand_tensor(rng, 3, 5, 8, scale=2.0)
+    g = rand_tensor(rng, 8)
+    b = rand_tensor(rng, 8)
+    _assert_matches_oracle(ad.layer_norm, layer_norm_oracle, [x, g, b],
+                           rng.standard_normal((3, 5, 8)))
+
+
 def test_take_rows_duplicates_accumulate(rng):
     x = rand_tensor(rng, 5, 3)
     idx = np.array([0, 2, 2, 4])
@@ -154,6 +199,14 @@ def test_concat_and_getitem(rng):
     a = rand_tensor(rng, 2, 3)
     b = rand_tensor(rng, 4, 3)
     finite_diff_check(lambda: ad.concat([a, b], axis=0)[1:4].sum(), [a, b])
+
+
+def test_getitem_rejects_array_keys(rng):
+    # a[[0, 0, 2]] would pass back only the last of the two gradients of row 0
+    a = rand_tensor(rng, 3)
+    for key in (np.array([0, 0, 2]), [0, 0, 2], (np.array([0, 0]),)):
+        with pytest.raises(TypeError, match="take_rows or gather_elements"):
+            a[key]
 
 
 def test_reshape_transpose(rng):
@@ -321,6 +374,72 @@ def test_gelu_backward_writes_into_no_input(rng):
     np.testing.assert_array_equal(seed, seed_before)
     np.testing.assert_array_equal(out.data, out_before)
     np.testing.assert_array_equal(a.grad, first)
+
+
+def test_gelu_builds_no_derivative_under_no_grad(rng):
+    # Off the tape gelu needs two input-sized arrays, the output among them;
+    # the derivative the tape keeps would be a third.
+    x = rand_tensor(rng, 200, 100)
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            out = ad.gelu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out._backward is None
+    assert peak < 2.5 * x.data.nbytes
+
+
+# -- attention ----------------------------------------------------------------
+
+
+def _attention_inputs(rng, n=3, t=4, d=8, heads=2, masked=False):
+    """(N, T, d) queries over T' = T + 1 keys and values: the agg row first,
+    then the tokens; masked rows hide a PAD tail of their keys."""
+    q, k, v = (rand_tensor(rng, n, tk, d) for tk in (t, t + 1, t + 1))
+    mask = None
+    if masked:
+        key_mask = np.ones((n, t + 1), dtype=bool)
+        key_mask[0, 3:] = key_mask[2, 2:] = False
+        mask = np.where(key_mask, 0.0, -np.inf)
+    return q, k, v, heads, mask
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_matches_composite_oracle(rng, masked):
+    q, k, v, heads, mask = _attention_inputs(rng, masked=masked)
+    _assert_matches_oracle(lambda *qkv: ad.attention(*qkv, heads, mask),
+                           lambda *qkv: attention_oracle(*qkv, heads, mask),
+                           [q, k, v], rng.standard_normal(q.shape), mask)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_finite_differences(rng, masked):
+    q, k, v, heads, mask = _attention_inputs(rng, masked=masked)
+    w = Tensor(rng.standard_normal(q.shape))
+    finite_diff_check(lambda: (ad.attention(q, k, v, heads, mask) * w).sum(), [q, k, v])
+
+
+def test_attention_is_one_tape_node(rng):
+    q, k, v, heads, mask = _attention_inputs(rng, masked=True)
+    out = ad.attention(q, k, v, heads, mask)
+    assert out.shape == q.shape
+    assert out._parents == (q, k, v)
+    assert all(p._backward is None for p in out._parents)
+
+
+def test_attention_backward_repeats(rng):
+    q, k, v, heads, mask = _attention_inputs(rng, masked=True)
+    out = ad.attention(q, k, v, heads, mask)
+    seed = rng.standard_normal(q.shape)
+    out.backward(seed)
+    first = [t.grad.copy() for t in (q, k, v)]
+    for t in (q, k, v):
+        t.zero_grad()
+    out.backward(seed)
+    for t, g in zip((q, k, v), first):
+        np.testing.assert_array_equal(t.grad, g)
 
 
 # np.add.reduceat adds a group's first row to a pairwise sum of the rest, so

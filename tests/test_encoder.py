@@ -6,7 +6,7 @@ from odin import encoder as enc
 from odin.autodiff import Tensor
 from odin.encoder import ModelDims, Vocab, build_vocab, tokenize
 
-from helpers import finite_diff_check
+from helpers import finite_diff_check, split_heads
 
 
 def make_layer_params(d, rng=None, mlp_ratio=4):
@@ -198,8 +198,8 @@ def test_attention_weights_are_distributions():
     d, heads, t = 8, 2, 4
     lp = make_layer_params(d, rng)
     x = Tensor(rng.standard_normal((1, t, d)))
-    q = enc._split_heads(ad.linear(x, lp.wq, lp.bq), heads)
-    k = enc._split_heads(ad.linear(x, lp.wk, lp.bk), heads)
+    q = split_heads(ad.linear(x, lp.wq, lp.bq), heads)
+    k = split_heads(ad.linear(x, lp.wk, lp.bk), heads)
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d // heads))
     w = ad.softmax(scores).data
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)

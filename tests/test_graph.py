@@ -97,6 +97,19 @@ def test_isolated_node_allowed():
     assert g.neighbors(2) == ()
 
 
+@pytest.mark.parametrize("lines, match", [
+    (['{"id": 0, "name": "x"}', '{"id": 1, "name": '], "labels.jsonl:2: not a JSON"),
+    (['{"name": "x"}'], "labels.jsonl:1: not a JSON"),
+    (['{"id": 0, "name": "x"}', "", '{"id": 0, "name": "y"}'],
+     "labels.jsonl:3: duplicate label id 0"),
+], ids=["invalid-json", "missing-id", "duplicate-id"])
+def test_malformed_label_file_is_hard_error(tmp_path, lines, match):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError, match=match):
+        load_graph(*path_graph_files(tmp_path), labels)
+
+
 def test_symmetry_property():
     g = TextGraph(tuple(f"n{i}" for i in range(6)), frozenset({(0, 1), (1, 3), (2, 4)}))
     for u in range(6):
