@@ -1,9 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Everything is float64. A Tensor wraps an ndarray plus a closure that knows
-how to push gradients to its parents; backward() walks the tape in reverse
-topological order. Only the primitives the model actually needs are
-implemented.
+A Tensor wraps an ndarray plus a closure that knows how to push gradients
+to its parents; backward() walks the tape in reverse topological order. Only
+the primitives the model actually needs are implemented.
+
+Dtype rule: a Tensor keeps the floating dtype it is given (other input is
+made float64, numpy's default), and an op's output and the gradients it
+passes back have its tensor operands' dtype. A constant operand (a Python
+scalar or an ndarray, such as a mask) takes the dtype of the tensor it meets,
+so float32 stays float32 through every op. Model parameters are float32
+(encoder.init_params); the oracle and finite-difference tests run the same
+ops in float64. Sums accumulate in the operands' dtype: numpy's pairwise
+sums, and BLAS dot products for matmuls and for the row sums below.
 
 backward() frees each non-leaf gradient once that node's closure has pushed
 it to its parents, so after backward() only leaves (tensors without a
@@ -58,7 +66,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = parents
@@ -69,6 +78,10 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def ndim(self):
@@ -109,7 +122,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self.grad = np.asarray(seed, dtype=self.data.dtype)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -123,31 +136,31 @@ class Tensor:
     # -- operators -------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_as_tensor(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, _as_tensor(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _as_tensor(other, self))
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(_as_tensor(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, _as_tensor(other))
+        return div(self, _as_tensor(other, self))
 
     def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
+        return mul(self, _as_tensor(-1.0, self))
 
     def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return matmul(self, _as_tensor(other, self))
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -171,12 +184,12 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """x as a Tensor; a constant meeting the tensor `like` takes its dtype
+    (numpy 2 would promote float32 times a float64 array, even a 0-d one)."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x if like is None else np.asarray(x, dtype=like.data.dtype))
 
 
 def _on_tape(parents) -> bool:
@@ -266,7 +279,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             ga = np.broadcast_to(g, a.shape)
         else:
             ga = np.broadcast_to(np.expand_dims(g, axis), a.shape)
-        a._accum(ga.astype(np.float64))
+        a._accum(ga.astype(a.data.dtype))
 
     return _make(out_data, (a,), backward)
 
@@ -420,7 +433,7 @@ def _row_sum(idx: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
     from np.add.at's running one in the last ulps. `idx` is 1-D and
     non-negative.
     """
-    out = np.zeros((num_rows,) + values.shape[1:], dtype=np.float64)
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
     if idx.size == 0:
         return out
     order = np.argsort(idx, kind="stable")
@@ -451,7 +464,7 @@ def scatter_rows(base: Tensor, idx: np.ndarray, values: Tensor) -> Tensor:
     wins) and the gradient (sum over writes) would disagree.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    values = _as_tensor(values)
+    values = _as_tensor(values, base)
     out_data = base.data.copy()
     out_data[idx] = values.data
 
@@ -501,14 +514,17 @@ def _softmax_(x: np.ndarray) -> np.ndarray:
         np.maximum(top, rows[:, j], out=top)
     rows -= top[:, None]
     np.exp(rows, out=rows)
-    rows /= (rows @ np.ones(rows.shape[1]))[:, None]
+    rows /= (rows @ np.ones(rows.shape[1], rows.dtype))[:, None]
     return rows.reshape(x.shape)
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis. `mask` is an additive constant array
     (0 for keep, -inf for drop) broadcastable to a's shape."""
-    out_data = _softmax_(a.data.copy() if mask is None else a.data + mask)
+    x = a.data.copy()
+    if mask is not None:
+        x += mask  # in place: the mask takes a's dtype
+    out_data = _softmax_(x)
 
     def backward(g):
         ga = g - np.einsum("...i,...i->...", g, out_data)[..., None]
@@ -525,7 +541,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     (0 keep, -inf drop). Heads are strided views of d = heads * hd columns;
     backward keeps the weights, the one score-sized array."""
     hd = q.shape[-1] // heads
-    scale = 1.0 / np.sqrt(hd)
+    scale = float(1.0 / np.sqrt(hd))  # a numpy float64 would upcast float32 q
 
     def split(x):  # (N, L, d) -> (N, heads, L, hd) view
         return x.reshape(x.shape[0], x.shape[1], heads, hd).transpose(0, 2, 1, 3)
@@ -535,12 +551,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     if mask is not None:
         w += mask[:, None, None, :]
     w = _softmax_(w)
-    out_data = np.empty(q.shape)
+    out_data = np.empty(q.shape, q.dtype)
     np.matmul(w, vh, out=split(out_data))
 
     def backward(g):
         gh = split(g)
-        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        gq, gk, gv = (np.empty(t.shape, t.dtype) for t in (q, k, v))
         np.matmul(w.transpose(0, 1, 3, 2), gh, out=split(gv))
         gs = gh @ vh.transpose(0, 1, 3, 2)  # then the softmax Jacobian and the scale
         gs -= np.einsum("...i,...i->...", gs, w)[..., None]
@@ -572,7 +588,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     """Normalize over the last axis, then scale and shift."""
     n = a.shape[-1]
     x = a.data.reshape(-1, n)
-    mean_of = np.full(n, 1.0 / n)
+    mean_of = np.full(n, 1.0 / n, x.dtype)
     xhat = x - (x @ mean_of)[:, None]
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps)[:, None]
     xhat *= inv
@@ -589,7 +605,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         ga *= inv
         a._accum(ga.reshape(a.shape))
         gain._accum(np.einsum("ij,ij->j", g2, xhat))
-        bias._accum(np.ones(len(g2)) @ g2)
+        bias._accum(np.ones(len(g2), g2.dtype) @ g2)
 
     return _make(out_data.reshape(a.shape), (a, gain, bias), backward)
 
@@ -607,7 +623,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         x._accum((g2 @ w.data.T).reshape(x.shape))
         w._accum(x2d.T @ g2)
         if b is not None:
-            b._accum(g2.sum(axis=0))
+            b._accum(np.ones(len(g2), g2.dtype) @ g2)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), parents, backward)

@@ -1,9 +1,13 @@
 """Versioned checkpoint container.
 
 A checkpoint is a single binary file: a magic string, an 8-byte header
-length, a JSON header carrying the format version, run metadata, and a shape
-manifest, then the raw little-endian float64 payload. The writer is fully
-deterministic (no timestamps), so identical runs produce identical bytes.
+length, a JSON header carrying the format version, run metadata, and a
+manifest of each array's shape, dtype and offset, then the raw little-endian
+payload. Each array is stored in its own dtype, float32 (`<f4`) or float64
+(`<f8`), and loads back in it: model parameters and Adam moments are float32,
+so a model checkpoint is float32. Version 3 added the dtype; older files are
+rejected. The writer is fully deterministic (no timestamps), so identical
+runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 from .encoder import ModelDims, ParamSet, init_params
 
 MAGIC = b"ODINCKPT\x01\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+DTYPES = ("<f4", "<f8")
 
 
 class CheckpointError(ValueError):
@@ -30,11 +35,16 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     so a crash mid-write leaves the previous checkpoint whole."""
     path = Path(path)
     names = sorted(arrays)
-    payload = [np.ascontiguousarray(arrays[name], dtype=np.float64) for name in names]
+    payload = []
     manifest = {}
     offset = 0
-    for name, arr in zip(names, payload):
-        manifest[name] = {"shape": list(arr.shape), "offset": offset}
+    for name in names:
+        arr = np.asarray(arrays[name])
+        arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        if arr.dtype.str not in DTYPES:
+            raise CheckpointError(f"cannot store {name} of dtype {arr.dtype}")
+        payload.append(arr)
+        manifest[name] = {"shape": list(arr.shape), "dtype": arr.dtype.str, "offset": offset}
         offset += arr.nbytes
     header = json.dumps(
         {"version": FORMAT_VERSION, "meta": meta, "arrays": manifest},
@@ -67,11 +77,12 @@ def load_arrays(path):
     payload = raw[len(MAGIC) + 8 + n:]
     arrays = {}
     for name, info in header["arrays"].items():
+        if info["dtype"] not in DTYPES:
+            raise CheckpointError(f"{path}: {name} has unsupported dtype {info['dtype']!r}")
         shape = tuple(info["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = info["offset"]
         arrays[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=start
+            payload, dtype=info["dtype"], count=count, offset=info["offset"]
         ).reshape(shape).copy()
     return arrays, header["meta"]
 

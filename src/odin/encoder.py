@@ -177,10 +177,17 @@ class ParamSet:
             p.zero_grad()
 
 
+def as_param(data) -> Tensor:
+    """A trainable leaf. Parameters are float32: at d=32 the model is bound by
+    memory traffic, and float32 halves it."""
+    return Tensor(np.asarray(data, dtype=np.float32), requires_grad=True)
+
+
 def _uniform(rng, shape, d) -> Tensor:
-    # symmetric uniform scaled by 1/sqrt(model dim) across the board
+    # symmetric uniform scaled by 1/sqrt(model dim) across the board, drawn
+    # in float64 and rounded
     bound = 1.0 / np.sqrt(d)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return as_param(rng.uniform(-bound, bound, size=shape))
 
 
 def init_params(
@@ -191,7 +198,7 @@ def init_params(
     seed: int,
     tie_mlm: bool = False,
 ) -> ParamSet:
-    """Fresh parameters: symmetric uniform at 1/sqrt(d), unit gains."""
+    """Fresh float32 parameters: symmetric uniform at 1/sqrt(d), unit gains."""
     rng = generator(seed, "init")
     d, hidden = dims.d, dims.d * dims.mlp_ratio
     layers = []
@@ -199,18 +206,12 @@ def init_params(
         layers.append(LayerParams(
             wq=_uniform(rng, (d, d), d), wk=_uniform(rng, (d, d), d),
             wv=_uniform(rng, (d, d), d), wo=_uniform(rng, (d, d), d),
-            bq=Tensor(np.zeros(d), requires_grad=True),
-            bk=Tensor(np.zeros(d), requires_grad=True),
-            bv=Tensor(np.zeros(d), requires_grad=True),
-            bo=Tensor(np.zeros(d), requires_grad=True),
-            w_up=_uniform(rng, (d, hidden), d),
-            b_up=Tensor(np.zeros(hidden), requires_grad=True),
-            w_down=_uniform(rng, (hidden, d), d),
-            b_down=Tensor(np.zeros(d), requires_grad=True),
-            ln1_g=Tensor(np.ones(d), requires_grad=True),
-            ln1_b=Tensor(np.zeros(d), requires_grad=True),
-            ln2_g=Tensor(np.ones(d), requires_grad=True),
-            ln2_b=Tensor(np.zeros(d), requires_grad=True),
+            bq=as_param(np.zeros(d)), bk=as_param(np.zeros(d)),
+            bv=as_param(np.zeros(d)), bo=as_param(np.zeros(d)),
+            w_up=_uniform(rng, (d, hidden), d), b_up=as_param(np.zeros(hidden)),
+            w_down=_uniform(rng, (hidden, d), d), b_down=as_param(np.zeros(d)),
+            ln1_g=as_param(np.ones(d)), ln1_b=as_param(np.zeros(d)),
+            ln2_g=as_param(np.ones(d)), ln2_b=as_param(np.zeros(d)),
         ))
     stages = [
         StageParams(w1=_uniform(rng, (d, d), d), w2=_uniform(rng, (d, d), d))
@@ -253,7 +254,9 @@ def attention_core(
     d = queries_from.shape[-1]
     if d % heads:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    mask = None if key_mask is None else np.where(key_mask, 0.0, -np.inf)
+    mask = None
+    if key_mask is not None:
+        mask = np.where(key_mask, 0.0, -np.inf).astype(queries_from.dtype)
     ctx = ad.attention(ad.linear(queries_from, lp.wq, lp.bq), ad.linear(keys_from, lp.wk, lp.bk),
                        ad.linear(keys_from, lp.wv, lp.bv), heads, mask)
     return ad.linear(ctx, lp.wo, lp.bo)
@@ -315,7 +318,8 @@ def transformer_block(
                                      None if agg is None else ad.take_rows(agg, idx), lp,
                                      heads, None if key_mask is None else key_mask[idx, :width])
             if width < t:
-                part = ad.concat([part, Tensor(np.zeros((len(idx), t - width, d)))], axis=1)
+                pad = np.zeros((len(idx), t - width, d), x.dtype)
+                part = ad.concat([part, Tensor(pad)], axis=1)
             parts.append(part)
         joined = ad.concat(parts, axis=0)
         del parts  # without a tape nothing else holds the chunks

@@ -95,7 +95,7 @@ class _Frontier:
     size: int                 # active nodes: the first `size` rows of the prefix order
     nbr_flat: np.ndarray      # rows of their sampled neighbors, concatenated
     nbr_seg: np.ndarray       # active row of each flat entry
-    counts: np.ndarray        # (size, 1) neighbor counts, float
+    counts: np.ndarray        # (size, 1) neighbor counts
 
 
 @dataclass
@@ -135,8 +135,7 @@ def _build_frontiers(sub: SampledSubgraph, order) -> list[_Frontier]:
     out = []
     for m in range(sub.hop_count + 1):
         n = len(sub.budget(m))
-        out.append(_Frontier(n, flat[:ends[n]], seg[:ends[n]],
-                             counts[:n, None].astype(np.float64)))
+        out.append(_Frontier(n, flat[:ends[n]], seg[:ends[n]], counts[:n, None]))
     return out
 
 
@@ -210,8 +209,7 @@ def odin_forward(
     if identity_encoder:
         if init_features is None:
             raise ValueError("identity_encoder requires init_features")
-        cls_all = Tensor(np.stack([np.asarray(init_features[v], dtype=np.float64)
-                                   for v in order]))
+        cls_all = Tensor(np.stack([init_features[v] for v in order]))
         states = None
     else:
         missing = [v for v in order if v not in tokens_by_node]

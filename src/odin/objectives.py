@@ -117,7 +117,7 @@ def mnp_loss(cls: Tensor, nodes, plan: MaskPlan) -> Tensor:
     when the plan has no pairs."""
     if plan.num_pairs == 0:
         log.warning("contrastive plan is empty; node loss is 0")
-        return Tensor(0.0)
+        return Tensor(np.zeros((), cls.dtype))
     row_of = {v: i for i, v in enumerate(nodes)}
     triples = [(row_of[v], row_of[v_pos], row_of[v_neg])
                for v in sorted(plan.node_pairs) for v_pos, v_neg in plan.node_pairs[v]]
@@ -131,7 +131,7 @@ def nmlm_loss(final_states: Tensor, batch_nodes, plan: MaskPlan, params: ParamSe
     final-layer states, summed over masked tokens."""
     if plan.num_masked_tokens == 0:
         log.warning("token mask plan is empty; reconstruction loss is 0")
-        return Tensor(0.0)
+        return Tensor(np.zeros((), final_states.dtype))
     row_of = {v: i for i, v in enumerate(batch_nodes)}
     n, t, d = final_states.shape
     rows, targets = [], []
@@ -176,7 +176,8 @@ class Sgd(_GroupRates):
 
 
 class Adam(_GroupRates):
-    """Adam with per-group learning rates; optional, not the default."""
+    """Adam with per-group learning rates; optional, not the default. The
+    moments m and v take each parameter's dtype."""
 
     kind = "adam"
 

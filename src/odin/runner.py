@@ -10,9 +10,10 @@ thread, so changing the count moves losses in the last ULP.
 Inference rule: a node's embedding is the final [CLS] that odin_forward
 returns for it when the batch is the whole graph. It does not depend on
 which other nodes are requested, and it depends on how nodes are batched
-only through rounding (at most 1e-13). The pass encodes num_nodes x depth
-node-layers whatever nodes are requested; each layer costs the sum of its
-chunks' widths, not num_nodes x the longest text.
+only through float32 rounding (at most 1e-5, a bound a test checks). The
+pass encodes num_nodes x depth node-layers whatever nodes are requested;
+each layer costs the sum of its chunks' widths, not num_nodes x the longest
+text.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_model, save_model
 from .config import RunConfig
-from .encoder import ConfigError, Vocab, build_vocab, init_params, word_tokens
+from .encoder import ConfigError, Vocab, as_param, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
 from .graph import TaskSplit, TextGraph, make_few_shot_split
 from .objectives import Adam, make_optimizer, optimize, pretrain_step, softmax_xent
@@ -192,8 +193,9 @@ def compute_embeddings(
     text (see transformer_block), so a layer encodes the sum over chunks of
     chunk size x chunk width token rows rather than num_nodes x the longest
     text. `batch_size` bounds memory; it moves an embedding only by rounding
-    (at most 1e-13), and for a fixed `batch_size` embeddings repeat bit for
-    bit whatever `nodes` is.
+    (at most 1e-5 in float32, 1e-13 in float64), and for a fixed `batch_size`
+    embeddings repeat bit for bit whatever `nodes` is. Embeddings have the
+    parameters' dtype, float32.
     """
     nodes = sorted(set(nodes))
     if not nodes:
@@ -292,9 +294,8 @@ def finetune_classify(cfg, graph, params, schedule, vocab, split, labels) -> Non
     to_idx = {c: i for i, c in enumerate(classes)}
     d = params.dims.d
     rng = generator(cfg.seed, "clf_head")
-    params.heads["classifier_w"] = Tensor(
-        rng.uniform(-1, 1, (d, len(classes))) / np.sqrt(d), requires_grad=True)
-    params.heads["classifier_b"] = Tensor(np.zeros(len(classes)), requires_grad=True)
+    params.heads["classifier_w"] = as_param(rng.uniform(-1, 1, (d, len(classes))) / np.sqrt(d))
+    params.heads["classifier_b"] = as_param(np.zeros(len(classes)))
 
     def loss(batch, res):
         logits = ad.linear(res.cls, params.heads["classifier_w"],

@@ -142,6 +142,15 @@ def rel_err(a, b, floor=1e-12):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def as_float64(params):
+    """Cast every parameter of `params` to float64 in place and return it.
+    Parameters are float32; tests that compare against an oracle or finite
+    differences at float64 tolerances run the model in float64."""
+    for _, p in params.named_parameters():
+        p.data = p.data.astype(np.float64)
+    return params
+
+
 def rand_tensor(rng, *shape, scale=1.0, requires_grad=True):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
 

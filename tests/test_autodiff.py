@@ -242,8 +242,14 @@ def test_linear_matches_composite_oracle_bit_for_bit(rng, lead, bias):
     got, got_grads = grads(ad.linear)
     want, want_grads = grads(linear_oracle)
     np.testing.assert_array_equal(got, want)
-    for g_fused, g_oracle in zip(got_grads, want_grads):
+    for g_fused, g_oracle in zip(got_grads[:2], want_grads[:2]):
         np.testing.assert_array_equal(g_fused, g_oracle)
+    if bias:
+        # the bias gradient sums the rows of g by one BLAS matvec, the oracle by
+        # numpy's pairwise sum; each order is within (n - 1) ulps of sum |g|
+        rows = weights.reshape(-1, 5)
+        bound = len(rows) * np.finfo(rows.dtype).eps * np.abs(rows).sum(axis=0)
+        assert np.all(np.abs(got_grads[2] - want_grads[2]) <= bound)
     finite_diff_check(lambda: (ad.linear(x, w, b) * weights).sum(), leaves)
 
 
@@ -485,3 +491,68 @@ def test_gather_elements_duplicates_match_add_at_oracle(rng):
     want = np.zeros((3, 4))
     np.add.at(want, (rows, cols), g)
     np.testing.assert_allclose(x.grad, want, rtol=0, atol=SUM_ATOL)
+
+
+# -- dtype rule ---------------------------------------------------------------------
+
+
+def _keys_mask():
+    key_mask = np.ones((3, 5), dtype=bool)
+    key_mask[0, 3:] = key_mask[2, 2:] = False
+    return key_mask
+
+
+_KEY_MASK = np.where(_keys_mask(), 0.0, -np.inf)  # additive, float64
+
+# Each case is (leaf shapes, op over the leaves). The constants (Python
+# scalars, bool and float64 arrays) are the kinds the model feeds in.
+DTYPE_CASES = {
+    "add": ([(3, 4), (4,)], lambda a, b: a + b),
+    "sub": ([(3, 4), (3, 1)], lambda a, b: a - b),
+    "mul": ([(3, 4), (4,)], lambda a, b: a * b),
+    "div": ([(3, 4), (3, 4)], lambda a, b: a / (b * b + 1.0)),
+    "scalar operands": ([(3, 4)], lambda a: (1.0 - a * 0.5 + 2) / 3.0 - 2.0 * (-a)),
+    "mean": ([(3, 4)], lambda a: a.mean(axis=0)),
+    "bool mask": ([(3, 5, 2)], lambda a: a * _keys_mask()[:, :, None]),
+    "float64 constant": ([(3, 4)], lambda a: a * np.arange(4.0)),
+    "matmul": ([(2, 3, 4), (4, 5)], lambda a, b: a @ b),
+    "tsum": ([(3, 4)], lambda a: ad.tsum(a, axis=1, keepdims=True)),
+    "exp": ([(3, 4)], ad.exp),
+    "log": ([(3, 4)], lambda a: ad.log(a * a + 1.0)),
+    "tanh": ([(3, 4)], ad.tanh),
+    "gelu": ([(3, 4)], ad.gelu),
+    "softplus": ([(3, 4)], ad.softplus),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (4, 3))),
+    "transpose": ([(3, 4)], lambda a: a.T),
+    "concat with a zero pad": (
+        [(3, 4)], lambda a: ad.concat([a, Tensor(np.zeros((3, 2), a.dtype))], axis=1)),
+    "getitem": ([(3, 4)], lambda a: a[:, 1:3]),
+    "take_rows": ([(3, 4)], lambda a: ad.take_rows(a, [2, 0, 2])),
+    "segment_sum": ([(3, 4)], lambda a: ad.segment_sum(a, [1, 0, 1], 3)),
+    "scatter_rows": ([(3, 4), (2, 4)], lambda a, b: ad.scatter_rows(a, [0, 2], b)),
+    "gather_elements": ([(3, 4)], lambda a: ad.gather_elements(a, [0, 2, 2], [1, 3, 3])),
+    "masked softmax": ([(3, 5)], lambda a: ad.softmax(a, _KEY_MASK)),
+    "logsumexp": ([(3, 4)], ad.logsumexp),
+    "layer_norm": ([(2, 3, 4), (4,), (4,)], ad.layer_norm),
+    "linear with a bias": ([(2, 3, 4), (4, 5), (5,)], ad.linear),
+    "masked attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
+                         lambda q, k, v: ad.attention(q, k, v, 2, _KEY_MASK)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(DTYPE_CASES))
+def test_ops_keep_their_input_dtype(rng, case, dtype):
+    """Output and gradients keep the leaves' dtype, also under a float64 seed."""
+    shapes, op = DTYPE_CASES[case]
+    leaves = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+    out = op(*leaves)
+    assert out.dtype == dtype
+    loss = (out * rng.standard_normal(out.shape)).sum()
+    assert loss.dtype == dtype
+    loss.backward()
+    assert [t.grad.dtype for t in leaves] == [dtype] * len(leaves)
+    for t in leaves:
+        t.zero_grad()
+    out.backward(np.ones(out.shape))
+    assert [t.grad.dtype for t in leaves] == [dtype] * len(leaves)

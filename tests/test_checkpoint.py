@@ -1,6 +1,8 @@
-"""Checkpoint writes are atomic: a failed write keeps the previous file."""
+"""Checkpoint writes are atomic: a failed write keeps the previous file.
+Each array loads back in the dtype it was saved in."""
 
 import errno
+import json
 import os
 
 import numpy as np
@@ -90,3 +92,45 @@ def test_model_round_trips_its_dims_and_rejects_an_older_format(tmp_path, monkey
     monkeypatch.undo()
     with pytest.raises(CheckpointError, match="version"):
         load_model(path)
+
+
+def test_round_trip_keeps_each_dtype_and_its_bytes(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    rng = np.random.default_rng(2)
+    arrays = {"f4": rng.standard_normal((3, 5)).astype(np.float32),
+              "f8": rng.standard_normal(4), "scalar": np.float32(1.5)}
+    save_arrays(path, arrays, {})
+    loaded, _ = load_arrays(path)
+    for name, want in arrays.items():
+        assert loaded[name].dtype == np.asarray(want).dtype, name
+        assert loaded[name].tobytes() == np.asarray(want).tobytes(), name
+    with pytest.raises(CheckpointError, match="dtype"):
+        save_arrays(path, {"ids": np.arange(3)}, {})
+
+
+def test_model_checkpoint_is_float32(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    params = init_params(10, ModelDims(d=8, heads=2, max_len=6), 2, 1, seed=0)
+    save_model(path, params, {"step": 0})
+    loaded, _, _ = load_model(path)
+    assert {p.dtype for _, p in loaded.named_parameters()} == {np.dtype(np.float32)}
+    values = sum(p.size for _, p in params.named_parameters())
+    assert values * 4 < path.stat().st_size < values * 8
+
+
+def _write_v2(path, arrays: dict) -> None:
+    """A file as format version 2 wrote it: no dtype in the manifest and a
+    float64 payload."""
+    manifest, payload = {}, b""
+    for name in sorted(arrays):
+        manifest[name] = {"shape": list(arrays[name].shape), "offset": len(payload)}
+        payload += np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
+    header = json.dumps({"version": 2, "meta": {}, "arrays": manifest}).encode()
+    path.write_bytes(checkpoint.MAGIC + len(header).to_bytes(8, "little") + header + payload)
+
+
+def test_a_version_2_file_is_rejected(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    _write_v2(path, _arrays(0))
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_arrays(path)

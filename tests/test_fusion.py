@@ -17,6 +17,7 @@ from odin.sampler import sample_frontiers
 
 from helpers import (
     AggCache,
+    as_float64,
     finite_diff_check,
     per_node_forward,
     simple_aggregate,
@@ -363,6 +364,7 @@ def test_forward_matches_per_node_reference(strategy, caplog):
     g = toy_graph(40, extra_edges=((0, 9), (3, 17), (5, 30), (12, 33)), seed=13)
     with caplog.at_level(logging.WARNING):
         vocab, schedule, params = build_model(g, 6, [2, 4], strategy, seed=6)
+        as_float64(params)
         res, sub = run_forward(g, [0, 3, 5], schedule, params, vocab, fanout=2, seed=4)
     assert "using VA" not in caplog.text
     assert len(sub.batch) < len(sub.budget(1)) < len(sub.base)
@@ -409,6 +411,7 @@ def test_forward_gradients_flow_to_stage_weights():
 def test_forward_finite_difference_small():
     g = toy_graph(8, seed=12)
     vocab, schedule, params = build_model(g, 3, [1], "PG", d=4, max_len=5)
+    as_float64(params)
     sub = sample_frontiers(g, [0, 1], 1, fanout=2, seed=2)
     tokens = tokenize_nodes(g, sub.base, vocab, params.dims.max_len)
     weights = np.random.default_rng(0).standard_normal((len(sub.batch), 4))
@@ -425,6 +428,7 @@ def test_forward_finite_difference_small():
 def test_encode_texts_isolated():
     g = toy_graph(6)
     vocab, schedule, params = build_model(g, 3, [1], "PG")
+    as_float64(params)
     out = fusion.encode_texts(["w1 w2", "w3"], params, schedule, vocab)
     assert out.shape == (2, 8)
     # isolated encoding must match a single-node forward on an edgeless graph

@@ -20,9 +20,10 @@ from odin.objectives import (
     pretrain_step,
     softmax_xent,
 )
-from odin.runner import linkpred_loss
+from odin.runner import compute_embeddings, linkpred_loss
 
 from helpers import (
+    as_float64,
     finite_diff_check,
     in_batch_pair_loop_oracle,
     mnp_pair_loop_oracle,
@@ -269,7 +270,7 @@ def test_nmlm_empty_plan_is_zero():
 
 def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    p = tiny_params(vocab_size=10, d=4)
+    p = as_float64(tiny_params(vocab_size=10, d=4))
     states = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     cls = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     plan = MaskPlan({0: ((1, 3),), 1: ((2, 7),)}, {0: ((1, 2),)})
@@ -353,6 +354,20 @@ def test_adam_optimizer_state_round_trip():
     assert all(np.array_equal(fresh.m[k], optim.m[k]) for k in optim.m)
 
 
+def test_float32_step_keeps_every_array_float32():
+    g, vocab, schedule, params = train_fixture(seed=5)
+    optim = make_optimizer("adam", 1e-3, 1e-3)
+    step([0, 1, 2], g, params, schedule, optim, vocab, 1)
+    named = dict(params.named_parameters())
+    assert {p.dtype for p in named.values()} == {np.dtype(np.float32)}
+    grads = [p.grad for p in named.values() if p.grad is not None]
+    assert len(grads) == len(named) and {gr.dtype for gr in grads} == {np.dtype(np.float32)}
+    assert sorted(optim.m) == sorted(optim.v) == sorted(named)
+    assert {a.dtype for a in [*optim.m.values(), *optim.v.values()]} == {np.dtype(np.float32)}
+    emb = compute_embeddings(g, range(g.num_nodes), params, schedule, vocab, fanout=3, seed=0)
+    assert {e.dtype for e in emb.values()} == {np.dtype(np.float32)}
+
+
 def test_make_optimizer_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_optimizer("rmsprop", 1e-3, 1e-3)
@@ -386,7 +401,7 @@ def test_optimize_on_non_finite_loss_touches_nothing(bad):
 
 def test_optimize_steps_on_the_fresh_gradient():
     rng = np.random.default_rng(12)
-    params = tiny_params(vocab_size=6, d=4)
+    params = as_float64(tiny_params(vocab_size=6, d=4))
     params.token_emb.grad = np.full_like(params.token_emb.data, 5.0)  # stale
     before = params.token_emb.data.copy()
     weights = rng.standard_normal(params.token_emb.shape)

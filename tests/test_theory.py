@@ -15,6 +15,8 @@ from odin.theory import (
     transformer_reduction_check,
 )
 
+from helpers import as_float64
+
 
 def connected_graph(n=30, seed=0):
     return generate(SyntheticSpec(n_nodes=n, n_classes=3, vocab_size=40,
@@ -75,7 +77,7 @@ def test_fused_model_profile_stays_dispersed():
 def reduction_fixture(seed=0):
     g = connected_graph(14, seed=5)
     vocab = build_vocab(g.texts)
-    params = init_params(vocab.size, ModelDims(d=8, heads=2, max_len=10), 3, 0, seed)
+    params = as_float64(init_params(vocab.size, ModelDims(d=8, heads=2, max_len=10), 3, 0, seed))
     return g, vocab, params
 
 
