@@ -95,7 +95,6 @@ def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
         "depth": params.depth,
         "num_stages": len(params.stages),
         "dims": dataclasses.asdict(params.dims),
-        "tie_mlm": params.mlm_head is None,
         "head_names": sorted(params.heads),
     }
     if optimizer is not None:
@@ -114,7 +113,7 @@ def load_model(path):
     arrays, meta = load_arrays(path)
     spec = meta["model"]
     params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
-                         spec["num_stages"], seed=0, tie_mlm=spec["tie_mlm"])
+                         spec["num_stages"], seed=0)
     from .autodiff import Tensor
     for name in spec.get("head_names", []):
         params.heads[name] = Tensor(arrays[f"heads.{name}"], requires_grad=True)

@@ -35,8 +35,6 @@ class PretrainConfig:
     lr_encoder: float = 1e-5
     lr_gnn: float = 1e-3
     optimizer: str = "sgd"
-    min_freq: int = 1
-    tie_mlm: bool = False
     train_fraction: float = 0.8  # remainder split evenly valid/test
 
 
@@ -53,8 +51,6 @@ class TaskConfig:
     finetune_batch: int = 16
     eval_batch: int = 32
     recall_k: int = 10
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
     rerank_candidates: int = 5
 
 
@@ -130,8 +126,15 @@ def _set(cfg: RunConfig, path: str, value) -> None:
 
 
 def load_config(path) -> RunConfig:
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, "
+                          f"not a {type(data).__name__}")
     cfg = RunConfig()
-    for key, value in json.loads(Path(path).read_text()).items():
+    for key, value in data.items():
         if isinstance(value, dict):
             for name, item in value.items():
                 _set(cfg, f"{key}.{name}", item)

@@ -62,16 +62,12 @@ class Vocab:
         return cls({t: i for i, t in enumerate(id_to_token)}, tuple(id_to_token))
 
 
-def build_vocab(corpus, min_freq: int = 1) -> Vocab:
-    """Frequency vocabulary over lowercased word tokens; rare tokens fall
-    back to [UNK] at encode time."""
+def build_vocab(corpus) -> Vocab:
+    """The specials, then every lowercased word token of the corpus, sorted.
+    Only a token the corpus lacks encodes as [UNK]."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    counts: dict[str, int] = {}
-    for text in corpus:
-        for tok in word_tokens(text):
-            counts[tok] = counts.get(tok, 0) + 1
-    kept = sorted(t for t, c in counts.items() if c >= min_freq)
+    kept = sorted({tok for text in corpus for tok in word_tokens(text)})
     id_to_token = SPECIALS + tuple(kept)
     return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
@@ -150,11 +146,8 @@ class ParamSet:
     pos_emb: Tensor
     layers: list[LayerParams]
     stages: list[StageParams]
-    mlm_head: Tensor | None  # None means tied to token_emb
+    mlm_head: Tensor
     heads: dict[str, Tensor] = field(default_factory=dict)
-
-    def mlm_weight(self) -> Tensor:
-        return self.token_emb if self.mlm_head is None else self.mlm_head
 
     def named_parameters(self):
         yield "token_emb", self.token_emb
@@ -167,8 +160,7 @@ class ParamSet:
         for j, sp in enumerate(self.stages):
             yield f"stages.{j}.w1", sp.w1
             yield f"stages.{j}.w2", sp.w2
-        if self.mlm_head is not None:
-            yield "mlm_head", self.mlm_head
+        yield "mlm_head", self.mlm_head
         for name in sorted(self.heads):
             yield f"heads.{name}", self.heads[name]
 
@@ -190,14 +182,8 @@ def _uniform(rng, shape, d) -> Tensor:
     return as_param(rng.uniform(-bound, bound, size=shape))
 
 
-def init_params(
-    vocab_size: int,
-    dims: ModelDims,
-    depth: int,
-    num_stages: int,
-    seed: int,
-    tie_mlm: bool = False,
-) -> ParamSet:
+def init_params(vocab_size: int, dims: ModelDims, depth: int, num_stages: int,
+                seed: int) -> ParamSet:
     """Fresh float32 parameters: symmetric uniform at 1/sqrt(d), unit gains."""
     rng = generator(seed, "init")
     d, hidden = dims.d, dims.d * dims.mlp_ratio
@@ -219,7 +205,7 @@ def init_params(
     ]
     token_emb = _uniform(rng, (vocab_size, d), d)
     pos_emb = _uniform(rng, (dims.max_len, d), d)
-    mlm_head = None if tie_mlm else _uniform(rng, (vocab_size, d), d)
+    mlm_head = _uniform(rng, (vocab_size, d), d)
     return ParamSet(dims, vocab_size, depth, token_emb, pos_emb, layers, stages, mlm_head)
 
 
@@ -238,30 +224,6 @@ def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
 # -- attention and the block ------------------------------------------------------
 
 
-def attention_core(
-    queries_from: Tensor,
-    keys_from: Tensor,
-    lp: LayerParams,
-    heads: int,
-    key_mask: np.ndarray | None = None,
-) -> Tensor:
-    """Multi-head attention of (N, T, d) queries over (N, T', d) keys/values:
-    the q, k and v linears, one `ad.attention` node (heads, scale, masked
-    softmax and weighted sum of values), then the output linear.
-
-    key_mask, if given, is (N, T') with True marking attendable positions.
-    """
-    d = queries_from.shape[-1]
-    if d % heads:
-        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    mask = None
-    if key_mask is not None:
-        mask = np.where(key_mask, 0.0, -np.inf).astype(queries_from.dtype)
-    ctx = ad.attention(ad.linear(queries_from, lp.wq, lp.bq), ad.linear(keys_from, lp.wk, lp.bk),
-                       ad.linear(keys_from, lp.wv, lp.bv), heads, mask)
-    return ad.linear(ctx, lp.wo, lp.bo)
-
-
 def attention_block(
     x: Tensor,
     agg: Tensor | None,
@@ -269,18 +231,23 @@ def attention_block(
     heads: int,
     key_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Asymmetric attention over (N, T, d) states with an optional (N, d)
-    graph-enhanced token prepended to keys/values only."""
-    if agg is None:
-        kv, mask = x, key_mask
-    else:
+    """Asymmetric multi-head attention over (N, T, d) states with an optional
+    (N, d) graph-enhanced token prepended to keys/values only: the q, k and v
+    linears, one `ad.attention` node (heads, scale, masked softmax and
+    weighted sum of values), then the output linear.
+
+    key_mask, if given, is (N, T) with True marking attendable positions.
+    """
+    kv, mask = x, None
+    if agg is not None:
         kv = ad.concat([ad.reshape(agg, (agg.shape[0], 1, agg.shape[1])), x], axis=1)
-        if key_mask is None:
-            mask = None
-        else:
-            ones = np.ones((key_mask.shape[0], 1), dtype=bool)
-            mask = np.concatenate([ones, key_mask], axis=1)
-    return attention_core(x, kv, lp, heads, key_mask=mask)
+        if key_mask is not None:
+            key_mask = np.concatenate([np.ones((len(key_mask), 1), bool), key_mask], axis=1)
+    if key_mask is not None:
+        mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype)
+    ctx = ad.attention(ad.linear(x, lp.wq, lp.bq), ad.linear(kv, lp.wk, lp.bk),
+                       ad.linear(kv, lp.wv, lp.bv), heads, mask)
+    return ad.linear(ctx, lp.wo, lp.bo)
 
 
 def transformer_block(

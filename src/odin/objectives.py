@@ -44,25 +44,18 @@ class MaskPlan:
         return sum(len(v) for v in self.node_pairs.values())
 
 
-def plan_masks(
-    tokens_by_node,
-    graph: TextGraph,
-    mask_ratio: float,
-    seed: int,
-    mask_id: int,
-    neighbor_pool=None,
-):
+def plan_masks(tokens_by_node, graph: TextGraph, mask_ratio: float, seed: int, mask_id: int,
+               neighbor_pool):
     """Choose masked token positions and node contrast pairs for one batch.
 
     Returns (plan, masked_tokens) where masked_tokens has [MASK] substituted
     at the chosen positions. Position 0 ([CLS]) is never masked; every node
     with at least one maskable position gets at least one mask.
 
-    Contrast pairs: positives come from neighbor_pool (normally the sampled
-    subgraph's restricted adjacency, whose states the forward pass computes)
-    or, when None, from true neighbors inside the batch. Negatives are always
-    batch members not adjacent to the node. Nodes lacking either side are
-    skipped and counted.
+    Contrast pairs: positives come from neighbor_pool, a node -> neighbors
+    map (the sampled subgraph's restricted adjacency, whose states the
+    forward pass computes). Negatives are batch members not adjacent to the
+    node. Nodes lacking either side are skipped and counted.
     """
     if not 0.0 < mask_ratio < 1.0:
         raise ValueError("mask_ratio must be in (0, 1)")
@@ -89,10 +82,7 @@ def plan_masks(
     node_pairs: dict[int, tuple] = {}
     skipped = 0
     for v in batch:
-        if neighbor_pool is None:
-            nbrs = sorted(set(graph.neighbors(v)) & batch_set)
-        else:
-            nbrs = sorted(neighbor_pool.get(v, ()))
+        nbrs = sorted(neighbor_pool.get(v, ()))
         non = sorted(batch_set - set(graph.neighbors(v)) - {v})
         if not nbrs or not non:
             skipped += 1
@@ -141,7 +131,7 @@ def nmlm_loss(final_states: Tensor, batch_nodes, plan: MaskPlan, params: ParamSe
             targets.append(orig)
     flat = ad.reshape(final_states, (n * t, d))
     hidden = ad.take_rows(flat, np.array(rows, dtype=np.intp))
-    return softmax_xent(ad.matmul(hidden, params.mlm_weight().T), targets)
+    return softmax_xent(ad.matmul(hidden, params.mlm_head.T), targets)
 
 
 # -- optimizers ---------------------------------------------------------------

@@ -60,10 +60,9 @@ def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
 
 
 def build_fresh_model(cfg: RunConfig, graph: TextGraph):
-    vocab = build_vocab(graph.texts, cfg.pretrain.min_freq)
+    vocab = build_vocab(graph.texts)
     schedule = cfg.schedule
-    params = init_params(vocab.size, cfg.dims, schedule.depth, schedule.hop_count,
-                         cfg.seed, tie_mlm=cfg.pretrain.tie_mlm)
+    params = init_params(vocab.size, cfg.dims, schedule.depth, schedule.hop_count, cfg.seed)
     return vocab, schedule, params
 
 
@@ -331,10 +330,9 @@ def dpr_finetune(cfg, graph, params, schedule, vocab, split, labels) -> None:
     BM25-mined hard negative label per node."""
     if graph.label_names is None:
         raise ValueError("graph carries no label names")
-    t = cfg.task
     label_ids = sorted(graph.label_names)
     ltoks = _label_tokens(graph.label_names)
-    index = Bm25Index([ltoks[i] for i in label_ids], t.bm25_k1, t.bm25_b)
+    index = Bm25Index([ltoks[i] for i in label_ids])
     hard_neg: dict[int, int] = {}
     for v in split.train_ids:
         ranked = index.rank(word_tokens(graph.texts[v]), top_n=3)
@@ -373,8 +371,7 @@ def run_rerank(cfg, graph, params, schedule, vocab, finetune: bool = True) -> Ev
     by_label = _label_tokens(graph.label_names)
     ltoks = [by_label[i] for i in label_ids]
     node_tokens = {v: word_tokens(graph.texts[v]) for v in split.test_ids}
-    mined = mine_candidates(node_tokens, ltoks, cfg.task.rerank_candidates,
-                            cfg.task.bm25_k1, cfg.task.bm25_b)
+    mined = mine_candidates(node_tokens, ltoks, cfg.task.rerank_candidates)
     candidates = {v: [label_ids[i] for i in mined[v]] for v in split.test_ids}
     node_embs = compute_embeddings(graph, split.test_ids, params, schedule, vocab,
                                    cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)

@@ -126,12 +126,14 @@ def classify_train_eval(
 # -- BM25 ---------------------------------------------------------------------------
 
 
-def bm25_scores(query, docs, k1: float = 1.2, b: float = 0.75) -> np.ndarray:
-    """Okapi BM25 of one token-list query against a token-list collection.
+def bm25_scores(query, docs) -> np.ndarray:
+    """Okapi BM25 of one token-list query against a token-list collection,
+    at the usual k1 = 1.2 and b = 0.75.
 
     Uses the idf variant ln(1 + (N - df + 0.5)/(df + 0.5)), which stays
     non-negative for every document frequency.
     """
+    k1, b = 1.2, 0.75
     if not docs:
         raise ValueError("document collection must be non-empty")
     n = len(docs)
@@ -160,20 +162,19 @@ def bm25_scores(query, docs, k1: float = 1.2, b: float = 0.75) -> np.ndarray:
 class Bm25Index:
     """Small convenience wrapper for repeated top-n mining."""
 
-    def __init__(self, docs, k1: float = 1.2, b: float = 0.75):
+    def __init__(self, docs):
         self.docs = [list(d) for d in docs]
-        self.k1, self.b = k1, b
 
     def rank(self, query, top_n: int) -> list[int]:
-        scores = bm25_scores(query, self.docs, self.k1, self.b)
+        scores = bm25_scores(query, self.docs)
         order = np.lexsort((np.arange(len(scores)), -scores))
         return [int(i) for i in order[:top_n]]
 
 
-def mine_candidates(node_tokens, label_tokens, top_n: int, k1=1.2, b=0.75):
+def mine_candidates(node_tokens, label_tokens, top_n: int):
     """Candidate label ids per node: BM25 top-n unioned with exact matches
     (labels whose every token appears in the node's text)."""
-    index = Bm25Index(label_tokens, k1, b)
+    index = Bm25Index(label_tokens)
     out = {}
     for node, tokens in node_tokens.items():
         cands = set(index.rank(tokens, top_n))
@@ -194,7 +195,10 @@ def retrieval_eval(
 ) -> EvalReport:
     """Rank every label name embedding per node; the metric is the fraction
     of nodes whose gold label lands in the top k. With fewer than k labels,
-    k is clipped to the label count and the metric is named after it."""
+    k is clipped to the label count and the metric is named after it.
+    `details["mrr"]` is the mean over nodes of 1 / the gold label's rank in
+    the full ranking (0 for a gold that is no label), which stays informative
+    when k covers every label."""
     if not gold:
         raise ValueError("no queries to retrieve (is the test split empty?)")
     label_ids = np.array(sorted(label_embs))
@@ -202,15 +206,18 @@ def retrieval_eval(
         log.warning("only %d labels for top-%d retrieval; clipping", len(label_ids), k)
         k = len(label_ids)
     mat = np.stack([np.asarray(label_embs[i]) for i in label_ids])
-    hits = 0
+    hits, reciprocal_ranks = 0, 0.0
     for node in sorted(gold):
         scores = mat @ np.asarray(node_embs[node])
-        order = np.lexsort((label_ids, -scores))
-        top = set(label_ids[order[:k]])
-        hits += int(gold[node] in top)
+        ranked = label_ids[np.lexsort((label_ids, -scores))]
+        at = np.flatnonzero(ranked == gold[node])
+        if len(at):
+            hits += int(at[0] < k)
+            reciprocal_ranks += 1.0 / (int(at[0]) + 1)
     value = hits / len(gold)
     return EvalReport("retrieve", f"Recall@{k}", value, seed, config_digest,
-                      {"k": k, "labels": len(label_ids), "queries": len(gold)})
+                      {"k": k, "labels": len(label_ids), "queries": len(gold),
+                       "mrr": reciprocal_ranks / len(gold)})
 
 
 def rerank_eval(

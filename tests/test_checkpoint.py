@@ -134,3 +134,15 @@ def test_a_version_2_file_is_rejected(tmp_path):
     _write_v2(path, _arrays(0))
     with pytest.raises(CheckpointError, match="version 2"):
         load_arrays(path)
+
+
+def test_a_file_without_an_mlm_head_is_rejected(tmp_path):
+    # as a model with its MLM head tied to token_emb was written
+    path = tmp_path / "checkpoint.bin"
+    save_model(path, init_params(10, ModelDims(d=8, heads=2, max_len=6), 1, 1, seed=0), {})
+    arrays, meta = load_arrays(path)
+    del arrays["mlm_head"]
+    meta["model"]["tie_mlm"] = True
+    save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match="missing array mlm_head"):
+        load_model(path)

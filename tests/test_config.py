@@ -2,6 +2,7 @@
 `--set` accept and reject the same values, and the schedule section is the
 LayerSchedule the model runs on."""
 
+import dataclasses
 import json
 
 import pytest
@@ -25,7 +26,7 @@ def _from_override(dotted) -> RunConfig:
 
 def test_save_then_load_keeps_the_digest(tmp_path):
     cfg = RunConfig(seed=4, schedule=LayerSchedule(6, (2, 4), "ME"))
-    cfg.dims.d, cfg.pretrain.lr_gnn, cfg.pretrain.tie_mlm = 16, 0.5, True
+    cfg.dims.d, cfg.pretrain.lr_gnn, cfg.pretrain.optimizer = 16, 0.5, "adam"
     cfg.paths.out_dir = "elsewhere"
     cfg.save(tmp_path / "config.json")
     loaded = load_config(tmp_path / "config.json")
@@ -55,7 +56,7 @@ def test_positions_as_a_list_or_a_tuple_give_one_digest(tmp_path):
     ("pretrain.epochs", "abc", "int"),
     ("pretrain.epochs", True, "int"),
     ("pretrain.epochs", 2.5, "int"),
-    ("pretrain.tie_mlm", 1, "bool"),
+    ("pretrain.optimizer", 1, "str"),
     ("pretrain.mask_ratio", "x", "float"),
     ("paths.out_dir", [1], "str"),
     ("schedule.positions", 2, "tuple"),
@@ -87,3 +88,47 @@ def test_validate_checks_the_schedule_set_field_by_field():
     cfg.validate()
     assert cfg.schedule == light_preset("light-2,4")
     assert cfg.schedule.positions == (2, 4)
+
+
+def test_validate_rejects_dims_the_heads_do_not_divide():
+    cfg = _from_override("dims.d=10")  # the default 4 heads
+    with pytest.raises(ConfigError, match="not divisible"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[1, 2]", "JSON object, not a list"),
+    ('{"seed": 1', "not valid JSON"),
+], ids=["a-list", "truncated"])
+def test_load_config_names_the_file_it_cannot_read(tmp_path, text, match):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match) as info:
+        load_config(path)
+    assert str(path) in str(info.value)
+
+
+def _settable_paths(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _settable_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_the_settable_config_paths_are_pinned():
+    # a new knob must be added here on purpose
+    assert sorted(_settable_paths(RunConfig())) == [
+        "dims.d", "dims.heads", "dims.max_len", "dims.mlp_ratio",
+        "paths.data_dir", "paths.out_dir",
+        "pretrain.batch_size", "pretrain.epochs", "pretrain.lr_encoder", "pretrain.lr_gnn",
+        "pretrain.mask_ratio", "pretrain.optimizer", "pretrain.train_fraction",
+        "sampler.fanout",
+        "schedule.depth", "schedule.positions", "schedule.strategy",
+        "seed",
+        "task.classify_shots", "task.eval_batch", "task.finetune_batch",
+        "task.finetune_epochs", "task.finetune_lr", "task.head_epochs", "task.head_lr",
+        "task.linkpred_shots", "task.recall_k", "task.rerank_candidates",
+        "task.rerank_shots", "task.retrieve_shots",
+    ]

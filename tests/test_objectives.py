@@ -46,13 +46,18 @@ def toks(*seqs):
     return {i: np.array(s, dtype=np.int64) for i, s in enumerate(seqs)}
 
 
+def all_neighbors(g):
+    """A neighbor pool holding every true neighbor of every node."""
+    return {v: tuple(g.neighbors(v)) for v in range(g.num_nodes)}
+
+
 # -- plan_masks -------------------------------------------------------------
 
 
 def test_plan_masks_never_touches_cls_and_masks_at_least_one():
     g = path_graph()
     tokens = toks([1, 5, 6, 7], [1, 8], [1, 9, 9])
-    plan, masked = plan_masks(tokens, g, 0.15, seed=0, mask_id=2)
+    plan, masked = plan_masks(tokens, g, 0.15, 0, 2, all_neighbors(g))
     for v, arr in masked.items():
         assert arr[0] == 1, "[CLS] must survive masking"
         assert len(plan.token_targets[v]) >= 1
@@ -65,19 +70,21 @@ def test_plan_masks_never_touches_cls_and_masks_at_least_one():
 def test_plan_masks_ratio_is_approximate():
     g = TextGraph(tuple(f"t{i}" for i in range(2)), frozenset({(0, 1)}))
     tokens = {0: np.r_[1, np.full(400, 7)], 1: np.r_[1, np.full(400, 7)]}
-    plan, _ = plan_masks(tokens, g, 0.15, seed=3, mask_id=2)
+    plan, _ = plan_masks(tokens, g, 0.15, 3, 2, all_neighbors(g))
     frac = plan.num_masked_tokens / 800
     assert 0.10 < frac < 0.20
 
 
 def test_plan_masks_triangle_has_no_negatives():
-    plan, _ = plan_masks(toks([1, 4], [1, 5], [1, 6]), triangle_graph(), 0.3, 0, 2)
+    g = triangle_graph()
+    plan, _ = plan_masks(toks([1, 4], [1, 5], [1, 6]), g, 0.3, 0, 2, all_neighbors(g))
     assert plan.node_pairs == {}
     assert plan.skipped_no_negative == 3
 
 
 def test_plan_masks_path_pairs_are_forced():
-    plan, _ = plan_masks(toks([1, 4], [1, 5], [1, 6]), path_graph(), 0.3, 0, 2)
+    g = path_graph()
+    plan, _ = plan_masks(toks([1, 4], [1, 5], [1, 6]), g, 0.3, 0, 2, all_neighbors(g))
     # enumerate eligibility: 0 must pair (1, 2); 2 must pair (1, 0); 1 has
     # no in-batch non-neighbor
     assert plan.node_pairs[0] == ((1, 2),)
@@ -89,8 +96,8 @@ def test_plan_masks_path_pairs_are_forced():
 def test_plan_masks_deterministic():
     g = path_graph()
     tokens = toks([1, 4, 5, 6], [1, 5, 7], [1, 6])
-    a = plan_masks(tokens, g, 0.3, seed=9, mask_id=2)
-    b = plan_masks(tokens, g, 0.3, seed=9, mask_id=2)
+    a = plan_masks(tokens, g, 0.3, 9, 2, all_neighbors(g))
+    b = plan_masks(tokens, g, 0.3, 9, 2, all_neighbors(g))
     assert a[0] == b[0]
     assert all(np.array_equal(a[1][v], b[1][v]) for v in tokens)
 
@@ -101,7 +108,7 @@ def test_plan_masks_positive_pool_from_sampled_subgraph():
     g = TextGraph(("a", "b", "c", "d"), frozenset({(0, 3), (1, 2)}))
     tokens = toks([1, 4], [1, 5], [1, 6])  # batch = {0, 1, 2}
     pool = {0: (3,), 1: (2,), 2: (1,)}
-    plan, _ = plan_masks(tokens, g, 0.3, 0, 2, neighbor_pool=pool)
+    plan, _ = plan_masks(tokens, g, 0.3, 0, 2, pool)
     assert plan.node_pairs[0][0][0] == 3
     neg = plan.node_pairs[0][0][1]
     assert neg in (1, 2)  # batch members not adjacent to 0
@@ -412,6 +419,6 @@ def test_optimize_steps_on_the_fresh_gradient():
 def test_mask_ratio_bounds():
     g = path_graph()
     with pytest.raises(ValueError):
-        plan_masks(toks([1, 4]), g, 0.0, 0, 2)
+        plan_masks(toks([1, 4]), g, 0.0, 0, 2, {})
     with pytest.raises(ValueError):
-        plan_masks(toks([1, 4]), g, 1.0, 0, 2)
+        plan_masks(toks([1, 4]), g, 1.0, 0, 2, {})

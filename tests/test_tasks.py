@@ -140,7 +140,7 @@ def test_bm25_matches_hand_computed_table():
         ["banana", "cherry"],
         ["cherry", "cherry", "cherry", "date"],
     ]
-    got = bm25_scores(["apple", "cherry"], docs, k1=1.2, b=0.75)
+    got = bm25_scores(["apple", "cherry"], docs)
     want = [1.3486402228911236, 0.5442147286003255, 0.6893386562270789]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -201,6 +201,15 @@ def test_retrieval_matches_topk_oracle():
         hits += gold[v] in ranked[:10]
     assert rep.value == pytest.approx(hits / 25)
     assert rep.metric == "Recall@10"
+
+
+def test_retrieval_mrr_averages_reciprocal_gold_ranks():
+    labels = {i: np.eye(3)[i] for i in range(3)}
+    nodes = {0: np.array([0.0, 2.0, 1.0]),  # gold 1 ranks first
+             1: np.array([0.0, 1.0, 1.0])}  # gold 2 ties label 1, loses on id: second
+    rep = retrieval_eval(nodes, labels, {0: 1, 1: 2}, k=1)
+    assert rep.details["mrr"] == 0.75
+    assert rep.value == 0.5
 
 
 def test_retrieval_clips_k_with_warning(caplog):
