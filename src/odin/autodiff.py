@@ -584,13 +584,13 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis (variance eps 1e-12), then scale and shift."""
     n = a.shape[-1]
     x = a.data.reshape(-1, n)
     mean_of = np.full(n, 1.0 / n, x.dtype)
     xhat = x - (x @ mean_of)[:, None]
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + 1e-12)[:, None]
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data

@@ -7,7 +7,8 @@ payload. Each array is stored in its own dtype, float32 (`<f4`) or float64
 (`<f8`), and loads back in it: model parameters and Adam moments are float32,
 so a model checkpoint is float32. Version 3 added the dtype; older files are
 rejected. The writer is fully deterministic (no timestamps), so identical
-runs produce identical bytes.
+runs produce identical bytes. A file that is not such a checkpoint, or is
+cut short or garbled, raises CheckpointError naming its path.
 """
 
 from __future__ import annotations
@@ -71,9 +72,12 @@ def load_arrays(path):
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path} is not a checkpoint file")
     n = int.from_bytes(raw[len(MAGIC): len(MAGIC) + 8], "little")
-    header = json.loads(raw[len(MAGIC) + 8: len(MAGIC) + 8 + n])
+    try:
+        header = json.loads(raw[len(MAGIC) + 8: len(MAGIC) + 8 + n])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: damaged header ({exc})") from None
     if header["version"] != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {header['version']}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
     payload = raw[len(MAGIC) + 8 + n:]
     arrays = {}
     for name, info in header["arrays"].items():
@@ -81,6 +85,8 @@ def load_arrays(path):
             raise CheckpointError(f"{path}: {name} has unsupported dtype {info['dtype']!r}")
         shape = tuple(info["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if info["offset"] + count * np.dtype(info["dtype"]).itemsize > len(payload):
+            raise CheckpointError(f"{path} is cut short: {name} runs past the payload")
         arrays[name] = np.frombuffer(
             payload, dtype=info["dtype"], count=count, offset=info["offset"]
         ).reshape(shape).copy()
@@ -95,7 +101,6 @@ def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
         "depth": params.depth,
         "num_stages": len(params.stages),
         "dims": dataclasses.asdict(params.dims),
-        "head_names": sorted(params.heads),
     }
     if optimizer is not None:
         meta["optimizer"] = {"kind": optimizer.kind}
@@ -114,17 +119,12 @@ def load_model(path):
     spec = meta["model"]
     params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
                          spec["num_stages"], seed=0)
-    from .autodiff import Tensor
-    for name in spec.get("head_names", []):
-        params.heads[name] = Tensor(arrays[f"heads.{name}"], requires_grad=True)
     for name, p in params.named_parameters():
         if name not in arrays:
-            raise CheckpointError(f"checkpoint missing array {name}")
+            raise CheckpointError(f"{path}: missing array {name}")
         if arrays[name].shape != p.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint {arrays[name].shape}, "
-                f"model {p.data.shape}"
-            )
+            raise CheckpointError(f"{path}: shape mismatch for {name}: checkpoint "
+                                  f"{arrays[name].shape}, model {p.data.shape}")
         p.data = arrays[name]
     opt_state = None
     if "optimizer" in meta and meta["optimizer"].get("kind") == "adam":

@@ -3,7 +3,9 @@
 Subcommands: synth, ingest, pretrain, finetune, eval, sweep, theory.
 Every command is deterministic under (config, seed); artifacts that must be
 reproducible byte-for-byte (report.json, checkpoints, generated data) never
-contain wall-clock values, which live in the .jsonl/.log files instead.
+contain wall-clock values, which live in the .jsonl/.log files instead. A
+bad config, graph file or checkpoint ends the command with one
+`odin: error: ...` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .config import RunConfig, apply_override, load_config
 from .encoder import ConfigError, ModelDims, build_vocab, init_params
 from .fusion import LayerSchedule, light_preset
-from .graph import load_graph, save_graph
+from .graph import GraphFormatError, load_graph, save_graph
 from .rngutil import generator
 from .runner import run_pretrain, run_task
 from .sampler import encoded_node_count, sample_frontiers
@@ -236,20 +239,11 @@ def cmd_theory(args) -> int:
     dev = gnn_reduction_check(w1s, w2s, g, feats, range(6), fanout=3, seed=args.seed)
     results.append(("gnn-reduction", dev, dev < 1e-6))
 
-    hits = 0
-    for s in range(args.separation_seeds):
-        r = structural_separation_check(seed=s)
-        hits += r.fused > 1e-3 and r.reduction < 1e-6
-    results.append(("structural-separation",
-                    hits / args.separation_seeds,
-                    hits >= args.separation_seeds - 1))
-    hits = 0
-    for s in range(args.separation_seeds):
-        r = textual_separation_check(seed=s)
-        hits += r.fused > 1e-3 and r.reduction < 1e-6
-    results.append(("textual-separation",
-                    hits / args.separation_seeds,
-                    hits >= args.separation_seeds - 1))
+    n = args.separation_seeds
+    for name, check in (("structural-separation", structural_separation_check),
+                        ("textual-separation", textual_separation_check)):
+        hits = sum(r.fused > 1e-3 and r.reduction < 1e-6 for r in map(check, range(n)))
+        results.append((name, hits / n, hits >= n - 1))
 
     demo = collapse_gap_demo(seeds=tuple(range(args.profile_seeds)))
     base_final = min(p.final for p in demo["baseline"])
@@ -356,7 +350,11 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, GraphFormatError, CheckpointError) as exc:
+        print(f"odin: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

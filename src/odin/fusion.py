@@ -175,7 +175,6 @@ def odin_forward(
     params: ParamSet,
     schedule: LayerSchedule,
     *,
-    identity_encoder: bool = False,
     init_features: dict | None = None,
     record_trace: bool = False,
     rows: int | None = None,
@@ -186,11 +185,12 @@ def odin_forward(
     frontier only. `rows`, if set, bounds how many nodes each Transformer
     block processes at once, in chunks trimmed of PAD (see
     transformer_block); the result is the same up to rounding.
-    With identity_encoder=True the Transformer blocks are skipped and each
-    layer sets the active nodes' state to tanh(aggregate(...)) instead
-    (nodes keep their state when the layer injects nothing), turning the
-    stack into a plain message-passing network over the same frontiers (a
-    test hook).
+    Given `init_features` (node -> vector), the text encoder is the
+    identity: `tokens_by_node` is ignored, the Transformer blocks are skipped
+    and each layer sets the active nodes' state to tanh(aggregate(...))
+    instead (nodes keep their state when the layer injects nothing). That
+    turns the stack into a plain message-passing network over the same
+    frontiers, the reduction the theory checks compare against.
     """
     if sub.hop_count != schedule.hop_count:
         raise ConfigError(
@@ -206,9 +206,8 @@ def odin_forward(
     heads = params.dims.heads
     trace: list[np.ndarray] | None = [] if record_trace else None
 
+    identity_encoder = init_features is not None
     if identity_encoder:
-        if init_features is None:
-            raise ValueError("identity_encoder requires init_features")
         cls_all = Tensor(np.stack([init_features[v] for v in order]))
         states = None
     else:

@@ -166,21 +166,21 @@ class Sgd(_GroupRates):
 
 
 class Adam(_GroupRates):
-    """Adam with per-group learning rates; optional, not the default. The
-    moments m and v take each parameter's dtype."""
+    """Adam with per-group learning rates, beta1 0.9, beta2 0.999 and eps
+    1e-8; optional, not the default. The moments m and v take each
+    parameter's dtype."""
 
     kind = "adam"
 
-    def __init__(self, lr_encoder: float, lr_gnn: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr_encoder: float, lr_gnn: float):
         super().__init__(lr_encoder, lr_gnn)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: ParamSet):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for name, p in params.named_parameters():
             if p.grad is None:
                 continue
@@ -190,7 +190,7 @@ class Adam(_GroupRates):
             v[:] = b2 * v + (1 - b2) * p.grad**2
             mhat = m / (1 - b1**self.t)
             vhat = v / (1 - b2**self.t)
-            p.data -= self.lr(name) * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr(name) * mhat / (np.sqrt(vhat) + 1e-8)
 
     def state_dict(self):
         return {"t": self.t, "m": self.m, "v": self.v}

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_model, save_model
+from .checkpoint import CheckpointError, load_model, save_model
 from .config import RunConfig
 from .encoder import ConfigError, Vocab, as_param, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
 from .graph import TaskSplit, TextGraph, make_few_shot_split
-from .objectives import Adam, make_optimizer, optimize, pretrain_step, softmax_xent
+from .objectives import make_optimizer, optimize, pretrain_step, softmax_xent
 from .rngutil import generator, sub_seed
 from .sampler import sample_frontiers
 from .tasks import (
@@ -68,13 +68,13 @@ def build_fresh_model(cfg: RunConfig, graph: TextGraph):
 
 def load_checkpoint(path):
     """(params, meta, optimizer state, vocab) from a checkpoint and the
-    vocab.tsv beside it. Raises ValueError when the two disagree on the
+    vocab.tsv beside it. Raises CheckpointError when the two disagree on the
     vocabulary size, as when the vocab was written for another graph."""
     params, meta, opt_state = load_model(path)
     vocab = Vocab.load(Path(path).parent / "vocab.tsv")
     if vocab.size != params.vocab_size:
-        raise ValueError(f"vocab.tsv holds {vocab.size} tokens but the checkpoint "
-                         f"{path} was built for {params.vocab_size}")
+        raise CheckpointError(f"vocab.tsv holds {vocab.size} tokens but the checkpoint "
+                              f"{path} was built for {params.vocab_size}")
     return params, meta, opt_state, vocab
 
 
@@ -116,10 +116,10 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     if resume and ckpt_path.exists():
         params, meta, opt_state, vocab = load_checkpoint(ckpt_path)
         if meta["config_digest"] != digest:
-            raise ValueError("checkpoint was produced by a different config")
+            raise ConfigError(f"{ckpt_path} was produced by a different config")
         start_epoch = int(meta["epoch"]) + 1
         epoch_totals = list(meta["epoch_mean_loss"])
-        if opt_state is not None and isinstance(optimizer, Adam):
+        if opt_state is not None:
             optimizer.load_state_dict(opt_state)
         log.info("resuming at epoch %d", start_epoch)
     else:
@@ -219,7 +219,7 @@ def encode_labels(label_names: dict, params, schedule, vocab) -> dict[int, np.nd
 # -- fine-tuning -------------------------------------------------------------------
 
 
-def _finetune(cfg, graph, params, schedule, vocab, items, tag, loss_fn,
+def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
               min_batch=1, nodes_of=tuple) -> None:
     """Shuffled minibatch epochs over `items` with every parameter group at
     task.finetune_lr. A step samples and encodes the nodes_of(batch) and takes
@@ -234,10 +234,10 @@ def _finetune(cfg, graph, params, schedule, vocab, items, tag, loss_fn,
             batch = [items[j] for j in order[i: i + t.finetune_batch]]
             if len(batch) < min_batch:
                 continue
-            sub = sample_frontiers(graph, nodes_of(batch), schedule.hop_count,
+            sub = sample_frontiers(graph, nodes_of(batch), cfg.schedule.hop_count,
                                    cfg.sampler.fanout, sub_seed(cfg.seed, tag, epoch, i))
             tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-            res = odin_forward(graph, sub, tokens, params, schedule)
+            res = odin_forward(graph, sub, tokens, params, cfg.schedule)
             optimize(params, optimizer, loss_fn(batch, res))
 
 
@@ -263,22 +263,22 @@ def linkpred_loss(cls: Tensor, nodes, pairs) -> Tensor:
     return softmax_xent(ad.matmul(heads, keys.T), [tails.index(v) for _, v in pairs])
 
 
-def finetune_linkpred(cfg, graph, params, schedule, vocab, train_pairs) -> None:
+def finetune_linkpred(cfg, graph, params, vocab, train_pairs) -> None:
     """In-batch contrastive fine-tuning on the training edges; the token
     reconstruction objective is dropped at this stage."""
-    _finetune(cfg, graph, params, schedule, vocab, train_pairs, "lp_ft",
+    _finetune(cfg, graph, params, vocab, train_pairs, "lp_ft",
               lambda pairs, res: linkpred_loss(res.cls, res.batch_nodes, pairs),
               min_batch=2, nodes_of=lambda pairs: [v for pair in pairs for v in pair])
 
 
-def run_linkpred(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
+def run_linkpred(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     train_pairs, test_pairs = split_edges(graph, cfg.task.linkpred_shots, cfg.seed)
     if len(test_pairs) < 2:
         raise ValueError("not enough held-out edges to evaluate")
     if finetune:
-        finetune_linkpred(cfg, graph, params, schedule, vocab, train_pairs)
+        finetune_linkpred(cfg, graph, params, vocab, train_pairs)
     nodes = {u for u, _ in test_pairs} | {v for _, v in test_pairs}
-    emb = compute_embeddings(graph, nodes, params, schedule, vocab,
+    emb = compute_embeddings(graph, nodes, params, cfg.schedule, vocab,
                              cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
     return linkpred_eval(emb, test_pairs, cfg.seed, cfg.digest(),
                          batch_size=cfg.task.eval_batch)
@@ -287,7 +287,7 @@ def run_linkpred(cfg, graph, params, schedule, vocab, finetune: bool = True) -> 
 # -- classification --------------------------------------------------------------
 
 
-def finetune_classify(cfg, graph, params, schedule, vocab, split, labels) -> None:
+def finetune_classify(cfg, graph, params, vocab, split, labels) -> None:
     """Joint backbone + linear head fine-tuning on the few-shot train set."""
     classes = sorted({labels[v] for v in split.train_ids})
     to_idx = {c: i for i, c in enumerate(classes)}
@@ -301,18 +301,18 @@ def finetune_classify(cfg, graph, params, schedule, vocab, split, labels) -> Non
                            params.heads["classifier_b"])
         return softmax_xent(logits, [to_idx[labels[v]] for v in res.batch_nodes])
 
-    _finetune(cfg, graph, params, schedule, vocab, split.train_ids, "clf_ft", loss)
+    _finetune(cfg, graph, params, vocab, split.train_ids, "clf_ft", loss)
 
 
-def run_classify(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
+def run_classify(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     """The linear head always trains on the embeddings; with `finetune` the
     backbone is fine-tuned first."""
     labels = graph.labels("coarse")
     split = make_few_shot_split(graph, cfg.task.classify_shots, "coarse", cfg.seed)
     if finetune:
-        finetune_classify(cfg, graph, params, schedule, vocab, split, labels)
+        finetune_classify(cfg, graph, params, vocab, split, labels)
     nodes = set(split.train_ids) | set(split.test_ids)
-    emb = compute_embeddings(graph, nodes, params, schedule, vocab,
+    emb = compute_embeddings(graph, nodes, params, cfg.schedule, vocab,
                              cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
     return classify_train_eval(emb, split, labels, cfg.task.head_epochs, cfg.seed,
                                cfg.task.head_lr, cfg.digest())
@@ -325,7 +325,7 @@ def _label_tokens(label_names: dict):
     return {lid: word_tokens(name) for lid, name in label_names.items()}
 
 
-def dpr_finetune(cfg, graph, params, schedule, vocab, split, labels) -> None:
+def dpr_finetune(cfg, graph, params, vocab, split, labels) -> None:
     """In-batch contrastive training of node-vs-label-name encodings with one
     BM25-mined hard negative label per node."""
     if graph.label_names is None:
@@ -341,41 +341,40 @@ def dpr_finetune(cfg, graph, params, schedule, vocab, split, labels) -> None:
 
     def loss(batch, res):
         pool = sorted({labels[v] for v in batch} | {hard_neg[v] for v in batch})
-        keys = encode_texts([graph.label_names[i] for i in pool], params, schedule, vocab)
+        keys = encode_texts([graph.label_names[i] for i in pool], params, cfg.schedule, vocab)
         gold = [pool.index(labels[v]) for v in res.batch_nodes]
         return softmax_xent(ad.matmul(res.cls, keys.T), gold)
 
-    _finetune(cfg, graph, params, schedule, vocab, split.train_ids, "dpr_ft", loss,
-              min_batch=2)
+    _finetune(cfg, graph, params, vocab, split.train_ids, "dpr_ft", loss, min_batch=2)
 
 
-def run_retrieval(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
+def run_retrieval(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     labels = graph.labels("fine")
     split = make_few_shot_split(graph, cfg.task.retrieve_shots, "fine", cfg.seed)
     if finetune:
-        dpr_finetune(cfg, graph, params, schedule, vocab, split, labels)
-    node_embs = compute_embeddings(graph, split.test_ids, params, schedule, vocab,
+        dpr_finetune(cfg, graph, params, vocab, split, labels)
+    node_embs = compute_embeddings(graph, split.test_ids, params, cfg.schedule, vocab,
                                    cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
-    label_embs = encode_labels(graph.label_names, params, schedule, vocab)
+    label_embs = encode_labels(graph.label_names, params, cfg.schedule, vocab)
     gold = {v: labels[v] for v in split.test_ids}
     return retrieval_eval(node_embs, label_embs, gold, cfg.task.recall_k,
                           cfg.seed, cfg.digest())
 
 
-def run_rerank(cfg, graph, params, schedule, vocab, finetune: bool = True) -> EvalReport:
+def run_rerank(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     labels = graph.labels("fine")
     split = make_few_shot_split(graph, cfg.task.rerank_shots, "fine", cfg.seed)
     if finetune:
-        dpr_finetune(cfg, graph, params, schedule, vocab, split, labels)
+        dpr_finetune(cfg, graph, params, vocab, split, labels)
     label_ids = sorted(graph.label_names)
     by_label = _label_tokens(graph.label_names)
     ltoks = [by_label[i] for i in label_ids]
     node_tokens = {v: word_tokens(graph.texts[v]) for v in split.test_ids}
     mined = mine_candidates(node_tokens, ltoks, cfg.task.rerank_candidates)
     candidates = {v: [label_ids[i] for i in mined[v]] for v in split.test_ids}
-    node_embs = compute_embeddings(graph, split.test_ids, params, schedule, vocab,
+    node_embs = compute_embeddings(graph, split.test_ids, params, cfg.schedule, vocab,
                                    cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
-    label_embs = encode_labels(graph.label_names, params, schedule, vocab)
+    label_embs = encode_labels(graph.label_names, params, cfg.schedule, vocab)
     gold = {v: labels[v] for v in split.test_ids}
     return rerank_eval(candidates, node_embs, label_embs, gold, cfg.seed, cfg.digest())
 
@@ -396,4 +395,4 @@ def run_task(cfg: RunConfig, graph: TextGraph, task: str, checkpoint_path,
     if params.dims != cfg.dims:
         raise ConfigError(f"a checkpoint of dims {params.dims} does not fit the "
                           f"config's {cfg.dims}")
-    return TASK_RUNNERS[task](cfg, graph, params, cfg.schedule, vocab, finetune=finetune)
+    return TASK_RUNNERS[task](cfg, graph, params, vocab, finetune=finetune)

@@ -51,16 +51,15 @@ def _rank_first(scores: np.ndarray, ids: np.ndarray) -> int:
 
 
 def linkpred_eval(
-    embeddings: dict, positive_pairs, seed: int = 0, config_digest: str = "",
-    batch_size: int | None = None,
+    embeddings: dict, positive_pairs, seed: int = 0, config_digest: str = "", *,
+    batch_size: int,
 ) -> EvalReport:
-    """Score each pair's head against all in-batch tails by dot product;
-    the metric is the fraction of queries whose true tail ranks first."""
+    """Score each pair's head against all in-batch tails by dot product, in
+    batches of `batch_size` pairs; the metric is the fraction of queries whose
+    true tail ranks first."""
     pairs = [tuple(p) for p in positive_pairs]
     if len(pairs) < 2:
         raise ValueError("in-batch evaluation needs at least 2 pairs")
-    if batch_size is None:
-        batch_size = len(pairs)
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
     correct = 0

@@ -6,8 +6,8 @@ encoders and aggregation everywhere it collapses to a mean-aggregator
 message-passing network; random aggregation weights separate structurally
 distinct twins with identical text; text separates automorphic twins that
 message passing cannot tell apart. A fifth check profiles representation
-collapse (mean pairwise [CLS] cosine per layer) against a pure averaging
-baseline at equal depth.
+collapse, the mean pairwise [CLS] cosine per layer, of the fused model
+(odin_profile) against a pure averaging baseline (averaging_profile).
 
 The collapse thresholds used by the harness (0.99 for the baseline, 0.9 for
 the fused model) are harness parameters chosen for the bundled synthetic
@@ -33,7 +33,6 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SmoothingProfile:
-    model: str  # "odin" | "baseline"
     cosines: tuple[float, ...]  # one mean pairwise cosine per layer
 
     @property
@@ -67,58 +66,49 @@ def _is_connected(graph: TextGraph, nodes) -> bool:
     return set(nodes) <= seen
 
 
-def oversmoothing_profile(
-    graph: TextGraph,
-    probe_nodes,
-    depth: int,
-    seed: int,
-    model: str = "baseline",
-    schedule: LayerSchedule | None = None,
-    dims: ModelDims | None = None,
-    fanout: int = 64,
-) -> SmoothingProfile:
-    """Per-layer mean pairwise cosine of node representations.
-
-    baseline: h <- mean({self} union neighbors) on the full adjacency from a
-    random init, the textbook collapse dynamic. odin: the fused model run to
-    its own depth with random parameters; the probe nodes form the batch so
-    they stay active at every layer.
-    """
+def _probe(graph: TextGraph, probe_nodes) -> list[int]:
+    """The sorted probe nodes: at least 10, ideally connected."""
     probe = sorted(set(probe_nodes))
     if len(probe) < 10:
         raise ValueError("need at least 10 probe nodes")
     if not _is_connected(graph, probe):
         log.warning("probe graph is not connected; collapse analysis assumes it is")
-    rng = generator(seed, "profile", model)
-    if model == "baseline":
-        d = (dims or ModelDims()).d
-        h = rng.standard_normal((graph.num_nodes, d))
-        cosines = []
-        for _ in range(depth):
-            nxt = np.empty_like(h)
-            for v in range(graph.num_nodes):
-                nbrs = graph.neighbors(v)
-                rows = np.vstack([h[[v]], h[list(nbrs)]]) if nbrs else h[[v]]
-                nxt[v] = rows.mean(axis=0)
-            h = nxt
-            cosines.append(mean_pairwise_cosine(h[probe]))
-        return SmoothingProfile("baseline", tuple(cosines))
-    if model != "odin":
-        raise ValueError(f"unknown model tag {model!r}")
+    return probe
 
-    dims = dims or ModelDims()
-    schedule = schedule or LayerSchedule(depth)
-    if schedule.depth != depth:
-        raise ValueError("schedule depth must match the requested depth")
+
+def averaging_profile(graph: TextGraph, probe_nodes, depth: int, seed: int) -> SmoothingProfile:
+    """Per-layer mean pairwise cosine of the probe nodes under the baseline:
+    h <- mean({self} union neighbors) on the full adjacency from a random
+    width-32 init, the textbook collapse dynamic."""
+    probe = _probe(graph, probe_nodes)
+    h = generator(seed, "profile", "baseline").standard_normal((graph.num_nodes, 32))
+    cosines = []
+    for _ in range(depth):
+        nxt = np.empty_like(h)
+        for v in range(graph.num_nodes):
+            nbrs = graph.neighbors(v)
+            rows = np.vstack([h[[v]], h[list(nbrs)]]) if nbrs else h[[v]]
+            nxt[v] = rows.mean(axis=0)
+        h = nxt
+        cosines.append(mean_pairwise_cosine(h[probe]))
+    return SmoothingProfile(tuple(cosines))
+
+
+def odin_profile(graph: TextGraph, probe_nodes, seed: int) -> SmoothingProfile:
+    """Per-layer mean pairwise [CLS] cosine of the probe nodes under the
+    fused model with random parameters, at COLLAPSE_SCHEDULE and
+    COLLAPSE_DIMS with fanout 64; the probe nodes form the batch so they stay
+    active at every layer."""
+    probe = _probe(graph, probe_nodes)
+    schedule, dims = COLLAPSE_SCHEDULE, COLLAPSE_DIMS
     vocab = build_vocab(graph.texts)
     params = init_params(vocab.size, dims, schedule.depth, schedule.hop_count, seed)
-    sub = sample_frontiers(graph, probe, schedule.hop_count, fanout, seed)
+    sub = sample_frontiers(graph, probe, schedule.hop_count, 64, seed)
     tokens = tokenize_nodes(graph, sub.base, vocab, dims.max_len)
     res = odin_forward(graph, sub, tokens, params, schedule, record_trace=True)
     pos = {v: i for i, v in enumerate(res.base_nodes)}
     rows = [pos[v] for v in probe]
-    cosines = tuple(mean_pairwise_cosine(snap[rows]) for snap in res.cls_trace)
-    return SmoothingProfile("odin", cosines)
+    return SmoothingProfile(tuple(mean_pairwise_cosine(snap[rows]) for snap in res.cls_trace))
 
 
 # -- reduction checks ---------------------------------------------------------------
@@ -187,8 +177,7 @@ def gnn_reduction_check(
         sp.w1.data = np.asarray(w1, dtype=np.float64)
         sp.w2.data = np.asarray(w2, dtype=np.float64)
     sub = sample_frontiers(graph, batch, schedule.hop_count, fanout, seed)
-    res = odin_forward(graph, sub, {}, params, schedule,
-                       identity_encoder=True, init_features=init_features,
+    res = odin_forward(graph, sub, {}, params, schedule, init_features=init_features,
                        record_trace=True)
     oracle = mean_gnn_oracle(sub, init_features, w1s, w2s)
     # trace has one entry after every layer, in res.base_nodes order; the
@@ -211,7 +200,13 @@ class SeparationResult:
     reduction: float  # same distance under the degenerate control
 
 
-def _forward_cls_pair(graph, pair, params, vocab, schedule, seed=0):
+# the model both separation checks build
+SEPARATION_DEPTH = 3
+SEPARATION_POSITIONS = (1,)
+SEPARATION_DIMS = ModelDims(d=16, heads=2, max_len=8)
+
+
+def _forward_cls_pair(graph, pair, params, vocab, schedule, seed):
     sub = sample_frontiers(graph, range(graph.num_nodes), schedule.hop_count,
                            max(graph.max_degree(), 1), seed)
     tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
@@ -220,13 +215,7 @@ def _forward_cls_pair(graph, pair, params, vocab, schedule, seed=0):
     return float(np.linalg.norm(by_node[pair[0]] - by_node[pair[1]]))
 
 
-def structural_separation_check(
-    seed: int,
-    depth: int = 3,
-    positions=(1,),
-    dims: ModelDims | None = None,
-    zero_w1: bool = False,
-) -> SeparationResult:
+def structural_separation_check(seed: int, zero_w1: bool = False) -> SeparationResult:
     """Two nodes with identical text but different neighborhoods: the pure
     Transformer cannot separate them; aggregation with (generically) nonzero
     neighbor weights can. zero_w1 ablates the structural term to show the
@@ -237,10 +226,10 @@ def structural_separation_check(
          "context alpha words", "context beta words"),
         frozenset({(0, 2), (0, 3), (1, 2)}),
     )
-    dims = dims or ModelDims(d=16, heads=2, max_len=8)
+    depth = SEPARATION_DEPTH
     vocab = build_vocab(graph.texts)
-    schedule = LayerSchedule(depth, positions, "PG")
-    params = init_params(vocab.size, dims, depth, schedule.hop_count, seed)
+    schedule = LayerSchedule(depth, SEPARATION_POSITIONS, "PG")
+    params = init_params(vocab.size, SEPARATION_DIMS, depth, schedule.hop_count, seed)
     if zero_w1:
         for sp in params.stages:
             sp.w1.data[:] = 0.0
@@ -250,13 +239,7 @@ def structural_separation_check(
     return SeparationResult(fused=fused, reduction=reduction)
 
 
-def textual_separation_check(
-    seed: int,
-    depth: int = 3,
-    positions=(1,),
-    dims: ModelDims | None = None,
-    identical_texts: bool = False,
-) -> SeparationResult:
+def textual_separation_check(seed: int, identical_texts: bool = False) -> SeparationResult:
     """Two automorphic leaves of a star: message passing from constant
     features cannot separate them; different node text can. The reduction
     here is the identity-encoder network on constant features (always ~0);
@@ -264,9 +247,9 @@ def textual_separation_check(
     leaf_u = "twin text shared" if identical_texts else "leaf story about rivers"
     leaf_v = "twin text shared" if identical_texts else "leaf story about planets"
     graph = TextGraph(("hub text", leaf_u, leaf_v), frozenset({(0, 1), (0, 2)}))
-    dims = dims or ModelDims(d=16, heads=2, max_len=8)
+    depth, dims = SEPARATION_DEPTH, SEPARATION_DIMS
     vocab = build_vocab(graph.texts)
-    schedule = LayerSchedule(depth, positions, "PG")
+    schedule = LayerSchedule(depth, SEPARATION_POSITIONS, "PG")
     params = init_params(vocab.size, dims, depth, schedule.hop_count, seed)
     fused = _forward_cls_pair(graph, (1, 2), params, vocab, schedule, seed)
 
@@ -275,8 +258,7 @@ def textual_separation_check(
     all_tg = LayerSchedule(depth, range(1, depth), "VA")
     gnn_params = init_params(4, dims, depth, depth - 1, seed)
     sub = sample_frontiers(graph, range(3), all_tg.hop_count, 4, seed)
-    res = odin_forward(graph, sub, {}, gnn_params, all_tg,
-                       identity_encoder=True, init_features=const)
+    res = odin_forward(graph, sub, {}, gnn_params, all_tg, init_features=const)
     by_node = {v: res.cls.data[i] for i, v in enumerate(res.batch_nodes)}
     reduction = float(np.linalg.norm(by_node[1] - by_node[2]))
     return SeparationResult(fused=fused, reduction=reduction)
@@ -294,7 +276,7 @@ COLLAPSE_FIXTURE = SyntheticSpec(
     seed=0, avg_degree=6, ensure_connected=True,
 )
 COLLAPSE_DIMS = ModelDims(d=32, heads=4, max_len=16, mlp_ratio=8)
-COLLAPSE_SCHEDULE = (12, (1, 6, 11), "PG")
+COLLAPSE_SCHEDULE = LayerSchedule(12, (1, 6, 11), "PG")
 BASELINE_DEPTH = 16
 BASELINE_THRESHOLD = 0.99  # harness parameter, not a universal constant
 FUSED_THRESHOLD = 0.9
@@ -307,16 +289,6 @@ def collapse_gap_demo(seeds=(0, 1, 2)):
     Returns {"baseline": [profile per seed], "odin": [profile per seed]}.
     """
     graph = generate(COLLAPSE_FIXTURE)
-    schedule = LayerSchedule(*COLLAPSE_SCHEDULE)
     probe = range(graph.num_nodes)
-    out = {"baseline": [], "odin": []}
-    for seed in seeds:
-        out["baseline"].append(
-            oversmoothing_profile(graph, probe, BASELINE_DEPTH, seed,
-                                  model="baseline", dims=COLLAPSE_DIMS)
-        )
-        out["odin"].append(
-            oversmoothing_profile(graph, probe, schedule.depth, seed, model="odin",
-                                  schedule=schedule, dims=COLLAPSE_DIMS, fanout=64)
-        )
-    return out
+    return {"baseline": [averaging_profile(graph, probe, BASELINE_DEPTH, s) for s in seeds],
+            "odin": [odin_profile(graph, probe, s) for s in seeds]}

@@ -1,9 +1,11 @@
 """Checkpoint writes are atomic: a failed write keeps the previous file.
-Each array loads back in the dtype it was saved in."""
+Each array loads back in the dtype it was saved in. A file that is not a
+whole checkpoint of the model raises CheckpointError."""
 
 import errno
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -146,3 +148,47 @@ def test_a_file_without_an_mlm_head_is_rejected(tmp_path):
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="missing array mlm_head"):
         load_model(path)
+
+
+def _model_file(path):
+    save_model(path, init_params(10, ModelDims(d=8, heads=2, max_len=6), 1, 1, seed=0), {})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["payload-cut", "header-cut", "header-garbled"])
+def test_a_damaged_checkpoint_raises_checkpoint_error_naming_it(tmp_path, damage):
+    path = tmp_path / "checkpoint.bin"
+    raw = _model_file(path)
+    start = len(checkpoint.MAGIC) + 8
+    n = int.from_bytes(raw[len(checkpoint.MAGIC): start], "little")
+    if damage == "payload-cut":
+        raw = raw[:-100]
+    elif damage == "header-cut":
+        raw = raw[: start + n // 2]
+    else:
+        raw = raw[:start + 20] + b"#" * 20 + raw[start + 40:]
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_model(path)
+
+
+def test_an_array_of_the_wrong_shape_is_rejected(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    _model_file(path)
+    arrays, meta = load_arrays(path)
+    arrays["token_emb"] = arrays["token_emb"][1:]
+    save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match="shape mismatch for token_emb"):
+        load_model(path)
+
+
+def test_a_foreign_file_and_an_unknown_dtype_are_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(b"PK\x03\x04 an archive, not a checkpoint")
+    with pytest.raises(CheckpointError, match="not a checkpoint file"):
+        load_arrays(path)
+    monkeypatch.setattr(checkpoint, "DTYPES", (*checkpoint.DTYPES, "<i8"))
+    save_arrays(path, {"ids": np.arange(3, dtype="<i8")}, {})
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="ids has unsupported dtype '<i8'"):
+        load_arrays(path)

@@ -3,11 +3,11 @@ and eval of every task, sweep and theory, all through cli.main on a tiny
 config."""
 
 import json
+import re
 
 import pytest
 
 from odin import checkpoint, cli
-from odin.encoder import ConfigError
 from odin.graph import load_graph
 from odin.sampler import encoded_node_count, sample_frontiers
 
@@ -31,6 +31,17 @@ def _argv(*argv, extra=()):
 
 def _main(*argv, extra=()):
     assert cli.main(_argv(*argv, extra=extra)) == 0
+
+
+def _rejected(capsys, argv, match):
+    """cli.main returns 2 and ends stderr with one `odin: error:` line
+    that matches `match`, with no traceback."""
+    capsys.readouterr()
+    assert cli.main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("odin: error: ") and re.search(match, last), err
 
 
 def _synth(seed=1):
@@ -136,23 +147,21 @@ def test_sweep_cells_are_keyed_on_the_graph_and_the_schedule(tmp_path, monkeypat
     (("pretrain", "--set", "schedule.preset=light-2"), "preset"),
     (("sweep", "--grid", "a:PG", "--seeds", "1"), "a:PG"),
 ])
-def test_malformed_config_raises_config_error(tmp_path, monkeypatch, argv, match):
+def test_malformed_config_raises_config_error(tmp_path, monkeypatch, capsys, argv, match):
     monkeypatch.chdir(tmp_path)
     _synth()
-    with pytest.raises(ConfigError, match=match):
-        cli.main(list(argv))
+    _rejected(capsys, argv, match)
     assert not (tmp_path / "runs").exists()  # raised before any run started
 
 
-def test_rejected_override_leaves_an_existing_run_untouched(tmp_path, monkeypatch):
+def test_rejected_override_leaves_an_existing_run_untouched(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()
     _main("pretrain")
     run = tmp_path / "run"
     before = {p.name: p.read_bytes() for p in sorted(run.iterdir()) if p.is_file()}
     assert before["train_log.jsonl"] and before["vocab.tsv"]
-    with pytest.raises(ConfigError, match="epochs"):
-        cli.main(_argv("pretrain", extra=("pretrain.epochs=abc",)))
+    _rejected(capsys, _argv("pretrain", extra=("pretrain.epochs=abc",)), "epochs")
     assert {p.name: p.read_bytes() for p in sorted(run.iterdir()) if p.is_file()} == before
 
 
@@ -163,13 +172,23 @@ def test_rejected_override_leaves_an_existing_run_untouched(tmp_path, monkeypatc
     ("dims.d=16", "dims.heads=4"),  # other dims
 ])
 def test_eval_rejects_a_checkpoint_that_does_not_fit_the_schedule(
-        tmp_path, monkeypatch, schedule):
+        tmp_path, monkeypatch, capsys, schedule):
     monkeypatch.chdir(tmp_path)
     _synth()
     _main("pretrain")
-    with pytest.raises(ConfigError, match="does not fit"):
-        cli.main(_argv("eval", "--task", "classify", extra=schedule))
+    _rejected(capsys, _argv("eval", "--task", "classify", extra=schedule), "does not fit")
     assert not (tmp_path / "run" / "eval").exists()
+
+
+def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    (tmp_path / "bad.txt").write_text("0 1\n2\n")
+    _rejected(capsys, ["ingest", "--nodes", "data/nodes.jsonl", "--edges", "bad.txt"],
+              "bad.txt:2: expected 'u v'")
+    _rejected(capsys, _argv("eval", "--task", "classify", "--checkpoint", "data/edges.txt"),
+              "data/edges.txt is not a checkpoint file")
+    assert not (tmp_path / "run").exists()
 
 
 def test_ingest_writes_an_identical_normalized_copy(tmp_path, monkeypatch, capsys):

@@ -331,10 +331,8 @@ def test_identity_mode_matches_independent_gnn_oracle():
     sub = sample_frontiers(g, [0, 3, 5], 2, fanout=3, seed=1)
     rng = np.random.default_rng(0)
     feats = {v: rng.standard_normal(4) for v in sub.base}
-    res = odin_forward(
-        g, sub, {}, params, schedule,
-        identity_encoder=True, init_features=feats, record_trace=True,
-    )
+    res = odin_forward(g, sub, {}, params, schedule, init_features=feats,
+                       record_trace=True)
 
     # independent oracle: frontier-aware mean-aggregation message passing
     h = {v: feats[v].copy() for v in sub.base}
@@ -390,8 +388,7 @@ def test_base_nodes_put_every_frontier_first(seed, n, hops, fanout):
     schedule = LayerSchedule(hops + 1, range(1, hops + 1), "VA")
     params = enc.init_params(4, ModelDims(d=2, heads=1, max_len=4), hops + 1, hops, seed=0)
     feats = {v: np.full(2, float(v)) for v in sub.base}
-    res = odin_forward(g, sub, {}, params, schedule, identity_encoder=True,
-                       init_features=feats)
+    res = odin_forward(g, sub, {}, params, schedule, init_features=feats)
     assert res.base_nodes[:len(sub.batch)] == sub.batch
     for a in range(hops + 1):
         assert set(res.base_nodes[:len(sub.budget(a))]) == set(sub.budget(a))

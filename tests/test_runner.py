@@ -4,6 +4,7 @@ resumed pretraining, float32 against float64, and a gate that pretraining
 learns."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from odin import autodiff as ad
 from odin import encoder, runner
 from odin.checkpoint import load_arrays, save_model
 from odin.config import RunConfig
-from odin.encoder import ModelDims, init_params, transformer_block
+from odin.encoder import ConfigError, ModelDims, init_params, transformer_block
 from odin.fusion import LayerSchedule, odin_forward, tokenize_nodes
 from odin.graph import TextGraph
 from odin.objectives import make_optimizer, pretrain_step
@@ -329,6 +330,20 @@ def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch, opt
     assert got[0] == want[0]
     assert got[1] == want[1]
     assert got[2] == want[2]
+
+
+def test_resume_under_another_config_is_rejected_and_touches_nothing(tmp_path):
+    cfg = small_cfg(tmp_path, epochs=1, batch_size=6)
+    graph = small_graph()
+    out = tmp_path / "run"
+    runner.run_pretrain(cfg, graph, out)
+    files = ("checkpoint.bin", "train_log.jsonl", "vocab.tsv")
+    before = {name: (out / name).read_bytes() for name in files}
+    cfg.pretrain.mask_ratio = 0.3
+    with pytest.raises(ConfigError, match=re.escape(f"{out / 'checkpoint.bin'} was produced "
+                                                    "by a different config")):
+        runner.run_pretrain(cfg, graph, out, resume=True)
+    assert {name: (out / name).read_bytes() for name in files} == before
 
 
 # -- float32 against float64 ------------------------------------------------------------

@@ -26,14 +26,14 @@ def test_linkpred_collinear_pairs_score_one():
         emb[i] = e
         emb[10 + i] = e.copy()
         pairs.append((i, 10 + i))
-    rep = linkpred_eval(emb, pairs)
+    rep = linkpred_eval(emb, pairs, batch_size=len(pairs))
     assert rep.value == 1.0 and rep.metric == "PREC"
 
 
 def test_linkpred_identical_embeddings_tie_rule():
     emb = {i: np.ones(4) for i in range(8)}
     pairs = [(0, 4), (1, 5), (2, 6), (3, 7)]
-    rep = linkpred_eval(emb, pairs)
+    rep = linkpred_eval(emb, pairs, batch_size=len(pairs))
     # every score ties, so the smallest tail id (4) wins every query
     assert rep.value == pytest.approx(1 / 4)
 
@@ -42,7 +42,7 @@ def test_linkpred_matches_argmax_oracle():
     rng = np.random.default_rng(0)
     emb = {i: rng.standard_normal(6) for i in range(16)}
     pairs = [(i, 8 + i) for i in range(8)]
-    rep = linkpred_eval(emb, pairs)
+    rep = linkpred_eval(emb, pairs, batch_size=len(pairs))
     tails = sorted({v for _, v in pairs})
     correct = 0
     for u, v in pairs:
@@ -55,14 +55,15 @@ def test_linkpred_scale_invariance():
     rng = np.random.default_rng(1)
     emb = {i: rng.standard_normal(5) for i in range(10)}
     pairs = [(i, 5 + i) for i in range(5)]
-    a = linkpred_eval(emb, pairs).value
-    b = linkpred_eval({k: 17.0 * v for k, v in emb.items()}, pairs).value
+    a = linkpred_eval(emb, pairs, batch_size=len(pairs)).value
+    b = linkpred_eval({k: 17.0 * v for k, v in emb.items()}, pairs,
+                      batch_size=len(pairs)).value
     assert a == b
 
 
 def test_linkpred_single_pair_is_error():
-    with pytest.raises(ValueError):
-        linkpred_eval({0: np.ones(2), 1: np.ones(2)}, [(0, 1)])
+    with pytest.raises(ValueError, match="at least 2 pairs"):
+        linkpred_eval({0: np.ones(2), 1: np.ones(2)}, [(0, 1)], batch_size=1)
 
 
 # -- classification ------------------------------------------------------------

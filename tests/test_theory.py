@@ -6,10 +6,11 @@ from odin.graph import TextGraph
 from odin.sampler import sample_frontiers
 from odin.synth import SyntheticSpec, generate
 from odin.theory import (
+    averaging_profile,
     gnn_reduction_check,
     mean_gnn_oracle,
     mean_pairwise_cosine,
-    oversmoothing_profile,
+    odin_profile,
     structural_separation_check,
     textual_separation_check,
     transformer_reduction_check,
@@ -29,7 +30,7 @@ def connected_graph(n=30, seed=0):
 
 def test_baseline_profile_collapses_on_connected_graph():
     g = connected_graph(30, seed=1)
-    prof = oversmoothing_profile(g, range(12), depth=16, seed=0, model="baseline")
+    prof = averaging_profile(g, range(12), depth=16, seed=0)
     assert prof.depth == 16
     assert prof.final > 0.99
     # non-decreasing within slack
@@ -45,8 +46,10 @@ def test_identical_features_cosine_one_everywhere():
 
 def test_profile_requires_probe_size():
     g = connected_graph(20, seed=3)
-    with pytest.raises(ValueError):
-        oversmoothing_profile(g, range(5), 4, 0)
+    with pytest.raises(ValueError, match="at least 10"):
+        averaging_profile(g, range(5), 4, 0)
+    with pytest.raises(ValueError, match="at least 10"):
+        odin_profile(g, range(5), 0)
 
 
 def test_disconnected_probe_warns(caplog):
@@ -54,7 +57,7 @@ def test_disconnected_probe_warns(caplog):
                   frozenset({(i, i + 1) for i in range(5)}))
     import logging
     with caplog.at_level(logging.WARNING):
-        oversmoothing_profile(g, range(12), 2, 0, model="baseline")
+        averaging_profile(g, range(12), 2, 0)
     assert "not connected" in caplog.text
 
 
