@@ -23,9 +23,12 @@ Aliasing rule: a backward closure never writes into the arrays it closed
 over (forward inputs and saved intermediates) or into the incoming gradient.
 Gradients are passed on and accumulated without copies. Fused closures build
 their result in fresh arrays: attention keeps its softmax weights and no other
-score-sized array, and gelu keeps its derivative instead of x and s. Row sums
-over the last axis are BLAS matvecs or einsum, so they can differ from numpy's
-pairwise `x.sum(axis=-1)` in the last ulps.
+score-sized array, and gelu keeps its derivative instead of x and s. The
+post-norm block's fused nodes keep only what their backward reads, with the
+bits of the ops they fuse: `linear_gelu`, gelu(x @ w + b), keeps x and the
+gelu derivative; `linear_residual_norm`, layer_norm(r + x @ w + b), keeps x,
+xhat and inv. Row sums over the last axis are BLAS matvecs or einsum, so they
+can differ from numpy's pairwise `x.sum(axis=-1)` in the last ulps.
 """
 
 from __future__ import annotations
@@ -318,15 +321,15 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A, _GELU_B = -2.0 * _GELU_C * 0.044715, -2.0 * _GELU_C  # -2u = (A x^2 + B) x
 
 
-def gelu(a: Tensor) -> Tensor:
-    # tanh approximation 0.5 x (1 + tanh u), u = C (x + 0.044715 x^3), in the
-    # equal form x * sigmoid(2u) = x / (1 + exp(-2u)): 1 + tanh u cancels for
-    # x < -2 and is exactly 0 below x ~ -7.2. Where exp(-2u) overflows to inf,
-    # sigmoid's limit 0 is the right value. Smooth, so finite-difference checks
-    # behave. The cubic term is built from products: numpy's float64 pow costs
-    # ~40x a multiply. On the tape the forward turns x^2 into the derivative
-    # s + x s (1 - s) 2u', the one array backward keeps; off it, into the output.
-    x = a.data
+def _gelu_(x: np.ndarray, fresh: bool, derivative: bool):
+    # (gelu(x), its derivative or None), by the tanh approximation 0.5 x (1 +
+    # tanh u), u = C (x + 0.044715 x^3), in the equal form x * sigmoid(2u) =
+    # x / (1 + exp(-2u)): 1 + tanh u cancels for x < -2 and is exactly 0 below
+    # x ~ -7.2. Where exp(-2u) overflows to inf, sigmoid's limit 0 is the right
+    # value. Smooth, so finite-difference checks behave. The cubic term is built
+    # from products: numpy's float64 pow costs ~40x a multiply. x^2 turns into
+    # the derivative s + x s (1 - s) 2u' or, without one, into the output. The
+    # output goes over x when x is a `fresh` scratch array.
     sq = np.multiply(x, x, out=np.empty_like(x))  # an array also for 0-d x
     s = np.multiply(sq, _GELU_A, out=np.empty_like(x))
     s += _GELU_B
@@ -335,19 +338,23 @@ def gelu(a: Tensor) -> Tensor:
         np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    if not _on_tape((a,)):
-        return Tensor(np.multiply(x, s, out=sq))
+    if not derivative:
+        return np.multiply(x, s, out=x if fresh else sq), None
     sq *= 6.0 * _GELU_C * 0.044715  # x 2u' = x (2C + 6C 0.044715 x^2)
     sq += 2.0 * _GELU_C
     sq *= x
-    out_data = np.subtract(1.0, s)
-    out_data *= s
-    sq *= out_data
+    tmp = np.subtract(1.0, s)
+    tmp *= s
+    sq *= tmp
     sq += s  # the derivative
-    np.multiply(x, s, out=out_data)
+    return np.multiply(x, s, out=x if fresh else tmp), sq
+
+
+def gelu(a: Tensor) -> Tensor:
+    out_data, deriv = _gelu_(a.data, False, _on_tape((a,)))
 
     def backward(g):
-        a._accum(g * sq)
+        a._accum(g * deriv)
 
     return _make(out_data, (a,), backward)
 
@@ -584,30 +591,48 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _layer_norm_(x: np.ndarray, gain: Tensor, bias: Tensor):
+    """(out, xhat, inv) of layer_norm over the rows of the 2-D x."""
+    n = x.shape[1]
+    xhat = x - (x @ np.full(n, 1.0 / n, x.dtype))[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + 1e-12)[:, None]
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+    return out, xhat, inv
+
+
+def _layer_norm_grad(g, xhat, inv, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Accumulate gain's and bias's gradients from the 2-D g; return x's."""
+    n = xhat.shape[1]
+    # d/dx of (x - mu) / sqrt(var + eps), all reductions over rows
+    ga = g * gain.data
+    dot = np.einsum("ij,ij->i", ga, xhat) / n
+    ga -= (ga @ np.full(n, 1.0 / n, ga.dtype))[:, None]
+    ga -= xhat * dot[:, None]
+    ga *= inv
+    gain._accum(np.einsum("ij,ij->j", g, xhat))
+    bias._accum(np.ones(len(g), g.dtype) @ g)
+    return ga
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis (variance eps 1e-12), then scale and shift."""
     n = a.shape[-1]
-    x = a.data.reshape(-1, n)
-    mean_of = np.full(n, 1.0 / n, x.dtype)
-    xhat = x - (x @ mean_of)[:, None]
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + 1e-12)[:, None]
-    xhat *= inv
-    out_data = xhat * gain.data
-    out_data += bias.data
+    out_data, xhat, inv = _layer_norm_(a.data.reshape(-1, n), gain, bias)
 
     def backward(g):
-        g2 = g.reshape(-1, n)
-        # d/dx of (x - mu) / sqrt(var + eps), all reductions over last axis
-        ga = g2 * gain.data
-        dot = np.einsum("ij,ij->i", ga, xhat) / n
-        ga -= (ga @ mean_of)[:, None]
-        ga -= xhat * dot[:, None]
-        ga *= inv
-        a._accum(ga.reshape(a.shape))
-        gain._accum(np.einsum("ij,ij->j", g2, xhat))
-        bias._accum(np.ones(len(g2), g2.dtype) @ g2)
+        a._accum(_layer_norm_grad(g.reshape(-1, n), xhat, inv, gain, bias).reshape(a.shape))
 
     return _make(out_data.reshape(a.shape), (a, gain, bias), backward)
+
+
+def _linear_grad(g: np.ndarray, x: Tensor, x2d: np.ndarray, w: Tensor, b: Tensor | None):
+    """Accumulate the gradients of x @ w (+ b) from the 2-D g."""
+    x._accum((g @ w.data.T).reshape(x.shape))
+    w._accum(x2d.T @ g)
+    if b is not None:
+        b._accum(np.ones(len(g), g.dtype) @ g)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -619,11 +644,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out_data += b.data
 
     def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        x._accum((g2 @ w.data.T).reshape(x.shape))
-        w._accum(x2d.T @ g2)
-        if b is not None:
-            b._accum(np.ones(len(g2), g2.dtype) @ g2)
+        _linear_grad(g.reshape(-1, g.shape[-1]), x, x2d, w, b)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), parents, backward)
+
+
+def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """gelu(x @ w + b) as one tape node; gelu overwrites the GEMM's output."""
+    x2d = x.data.reshape(-1, x.shape[-1])
+    u = x2d @ w.data
+    u += b.data
+    out_data, deriv = _gelu_(u, True, _on_tape((x, w, b)))
+
+    def backward(g):
+        _linear_grad(g.reshape(deriv.shape) * deriv, x, x2d, w, b)
+
+    return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), (x, w, b), backward)
+
+
+def linear_residual_norm(r: Tensor, x: Tensor, w: Tensor, b: Tensor,
+                         gain: Tensor, bias: Tensor) -> Tensor:
+    """layer_norm(r + x @ w + b, gain, bias), a post-norm sublayer, as one node."""
+    x2d = x.data.reshape(-1, x.shape[-1])
+    z = x2d @ w.data
+    z += b.data
+    z += r.data.reshape(z.shape)
+    out_data, xhat, inv = _layer_norm_(z, gain, bias)
+
+    def backward(g):
+        gz = _layer_norm_grad(g.reshape(xhat.shape), xhat, inv, gain, bias)
+        if r.requires_grad:
+            r._accum(gz.reshape(r.shape))
+        _linear_grad(gz, x, x2d, w, b)
+
+    return _make(out_data.reshape(r.shape), (r, x, w, b, gain, bias), backward)

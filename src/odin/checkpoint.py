@@ -118,7 +118,7 @@ def load_model(path):
     arrays, meta = load_arrays(path)
     spec = meta["model"]
     params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
-                         spec["num_stages"], seed=0)
+                         spec["num_stages"], seed=None)
     for name, p in params.named_parameters():
         if name not in arrays:
             raise CheckpointError(f"{path}: missing array {name}")

@@ -4,8 +4,8 @@ Subcommands: synth, ingest, pretrain, finetune, eval, sweep, theory.
 Every command is deterministic under (config, seed); artifacts that must be
 reproducible byte-for-byte (report.json, checkpoints, generated data) never
 contain wall-clock values, which live in the .jsonl/.log files instead. A
-bad config, graph file or checkpoint ends the command with one
-`odin: error: ...` line on stderr and exit status 2.
+bad config, graph file or checkpoint, or a missing file, ends the command
+with one `odin: error: ...` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, GraphFormatError, CheckpointError) as exc:
+    except (ConfigError, GraphFormatError, CheckpointError, FileNotFoundError) as exc:
         print(f"odin: error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,15 +177,16 @@ def as_param(data) -> Tensor:
 
 def _uniform(rng, shape, d) -> Tensor:
     # symmetric uniform scaled by 1/sqrt(model dim) across the board, drawn
-    # in float64 and rounded
+    # in float64 and rounded; zeros without an rng
     bound = 1.0 / np.sqrt(d)
-    return as_param(rng.uniform(-bound, bound, size=shape))
+    return as_param(np.zeros(shape) if rng is None else rng.uniform(-bound, bound, shape))
 
 
 def init_params(vocab_size: int, dims: ModelDims, depth: int, num_stages: int,
-                seed: int) -> ParamSet:
-    """Fresh float32 parameters: symmetric uniform at 1/sqrt(d), unit gains."""
-    rng = generator(seed, "init")
+                seed: int | None) -> ParamSet:
+    """Fresh float32 parameters: symmetric uniform at 1/sqrt(d), unit gains.
+    Seed None draws nothing: zeros, a skeleton for a checkpoint to fill."""
+    rng = None if seed is None else generator(seed, "init")
     d, hidden = dims.d, dims.d * dims.mlp_ratio
     layers = []
     for _ in range(depth):
@@ -233,8 +234,8 @@ def attention_block(
 ) -> Tensor:
     """Asymmetric multi-head attention over (N, T, d) states with an optional
     (N, d) graph-enhanced token prepended to keys/values only: the q, k and v
-    linears, one `ad.attention` node (heads, scale, masked softmax and
-    weighted sum of values), then the output linear.
+    linears and one `ad.attention` node (heads, scale, masked softmax and
+    weighted sum of values). Returns the context before the output projection.
 
     key_mask, if given, is (N, T) with True marking attendable positions.
     """
@@ -245,9 +246,8 @@ def attention_block(
             key_mask = np.concatenate([np.ones((len(key_mask), 1), bool), key_mask], axis=1)
     if key_mask is not None:
         mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype)
-    ctx = ad.attention(ad.linear(x, lp.wq, lp.bq), ad.linear(kv, lp.wk, lp.bk),
-                       ad.linear(kv, lp.wv, lp.bv), heads, mask)
-    return ad.linear(ctx, lp.wo, lp.bo)
+    return ad.attention(ad.linear(x, lp.wq, lp.bq), ad.linear(kv, lp.wk, lp.bk),
+                        ad.linear(kv, lp.wv, lp.bv), heads, mask)
 
 
 def transformer_block(
@@ -258,11 +258,12 @@ def transformer_block(
     key_mask: np.ndarray | None = None,
     rows: int | None = None,
 ) -> Tensor:
-    """Post-norm block: LN(x + attention), then LN(. + MLP(.)). The agg
-    token is consumed by the attention; output length equals input length.
-    The output is exactly 0 at PAD positions (key_mask False); a mask
-    without a False entry is dropped, so input without PAD pays for no
-    masking and no zeroing.
+    """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as two fused
+    `ad.linear_residual_norm` nodes (output linear, residual, LN) and an
+    `ad.linear_gelu`. The agg token is consumed by the attention; output
+    length equals input length. The output is exactly 0 at PAD positions
+    (key_mask False); a mask without a False entry is dropped, so input
+    without PAD pays for no masking and no zeroing.
 
     With `rows`, the block stable-sorts the sequences by real length (one
     past the last True of key_mask), runs on chunks of at most that many
@@ -291,10 +292,10 @@ def transformer_block(
         joined = ad.concat(parts, axis=0)
         del parts  # without a tape nothing else holds the chunks
         return ad.take_rows(joined, np.argsort(order))
-    attn = attention_block(x, agg, lp, heads, key_mask=key_mask)
-    h = ad.layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
-    m = ad.linear(ad.gelu(ad.linear(h, lp.w_up, lp.b_up)), lp.w_down, lp.b_down)
-    out = ad.layer_norm(h + m, lp.ln2_g, lp.ln2_b)
+    ctx = attention_block(x, agg, lp, heads, key_mask=key_mask)
+    h = ad.linear_residual_norm(x, ctx, lp.wo, lp.bo, lp.ln1_g, lp.ln1_b)
+    out = ad.linear_residual_norm(h, ad.linear_gelu(h, lp.w_up, lp.b_up), lp.w_down,
+                                  lp.b_down, lp.ln2_g, lp.ln2_b)
     if key_mask is not None:
         out = out * key_mask[:, :, None]
     return out

@@ -237,8 +237,9 @@ def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
             sub = sample_frontiers(graph, nodes_of(batch), cfg.schedule.hop_count,
                                    cfg.sampler.fanout, sub_seed(cfg.seed, tag, epoch, i))
             tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
-            res = odin_forward(graph, sub, tokens, params, cfg.schedule)
-            optimize(params, optimizer, loss_fn(batch, res))
+            # no name holds the forward result, so each step frees its tape
+            optimize(params, optimizer, loss_fn(batch, odin_forward(graph, sub, tokens,
+                                                                    params, cfg.schedule)))
 
 
 # -- link prediction -------------------------------------------------------------

@@ -448,6 +448,67 @@ def test_attention_backward_repeats(rng):
         np.testing.assert_array_equal(t.grad, g)
 
 
+# -- fused block nodes ----------------------------------------------------------
+
+
+def _fused_cases(rng, dtype):
+    """(leaves, fused node, the unfused composition) for each fused node."""
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    return {
+        "linear_gelu": ([leaf(2, 3, 4), leaf(4, 6), leaf(6)], ad.linear_gelu,
+                        lambda x, w, b: ad.gelu(ad.linear(x, w, b))),
+        "linear_residual_norm": (
+            [leaf(2, 3, 5), leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(5), leaf(5)],
+            ad.linear_residual_norm,
+            lambda r, x, w, b, gain, bias: ad.layer_norm(r + ad.linear(x, w, b), gain, bias)),
+    }
+
+
+@pytest.mark.parametrize("case", ["linear_gelu", "linear_residual_norm"])
+def test_fused_node_finite_differences(rng, case):
+    leaves, fused, _ = _fused_cases(rng, np.float64)[case]
+    w = Tensor(rng.standard_normal(fused(*leaves).shape))
+    finite_diff_check(lambda: (fused(*leaves) * w).sum(), leaves)
+
+
+@pytest.mark.parametrize("case", ["linear_gelu", "linear_residual_norm"])
+def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
+    leaves, fused, composed = _fused_cases(rng, np.float32)[case]
+    weights = rng.standard_normal(fused(*leaves).shape).astype(np.float32)
+    results = []
+    for op in (fused, composed):
+        for t in leaves:
+            t.zero_grad()
+        out = op(*leaves)
+        (out * weights).sum().backward()
+        results.append((out, [t.grad for t in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert got._parents == tuple(leaves)  # one tape node
+    np.testing.assert_array_equal(got.data, want.data)
+    for g_fused, g_composed in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g_fused, g_composed)
+
+
+@pytest.mark.parametrize("case", ["linear_gelu", "linear_residual_norm"])
+def test_fused_node_keeps_two_output_sized_arrays(rng, case):
+    # linear_gelu keeps its output and the gelu derivative; linear_residual_norm
+    # its output, xhat and the per-row inv. The composition would also keep
+    # the GEMM's output (and the residual sum).
+    leaves, fused, _ = _fused_cases(rng, np.float32)[case]
+    leaves = [Tensor(np.repeat(t.data[None], 300, axis=0) if t.ndim == 3 else t.data,
+                     requires_grad=True) for t in leaves]
+    tracemalloc.start()
+    try:
+        out = fused(*leaves)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept < 2.5 * out.data.nbytes
+
+
 # np.add.reduceat adds a group's first row to a pairwise sum of the rest, so
 # group sums may differ from np.add.at's running sums by a few ulps; inputs
 # here are standard normal and groups hold at most three rows.
@@ -535,6 +596,9 @@ DTYPE_CASES = {
     "logsumexp": ([(3, 4)], ad.logsumexp),
     "layer_norm": ([(2, 3, 4), (4,), (4,)], ad.layer_norm),
     "linear with a bias": ([(2, 3, 4), (4, 5), (5,)], ad.linear),
+    "linear_gelu": ([(2, 3, 4), (4, 5), (5,)], ad.linear_gelu),
+    "linear_residual_norm": ([(2, 3, 5), (2, 3, 4), (4, 5), (5,), (5,), (5,)],
+                             ad.linear_residual_norm),
     "masked attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
                          lambda q, k, v: ad.attention(q, k, v, 2, _KEY_MASK)),
 }

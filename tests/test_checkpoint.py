@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from odin import checkpoint
+from odin import checkpoint, encoder
 from odin.checkpoint import CheckpointError, load_arrays, load_model, save_arrays, save_model
 from odin.encoder import ModelDims, init_params
 
@@ -94,6 +94,20 @@ def test_model_round_trips_its_dims_and_rejects_an_older_format(tmp_path, monkey
     monkeypatch.undo()
     with pytest.raises(CheckpointError, match="version"):
         load_model(path)
+
+
+def test_loading_a_model_draws_no_random_numbers(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.bin"
+    params = init_params(10, ModelDims(d=8, heads=2, max_len=6), 2, 1, seed=0)
+    save_model(path, params, {"step": 0})
+
+    def no_draws(*key):
+        raise AssertionError(f"load_model drew random numbers for {key}")
+
+    monkeypatch.setattr(encoder, "generator", no_draws)
+    loaded, _, _ = load_model(path)
+    for (name, want), (_, got) in zip(params.named_parameters(), loaded.named_parameters()):
+        assert got.data.tobytes() == want.data.tobytes(), name
 
 
 def test_round_trip_keeps_each_dtype_and_its_bytes(tmp_path):

@@ -191,6 +191,16 @@ def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeyp
     assert not (tmp_path / "run").exists()
 
 
+def test_a_missing_file_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _rejected(capsys, _argv("eval", "--task", "classify", "--checkpoint", "nope.bin"),
+              "No such file or directory: 'nope.bin'")
+    _rejected(capsys, _argv("pretrain", extra=("paths.data_dir=missing",)),
+              "No such file or directory: 'missing/nodes.jsonl'")
+    assert not (tmp_path / "run").exists()
+
+
 def test_ingest_writes_an_identical_normalized_copy(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()

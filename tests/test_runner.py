@@ -5,6 +5,7 @@ learns."""
 
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +247,28 @@ def test_finetune_from_one_checkpoint_repeats(tmp_path, task):
     _write_init_checkpoint(cfg, graph, ckpt)
     reports = [runner.run_task(cfg, graph, task, ckpt).to_json() for _ in range(2)]
     assert reports[0] == reports[1]
+
+
+def test_finetune_holds_one_tape_at_a_time(tmp_path, monkeypatch):
+    cfg = small_cfg(tmp_path)
+    cfg.task.classify_shots, cfg.task.finetune_epochs, cfg.task.finetune_batch = 2, 2, 2
+    graph = small_graph()
+    ckpt = tmp_path / "init" / "checkpoint.bin"
+    _write_init_checkpoint(cfg, graph, ckpt)
+    results, live_at_start = [], []
+    forward = runner.odin_forward
+
+    def tracked(*args, **kwargs):
+        live_at_start.append(sum(ref() is not None for ref in results))
+        res = forward(*args, **kwargs)
+        results.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(runner, "odin_forward", tracked)
+    runner.run_task(cfg, graph, "classify", ckpt, finetune=True)
+    # 3 classes x 2 shots in batches of 2: 3 steps per epoch, then the eval pass
+    assert len(results) == 2 * 3 + 1
+    assert live_at_start == [0] * len(results)
 
 
 # -- checkpoint loading --------------------------------------------------------------
