@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: synth, ingest, pretrain, finetune, eval, sweep, theory.
-Every command is deterministic under (config, seed); artifacts that must be
-reproducible byte-for-byte (report.json, checkpoints, generated data) never
-contain wall-clock values, which live in the .jsonl/.log files instead. A
-bad config, graph file or checkpoint, or a missing file, ends the command
-with one `odin: error: ...` line on stderr and exit status 2.
+Every command is deterministic under (config, seed) at a fixed BLAS thread
+count: the BLAS splits its sums by thread, so another count moves losses in
+the last ULP. Artifacts that must be reproducible byte-for-byte (report.json,
+checkpoints, generated data) never contain wall-clock values, which live in
+the .jsonl/.log files instead. A bad config, graph file or checkpoint, or a
+missing file, ends the command with one `odin: error: ...` line on stderr
+and exit status 2.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .encoder import ConfigError, ModelDims, build_vocab, init_params
 from .fusion import LayerSchedule, light_preset
 from .graph import GraphFormatError, load_graph, save_graph
 from .rngutil import generator
-from .runner import run_pretrain, run_task
+from .runner import TASK_RUNNERS, run_pretrain, run_task
 from .sampler import encoded_node_count, sample_frontiers
 from .synth import SyntheticSpec, generate, intra_class_fraction
 from .theory import (
@@ -129,23 +131,19 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def cmd_finetune(args) -> int:
-    return _finetune_eval(args, finetune=True)
-
-
-def cmd_eval(args) -> int:
-    return _finetune_eval(args, finetune=False)
-
-
-def _finetune_eval(args, finetune: bool) -> int:
+def cmd_task(args) -> int:
+    """finetune or eval one task from a checkpoint; the report, stamped with
+    the seed and config digest, goes to out_dir/<command>/<task>/report.json."""
     cfg = _load_cfg(args)
     graph = _graph_from_cfg(cfg)
     ckpt = args.checkpoint or str(Path(cfg.paths.out_dir) / "checkpoint.bin")
-    report = run_task(cfg, graph, args.task, ckpt, finetune=finetune)
+    report = run_task(cfg, graph, args.task, ckpt, finetune=args.command == "finetune")
+    line = json.dumps({**dataclasses.asdict(report), "seed": cfg.seed,
+                       "config_digest": cfg.digest()}, sort_keys=True)
     out_dir = Path(cfg.paths.out_dir) / args.command / args.task
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
-    print(report.to_json())
+    (out_dir / "report.json").write_text(line + "\n")
+    print(line)
     return 0
 
 
@@ -312,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, extra in (
         ("pretrain", cmd_pretrain, ("resume",)),
-        ("finetune", cmd_finetune, ("task", "checkpoint")),
-        ("eval", cmd_eval, ("task", "checkpoint")),
+        ("finetune", cmd_task, ("task", "checkpoint")),
+        ("eval", cmd_task, ("task", "checkpoint")),
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
@@ -321,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "resume" in extra:
             sp.add_argument("--resume", action="store_true")
         if "task" in extra:
-            sp.add_argument("--task", required=True,
-                            choices=["linkpred", "classify", "retrieve", "rerank"])
+            sp.add_argument("--task", required=True, choices=list(TASK_RUNNERS))
             sp.add_argument("--checkpoint", default=None)
         sp.set_defaults(func=fn)
 

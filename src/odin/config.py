@@ -81,11 +81,16 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def validate(self) -> None:
-        """Raise ConfigError on a malformed schedule or dims. Warn when PE or
-        PG layers precede the first aggregation stage: those run as VA."""
+        """Raise ConfigError on a malformed schedule or dims, or on few-shot
+        task shots below 1. Warn when PE or PG layers precede the first
+        aggregation stage: those run as VA."""
         schedule = self.schedule
         schedule.check()
         self.dims.check()
+        for name in ("classify_shots", "retrieve_shots", "rerank_shots"):
+            if getattr(self.task, name) < 1:
+                raise ConfigError(f"task.{name} must be at least 1, "
+                                  f"got {getattr(self.task, name)}")
         first_stage = schedule.positions[0] if schedule.positions else schedule.depth
         if schedule.strategy in ("PE", "PG") and first_stage > 1:
             log.warning("%s before the first aggregation stage; using VA", schedule.strategy)

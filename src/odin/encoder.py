@@ -9,7 +9,7 @@ output row, so the residual connection stays shape-compatible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class ParamSet:
     layers: list[LayerParams]
     stages: list[StageParams]
     mlm_head: Tensor
-    heads: dict[str, Tensor] = field(default_factory=dict)
 
     def named_parameters(self):
         yield "token_emb", self.token_emb
@@ -161,12 +160,6 @@ class ParamSet:
             yield f"stages.{j}.w1", sp.w1
             yield f"stages.{j}.w2", sp.w2
         yield "mlm_head", self.mlm_head
-        for name in sorted(self.heads):
-            yield f"heads.{name}", self.heads[name]
-
-    def zero_grad(self):
-        for _, p in self.named_parameters():
-            p.zero_grad()
 
 
 def as_param(data) -> Tensor:

@@ -92,7 +92,6 @@ class TaskSplit:
     train_ids: tuple[int, ...]
     valid_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
-    shot_count: int
 
     def __post_init__(self):
         pools = (set(self.train_ids), set(self.valid_ids), set(self.test_ids))
@@ -248,4 +247,4 @@ def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) ->
         half = len(rest) // 2
         valid.extend(rest[:half])
         test.extend(rest[half:])
-    return TaskSplit(tuple(sorted(train)), tuple(sorted(valid)), tuple(sorted(test)), k)
+    return TaskSplit(tuple(sorted(train)), tuple(sorted(valid)), tuple(sorted(test)))

@@ -33,7 +33,7 @@ class MaskPlan:
 
     token_targets: dict[int, tuple[tuple[int, int], ...]]  # node -> ((pos, orig_id), ...)
     node_pairs: dict[int, tuple[tuple[int, int], ...]]     # node -> ((v_pos, v_neg), ...)
-    skipped_no_negative: int = 0
+    unpaired: int = 0  # batch nodes lacking a positive or a negative
 
     @property
     def num_masked_tokens(self) -> int:
@@ -55,7 +55,7 @@ def plan_masks(tokens_by_node, graph: TextGraph, mask_ratio: float, seed: int, m
     Contrast pairs: positives come from neighbor_pool, a node -> neighbors
     map (the sampled subgraph's restricted adjacency, whose states the
     forward pass computes). Negatives are batch members not adjacent to the
-    node. Nodes lacking either side are skipped and counted.
+    node. Nodes lacking either side get no pair and are counted as unpaired.
     """
     if not 0.0 < mask_ratio < 1.0:
         raise ValueError("mask_ratio must be in (0, 1)")
@@ -80,17 +80,17 @@ def plan_masks(tokens_by_node, graph: TextGraph, mask_ratio: float, seed: int, m
         masked[v] = out
 
     node_pairs: dict[int, tuple] = {}
-    skipped = 0
+    unpaired = 0
     for v in batch:
         nbrs = sorted(neighbor_pool.get(v, ()))
         non = sorted(batch_set - set(graph.neighbors(v)) - {v})
         if not nbrs or not non:
-            skipped += 1
+            unpaired += 1
             continue
         rng = generator(seed, "mask_nodes", v)
         node_pairs[v] = ((int(nbrs[rng.integers(len(nbrs))]),
                           int(non[rng.integers(len(non))])),)
-    return MaskPlan(token_targets, node_pairs, skipped), masked
+    return MaskPlan(token_targets, node_pairs, unpaired), masked
 
 
 def softmax_xent(logits: Tensor, gold) -> Tensor:
@@ -153,8 +153,8 @@ class Sgd(_GroupRates):
 
     kind = "sgd"
 
-    def step(self, params: ParamSet):
-        for name, p in params.named_parameters():
+    def step(self, named):
+        for name, p in named:
             if p.grad is not None:
                 p.data -= self.lr(name) * p.grad
 
@@ -178,10 +178,10 @@ class Adam(_GroupRates):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params: ParamSet):
+    def step(self, named):
         self.t += 1
         b1, b2 = 0.9, 0.999
-        for name, p in params.named_parameters():
+        for name, p in named:
             if p.grad is None:
                 continue
             m = self.m.setdefault(name, np.zeros_like(p.data))
@@ -212,14 +212,16 @@ def make_optimizer(kind: str, lr_encoder: float, lr_gnn: float):
 # -- one training step -----------------------------------------------------------
 
 
-def optimize(params: ParamSet, optimizer, loss: Tensor) -> None:
-    """One gradient step on a scalar loss. A non-finite loss raises
-    FloatingPointError before any gradient or parameter is touched."""
+def optimize(named, optimizer, loss: Tensor) -> None:
+    """One gradient step on a scalar loss over the (name, tensor) pairs in
+    `named`, a list. A non-finite loss raises FloatingPointError before any
+    gradient or parameter is touched."""
     if not np.isfinite(loss.data):
         raise FloatingPointError(f"non-finite loss {loss.data!r}")
-    params.zero_grad()
+    for _, p in named:
+        p.zero_grad()
     loss.backward()
-    optimizer.step(params)
+    optimizer.step(named)
 
 
 def pretrain_step(
@@ -244,12 +246,13 @@ def pretrain_step(
     l1 = mnp_loss(res.base_cls, res.base_nodes, plan)
     l2 = nmlm_loss(res.final_states, res.batch_nodes, plan, params)
     loss = l1 + l2
-    optimize(params, optimizer, loss)
+    optimize(list(params.named_parameters()), optimizer, loss)
     return {
         "l1": float(l1.data),
         "l2": float(l2.data),
         "total": float(loss.data),
         "pairs": plan.num_pairs,
+        "unpaired": plan.unpaired,
         "masked_tokens": plan.num_masked_tokens,
         "encoded_nodes": len(res.base_nodes),
         "wall_ms": (time.perf_counter() - started) * 1e3,

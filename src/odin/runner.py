@@ -56,7 +56,7 @@ def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
     train = tuple(sorted(int(v) for v in order[:n_train]))
     valid = tuple(sorted(int(v) for v in order[n_train: n_train + n_valid]))
     test = tuple(sorted(int(v) for v in order[n_train + n_valid:]))
-    return TaskSplit(train, valid, test, shot_count=0)
+    return TaskSplit(train, valid, test)
 
 
 def build_fresh_model(cfg: RunConfig, graph: TextGraph):
@@ -220,14 +220,16 @@ def encode_labels(label_names: dict, params, schedule, vocab) -> dict[int, np.nd
 
 
 def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
-              min_batch=1, nodes_of=tuple) -> None:
+              min_batch=1, nodes_of=tuple, head=()) -> None:
     """Shuffled minibatch epochs over `items` with every parameter group at
     task.finetune_lr. A step samples and encodes the nodes_of(batch) and takes
     one gradient step on loss_fn(batch, forward result); batches smaller than
-    `min_batch` are skipped. Orders and samples derive from (seed, tag, epoch),
-    so a fine-tune repeats bit for bit."""
+    `min_batch` are skipped. `head` holds (name, tensor) pairs that train with
+    the model but are not part of it. Orders and samples derive from (seed,
+    tag, epoch), so a fine-tune repeats bit for bit."""
     t = cfg.task
     optimizer = make_optimizer(cfg.pretrain.optimizer, t.finetune_lr, t.finetune_lr)
+    named = [*params.named_parameters(), *head]
     for epoch in range(t.finetune_epochs):
         order = generator(cfg.seed, tag, epoch).permutation(len(items))
         for i in range(0, len(items), t.finetune_batch):
@@ -238,8 +240,8 @@ def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
                                    cfg.sampler.fanout, sub_seed(cfg.seed, tag, epoch, i))
             tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
             # no name holds the forward result, so each step frees its tape
-            optimize(params, optimizer, loss_fn(batch, odin_forward(graph, sub, tokens,
-                                                                    params, cfg.schedule)))
+            optimize(named, optimizer, loss_fn(batch, odin_forward(graph, sub, tokens,
+                                                                   params, cfg.schedule)))
 
 
 # -- link prediction -------------------------------------------------------------
@@ -275,17 +277,27 @@ def finetune_linkpred(cfg, graph, params, vocab, train_pairs) -> None:
 def run_linkpred(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     train_pairs, test_pairs = split_edges(graph, cfg.task.linkpred_shots, cfg.seed)
     if len(test_pairs) < 2:
-        raise ValueError("not enough held-out edges to evaluate")
+        raise ConfigError(f"task.linkpred_shots={cfg.task.linkpred_shots} leaves "
+                          f"{len(test_pairs)} of {graph.num_edges} edges to evaluate")
     if finetune:
         finetune_linkpred(cfg, graph, params, vocab, train_pairs)
     nodes = {u for u, _ in test_pairs} | {v for _, v in test_pairs}
     emb = compute_embeddings(graph, nodes, params, cfg.schedule, vocab,
                              cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
-    return linkpred_eval(emb, test_pairs, cfg.seed, cfg.digest(),
-                         batch_size=cfg.task.eval_batch)
+    return linkpred_eval(emb, test_pairs, batch_size=cfg.task.eval_batch)
 
 
 # -- classification --------------------------------------------------------------
+
+
+def _few_shot_split(cfg, graph, shots: str, label_kind: str) -> TaskSplit:
+    """The few-shot split at task.<shots>; ConfigError if it has no test node."""
+    k = getattr(cfg.task, shots)
+    split = make_few_shot_split(graph, k, label_kind, cfg.seed)
+    if not split.test_ids:
+        raise ConfigError(f"task.{shots}={k} leaves no test node: every {label_kind} "
+                          f"class has at most {k} members")
+    return split
 
 
 def finetune_classify(cfg, graph, params, vocab, split, labels) -> None:
@@ -294,36 +306,31 @@ def finetune_classify(cfg, graph, params, vocab, split, labels) -> None:
     to_idx = {c: i for i, c in enumerate(classes)}
     d = params.dims.d
     rng = generator(cfg.seed, "clf_head")
-    params.heads["classifier_w"] = as_param(rng.uniform(-1, 1, (d, len(classes))) / np.sqrt(d))
-    params.heads["classifier_b"] = as_param(np.zeros(len(classes)))
+    w = as_param(rng.uniform(-1, 1, (d, len(classes))) / np.sqrt(d))
+    b = as_param(np.zeros(len(classes)))
 
     def loss(batch, res):
-        logits = ad.linear(res.cls, params.heads["classifier_w"],
-                           params.heads["classifier_b"])
-        return softmax_xent(logits, [to_idx[labels[v]] for v in res.batch_nodes])
+        return softmax_xent(ad.linear(res.cls, w, b),
+                            [to_idx[labels[v]] for v in res.batch_nodes])
 
-    _finetune(cfg, graph, params, vocab, split.train_ids, "clf_ft", loss)
+    _finetune(cfg, graph, params, vocab, split.train_ids, "clf_ft", loss,
+              head=(("head.w", w), ("head.b", b)))
 
 
 def run_classify(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     """The linear head always trains on the embeddings; with `finetune` the
     backbone is fine-tuned first."""
     labels = graph.labels("coarse")
-    split = make_few_shot_split(graph, cfg.task.classify_shots, "coarse", cfg.seed)
+    split = _few_shot_split(cfg, graph, "classify_shots", "coarse")
     if finetune:
         finetune_classify(cfg, graph, params, vocab, split, labels)
     nodes = set(split.train_ids) | set(split.test_ids)
     emb = compute_embeddings(graph, nodes, params, cfg.schedule, vocab,
                              cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
-    return classify_train_eval(emb, split, labels, cfg.task.head_epochs, cfg.seed,
-                               cfg.task.head_lr, cfg.digest())
+    return classify_train_eval(emb, split, labels, cfg.task.head_epochs, cfg.task.head_lr)
 
 
 # -- retrieval / reranking -----------------------------------------------------------
-
-
-def _label_tokens(label_names: dict):
-    return {lid: word_tokens(name) for lid, name in label_names.items()}
 
 
 def dpr_finetune(cfg, graph, params, vocab, split, labels) -> None:
@@ -332,8 +339,7 @@ def dpr_finetune(cfg, graph, params, vocab, split, labels) -> None:
     if graph.label_names is None:
         raise ValueError("graph carries no label names")
     label_ids = sorted(graph.label_names)
-    ltoks = _label_tokens(graph.label_names)
-    index = Bm25Index([ltoks[i] for i in label_ids])
+    index = Bm25Index([word_tokens(graph.label_names[i]) for i in label_ids])
     hard_neg: dict[int, int] = {}
     for v in split.train_ids:
         ranked = index.rank(word_tokens(graph.texts[v]), top_n=3)
@@ -349,35 +355,35 @@ def dpr_finetune(cfg, graph, params, vocab, split, labels) -> None:
     _finetune(cfg, graph, params, vocab, split.train_ids, "dpr_ft", loss, min_batch=2)
 
 
-def run_retrieval(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
+def _label_task(cfg, graph, params, vocab, shots: str, finetune: bool):
+    """What retrieve and rerank score after the fine-label split at
+    task.<shots> and, with `finetune`, a DPR fine-tune: (test node
+    embeddings, label embeddings, gold label per test node)."""
     labels = graph.labels("fine")
-    split = make_few_shot_split(graph, cfg.task.retrieve_shots, "fine", cfg.seed)
+    split = _few_shot_split(cfg, graph, shots, "fine")
     if finetune:
         dpr_finetune(cfg, graph, params, vocab, split, labels)
     node_embs = compute_embeddings(graph, split.test_ids, params, cfg.schedule, vocab,
                                    cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
     label_embs = encode_labels(graph.label_names, params, cfg.schedule, vocab)
-    gold = {v: labels[v] for v in split.test_ids}
-    return retrieval_eval(node_embs, label_embs, gold, cfg.task.recall_k,
-                          cfg.seed, cfg.digest())
+    return node_embs, label_embs, {v: labels[v] for v in split.test_ids}
+
+
+def run_retrieval(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
+    node_embs, label_embs, gold = _label_task(cfg, graph, params, vocab, "retrieve_shots",
+                                              finetune)
+    return retrieval_eval(node_embs, label_embs, gold, cfg.task.recall_k)
 
 
 def run_rerank(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
-    labels = graph.labels("fine")
-    split = make_few_shot_split(graph, cfg.task.rerank_shots, "fine", cfg.seed)
-    if finetune:
-        dpr_finetune(cfg, graph, params, vocab, split, labels)
+    node_embs, label_embs, gold = _label_task(cfg, graph, params, vocab, "rerank_shots",
+                                              finetune)
     label_ids = sorted(graph.label_names)
-    by_label = _label_tokens(graph.label_names)
-    ltoks = [by_label[i] for i in label_ids]
-    node_tokens = {v: word_tokens(graph.texts[v]) for v in split.test_ids}
-    mined = mine_candidates(node_tokens, ltoks, cfg.task.rerank_candidates)
-    candidates = {v: [label_ids[i] for i in mined[v]] for v in split.test_ids}
-    node_embs = compute_embeddings(graph, split.test_ids, params, cfg.schedule, vocab,
-                                   cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
-    label_embs = encode_labels(graph.label_names, params, cfg.schedule, vocab)
-    gold = {v: labels[v] for v in split.test_ids}
-    return rerank_eval(candidates, node_embs, label_embs, gold, cfg.seed, cfg.digest())
+    mined = mine_candidates({v: word_tokens(graph.texts[v]) for v in gold},
+                            [word_tokens(graph.label_names[i]) for i in label_ids],
+                            cfg.task.rerank_candidates)
+    candidates = {v: [label_ids[i] for i in mined[v]] for v in gold}
+    return rerank_eval(candidates, node_embs, label_embs, gold)
 
 
 TASK_RUNNERS = {

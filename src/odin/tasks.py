@@ -3,16 +3,16 @@ classification, dense label retrieval, and candidate reranking, plus the
 BM25 scorer used to mine hard negatives and rerank candidates.
 
 All metrics are precision-style fractions in [0, 1] and deterministic under
-(config, seed); score ties break toward the smaller id.
+(config, seed). Every ranking metric places the gold item by `gold_rank`,
+the one tie-break: equal scores go to the smaller id.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,36 +24,28 @@ class EvalReport:
     task: str
     metric: str
     value: float
-    seed: int
-    config_digest: str
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"metric value {self.value} outside [0, 1]")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"task": self.task, "metric": self.metric, "value": self.value,
-             "seed": self.seed, "config_digest": self.config_digest,
-             "details": self.details},
-            sort_keys=True,
-        )
 
-
-def _rank_first(scores: np.ndarray, ids: np.ndarray) -> int:
-    """Index of the top item: highest score, then smallest id."""
-    order = np.lexsort((ids, -scores))
-    return int(order[0])
+def gold_rank(scores: np.ndarray, ids: np.ndarray, gold) -> int | None:
+    """Gold's 0-based place when `ids` are ranked by score, highest first,
+    ties to the smaller id; None when gold is not among `ids`. Scores must be
+    finite: then this is gold's position in np.lexsort((ids, -scores))."""
+    at = np.flatnonzero(ids == gold)
+    if not len(at):
+        return None
+    s = scores[at[0]]
+    return int(np.count_nonzero(scores > s) + np.count_nonzero((scores == s) & (ids < gold)))
 
 
 # -- link prediction ------------------------------------------------------------
 
 
-def linkpred_eval(
-    embeddings: dict, positive_pairs, seed: int = 0, config_digest: str = "", *,
-    batch_size: int,
-) -> EvalReport:
+def linkpred_eval(embeddings: dict, positive_pairs, *, batch_size: int) -> EvalReport:
     """Score each pair's head against all in-batch tails by dot product, in
     batches of `batch_size` pairs; the metric is the fraction of queries whose
     true tail ranks first."""
@@ -62,8 +54,7 @@ def linkpred_eval(
         raise ValueError("in-batch evaluation needs at least 2 pairs")
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
-    correct = 0
-    total = 0
+    correct = total = 0
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start: start + batch_size]
         if len(chunk) < 2:  # ranking against nothing is meaningless
@@ -71,19 +62,16 @@ def linkpred_eval(
         tail_ids = np.array(sorted({v for _, v in chunk}))
         tails = np.stack([np.asarray(embeddings[v]) for v in tail_ids])
         for u, v in chunk:
-            scores = tails @ np.asarray(embeddings[u])
-            best = tail_ids[_rank_first(scores, tail_ids)]
-            correct += int(best == v)
+            correct += gold_rank(tails @ np.asarray(embeddings[u]), tail_ids, v) == 0
             total += 1
-    return EvalReport("linkpred", "PREC", correct / total, seed, config_digest,
-                      {"queries": total})
+    return EvalReport("linkpred", "PREC", correct / total, {"queries": total})
 
 
 # -- classification ---------------------------------------------------------------
 
 
 def train_linear_head(x: np.ndarray, y: np.ndarray, n_classes: int,
-                      epochs: int, lr: float = 0.1):
+                      epochs: int, lr: float):
     """Full-batch softmax regression from a zero init (convex, deterministic)."""
     n, d = x.shape
     w = np.zeros((n_classes, d))
@@ -101,10 +89,7 @@ def train_linear_head(x: np.ndarray, y: np.ndarray, n_classes: int,
     return w, b
 
 
-def classify_train_eval(
-    embeddings: dict, split, labels, epochs: int, seed: int,
-    lr: float = 0.1, config_digest: str = "",
-) -> EvalReport:
+def classify_train_eval(embeddings: dict, split, labels, epochs: int, lr: float) -> EvalReport:
     """Fit a linear head on the split's train embeddings, report test accuracy."""
     classes = sorted({labels[v] for v in split.train_ids})
     if len(classes) < 2:
@@ -118,8 +103,7 @@ def classify_train_eval(
     pred = np.argmax(xte @ w.T + b, axis=1)
     yte = np.array([to_idx[labels[v]] for v in test])
     acc = float(np.mean(pred == yte))
-    return EvalReport("classify", "ACC", acc, seed, config_digest,
-                      {"classes": len(classes), "test_size": len(test)})
+    return EvalReport("classify", "ACC", acc, {"classes": len(classes), "test_size": len(test)})
 
 
 # -- BM25 ---------------------------------------------------------------------------
@@ -188,10 +172,7 @@ def mine_candidates(node_tokens, label_tokens, top_n: int):
 # -- retrieval / reranking ------------------------------------------------------------
 
 
-def retrieval_eval(
-    node_embs: dict, label_embs: dict, gold: dict, k: int = 10,
-    seed: int = 0, config_digest: str = "",
-) -> EvalReport:
+def retrieval_eval(node_embs: dict, label_embs: dict, gold: dict, k: int) -> EvalReport:
     """Rank every label name embedding per node; the metric is the fraction
     of nodes whose gold label lands in the top k. With fewer than k labels,
     k is clipped to the label count and the metric is named after it.
@@ -207,41 +188,32 @@ def retrieval_eval(
     mat = np.stack([np.asarray(label_embs[i]) for i in label_ids])
     hits, reciprocal_ranks = 0, 0.0
     for node in sorted(gold):
-        scores = mat @ np.asarray(node_embs[node])
-        ranked = label_ids[np.lexsort((label_ids, -scores))]
-        at = np.flatnonzero(ranked == gold[node])
-        if len(at):
-            hits += int(at[0] < k)
-            reciprocal_ranks += 1.0 / (int(at[0]) + 1)
+        rank = gold_rank(mat @ np.asarray(node_embs[node]), label_ids, gold[node])
+        if rank is not None:
+            hits += rank < k
+            reciprocal_ranks += 1.0 / (rank + 1)
     value = hits / len(gold)
-    return EvalReport("retrieve", f"Recall@{k}", value, seed, config_digest,
+    return EvalReport("retrieve", f"Recall@{k}", value,
                       {"k": k, "labels": len(label_ids), "queries": len(gold),
                        "mrr": reciprocal_ranks / len(gold)})
 
 
-def rerank_eval(
-    candidates: dict, node_embs: dict, label_embs: dict, gold: dict,
-    seed: int = 0, config_digest: str = "",
-) -> EvalReport:
+def rerank_eval(candidates: dict, node_embs: dict, label_embs: dict, gold: dict) -> EvalReport:
     """Re-score each node's candidate labels by dot product; the metric is
     the fraction of nodes whose gold label ranks first. Nodes whose gold is
     missing from the candidate list count as misses and are tallied."""
     if not candidates:
         raise ValueError("no queries to rerank (is the test split empty?)")
-    hits = 0
-    gold_absent = 0
+    hits = gold_absent = 0
     for node in sorted(candidates):
         cand = candidates[node]
         if not cand:
             raise ValueError(f"node {node} has an empty candidate list")
-        if gold[node] not in cand:
-            gold_absent += 1
-            continue
         ids = np.array(sorted(cand))
         mat = np.stack([np.asarray(label_embs[i]) for i in ids])
-        scores = mat @ np.asarray(node_embs[node])
-        best = ids[_rank_first(scores, ids)]
-        hits += int(best == gold[node])
+        rank = gold_rank(mat @ np.asarray(node_embs[node]), ids, gold[node])
+        gold_absent += rank is None
+        hits += rank == 0
     value = hits / len(candidates)
-    return EvalReport("rerank", "PRC", value, seed, config_digest,
+    return EvalReport("rerank", "PRC", value,
                       {"gold_absent": gold_absent, "queries": len(candidates)})

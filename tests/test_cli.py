@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from odin import checkpoint, cli
+from odin import checkpoint, cli, runner
 from odin.graph import load_graph
 from odin.sampler import encoded_node_count, sample_frontiers
 
@@ -178,6 +178,31 @@ def test_eval_rejects_a_checkpoint_that_does_not_fit_the_schedule(
     _main("pretrain")
     _rejected(capsys, _argv("eval", "--task", "classify", extra=schedule), "does not fit")
     assert not (tmp_path / "run" / "eval").exists()
+
+
+@pytest.mark.parametrize("command,task,setting", [
+    ("eval", "retrieve", "task.retrieve_shots=16"),  # the default shots
+    ("finetune", "retrieve", "task.retrieve_shots=16"),
+    ("eval", "rerank", "task.rerank_shots=32"),
+    ("finetune", "rerank", "task.rerank_shots=32"),
+    ("finetune", "linkpred", "task.linkpred_shots=100000"),
+    ("finetune", "classify", "task.classify_shots=1000"),
+    ("eval", "classify", "task.classify_shots=0"),
+])
+def test_shots_that_leave_nothing_to_evaluate_end_in_one_error_line(
+        tmp_path, monkeypatch, capsys, command, task, setting):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "data", "--nodes", "60", "--classes", "12",
+                     "--coarse-classes", "3", "--seed", "1"]) == 0
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    for name in ("finetune_linkpred", "finetune_classify", "dpr_finetune"):
+        monkeypatch.setattr(runner, name, lambda *a: pytest.fail("fine-tuned before the check"))
+    capsys.readouterr()
+    assert cli.main(_argv(command, "--task", task, extra=(setting,))) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(f"odin: error: {setting.split('=')[0]}"), err
+    assert not (tmp_path / "run" / command).exists()
 
 
 def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeypatch, capsys):

@@ -79,7 +79,7 @@ def test_plan_masks_triangle_has_no_negatives():
     g = triangle_graph()
     plan, _ = plan_masks(toks([1, 4], [1, 5], [1, 6]), g, 0.3, 0, 2, all_neighbors(g))
     assert plan.node_pairs == {}
-    assert plan.skipped_no_negative == 3
+    assert plan.unpaired == 3
 
 
 def test_plan_masks_path_pairs_are_forced():
@@ -90,7 +90,7 @@ def test_plan_masks_path_pairs_are_forced():
     assert plan.node_pairs[0] == ((1, 2),)
     assert plan.node_pairs[2] == ((1, 0),)
     assert 1 not in plan.node_pairs
-    assert plan.skipped_no_negative == 1
+    assert plan.unpaired == 1
 
 
 def test_plan_masks_deterministic():
@@ -394,7 +394,7 @@ def test_optimize_on_non_finite_loss_touches_nothing(bad):
              "v": {k: v.copy() for k, v in optim.v.items()}}
     loss = params.token_emb.sum() * bad
     with pytest.raises(FloatingPointError):
-        optimize(params, optim, loss)
+        optimize(list(params.named_parameters()), optim, loss)
     after = snapshot(params)
     assert all(np.array_equal(before[k], after[k]) for k in before)
     assert all(np.array_equal(grads[n], p.grad) for n, p in params.named_parameters()
@@ -412,7 +412,8 @@ def test_optimize_steps_on_the_fresh_gradient():
     params.token_emb.grad = np.full_like(params.token_emb.data, 5.0)  # stale
     before = params.token_emb.data.copy()
     weights = rng.standard_normal(params.token_emb.shape)
-    optimize(params, make_optimizer("sgd", 0.5, 0.0), (params.token_emb * weights).sum())
+    optimize(list(params.named_parameters()), make_optimizer("sgd", 0.5, 0.0),
+             (params.token_emb * weights).sum())
     np.testing.assert_array_equal(params.token_emb.data, before - 0.5 * weights)
 
 

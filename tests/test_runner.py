@@ -1,7 +1,7 @@
 """End-to-end runs: whole-graph embeddings, the row-chunked block they use,
-eval without fine-tuning, repeatable fine-tunes, the checkpoint loader,
-resumed pretraining, float32 against float64, and a gate that pretraining
-learns."""
+eval without fine-tuning, repeatable fine-tunes, a classify head kept out of
+the model, the checkpoint loader, the pretrain log rows, resumed
+pretraining, float32 against float64, and a gate that pretraining learns."""
 
 import json
 import re
@@ -12,11 +12,11 @@ import pytest
 
 from odin import autodiff as ad
 from odin import encoder, runner
-from odin.checkpoint import load_arrays, save_model
+from odin.checkpoint import load_arrays, load_model, save_model
 from odin.config import RunConfig
 from odin.encoder import ConfigError, ModelDims, init_params, transformer_block
 from odin.fusion import LayerSchedule, odin_forward, tokenize_nodes
-from odin.graph import TextGraph
+from odin.graph import TextGraph, make_few_shot_split
 from odin.objectives import make_optimizer, pretrain_step
 from odin.rngutil import sub_seed
 from odin.sampler import sample_frontiers
@@ -189,9 +189,8 @@ def test_block_in_row_chunks_gives_the_same_gradients():
     weights = np.random.default_rng(3).standard_normal(x.shape)
     grads = []
     for rows in (None, 4):  # 11 rows: chunks of 4, 4 and 3
-        params.zero_grad()
-        x.zero_grad()
-        agg.zero_grad()
+        for t in [p for _, p in params.named_parameters()] + [x, agg]:
+            t.zero_grad()
         out = transformer_block(x, agg, lp, 2, key_mask, rows=rows)
         (out * weights).sum().backward()
         grads.append([p.grad.copy() for _, p in params.named_parameters()
@@ -245,8 +244,27 @@ def test_finetune_from_one_checkpoint_repeats(tmp_path, task):
     graph = small_graph()
     ckpt = tmp_path / "init" / "checkpoint.bin"
     _write_init_checkpoint(cfg, graph, ckpt)
-    reports = [runner.run_task(cfg, graph, task, ckpt).to_json() for _ in range(2)]
+    reports = [runner.run_task(cfg, graph, task, ckpt) for _ in range(2)]
     assert reports[0] == reports[1]
+
+
+def test_classify_finetune_keeps_the_head_out_of_the_model(tmp_path):
+    cfg = small_cfg(tmp_path)
+    cfg.task.finetune_epochs = 1
+    graph = small_graph()
+    vocab, schedule, params = runner.build_fresh_model(cfg, graph)
+    split = make_few_shot_split(graph, 2, "coarse", cfg.seed)
+    runner.finetune_classify(cfg, graph, params, vocab, split, graph.labels("coarse"))
+    fresh = init_params(vocab.size, cfg.dims, schedule.depth, schedule.hop_count, seed=0)
+    names = [name for name, _ in params.named_parameters()]
+    assert names == [name for name, _ in fresh.named_parameters()]
+    path = tmp_path / "tuned.bin"
+    save_model(path, params, {"config_digest": cfg.digest(), "epoch": 0, "step": 0,
+                              "seed": cfg.seed})
+    loaded = dict(load_model(path)[0].named_parameters())
+    assert list(loaded) == names
+    for name, p in params.named_parameters():
+        np.testing.assert_array_equal(loaded[name].data, p.data, err_msg=name)
 
 
 def test_finetune_holds_one_tape_at_a_time(tmp_path, monkeypatch):
@@ -304,6 +322,18 @@ def test_zero_epochs_writes_the_random_init_checkpoint(tmp_path):
     for task in ("linkpred", "classify"):
         rep = runner.run_task(cfg, graph, task, out / "checkpoint.bin", finetune=False)
         assert rep.task == task and 0.0 <= rep.value <= 1.0
+
+
+def test_every_log_row_pairs_or_counts_each_batch_node(tmp_path):
+    cfg = small_cfg(tmp_path, epochs=2, batch_size=6)
+    runner.run_pretrain(cfg, small_graph(seed=1), tmp_path / "run")
+    rows = [json.loads(line)
+            for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+    assert len(rows) == 2 * (24 // 6)  # 80% of 30 nodes train
+    assert all(row["pairs"] + row["unpaired"] == 6 for row in rows)
+    assert any(row["unpaired"] for row in rows) and any(row["pairs"] for row in rows)
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert "unpaired" not in report
 
 
 # -- resumed pretraining ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from odin.tasks import (
     EvalReport,
     bm25_scores,
     classify_train_eval,
+    gold_rank,
     linkpred_eval,
     mine_candidates,
     rerank_eval,
@@ -82,14 +86,13 @@ def separable_fixture(n_per=20, d=6):
     ids = sorted(emb)
     split = TaskSplit(tuple(ids[:8] + ids[n_per:n_per + 8]),
                       (),
-                      tuple(ids[8:n_per] + ids[n_per + 8:]),
-                      shot_count=8)
+                      tuple(ids[8:n_per] + ids[n_per + 8:]))
     return emb, labels, split
 
 
 def test_classify_linearly_separable_is_perfect():
     emb, labels, split = separable_fixture()
-    rep = classify_train_eval(emb, split, labels, epochs=200, seed=0)
+    rep = classify_train_eval(emb, split, labels, epochs=200, lr=0.1)
     assert rep.value == 1.0
 
 
@@ -97,22 +100,22 @@ def test_classify_shuffled_labels_is_chance_level():
     rng = np.random.default_rng(3)
     n_classes, per = 5, 30
     accs = []
-    for seed in range(5):
+    for _ in range(5):
         emb = {i: rng.standard_normal(8) for i in range(n_classes * per)}
         labels = {i: i % n_classes for i in emb}
         train = tuple(range(0, n_classes * 8))
         test = tuple(range(n_classes * 8, n_classes * per))
-        split = TaskSplit(train, (), test, 8)
-        accs.append(classify_train_eval(emb, split, labels, 100, seed).value)
+        split = TaskSplit(train, (), test)
+        accs.append(classify_train_eval(emb, split, labels, 100, 0.1).value)
     assert abs(np.mean(accs) - 1 / n_classes) < 0.1
 
 
 def test_classify_single_class_errors():
     emb = {0: np.ones(3), 1: np.ones(3)}
     labels = {0: 1, 1: 1}
-    split = TaskSplit((0,), (), (1,), 1)
+    split = TaskSplit((0,), (), (1,))
     with pytest.raises(ValueError):
-        classify_train_eval(emb, split, labels, 10, 0)
+        classify_train_eval(emb, split, labels, 10, 0.1)
 
 
 # -- BM25 -----------------------------------------------------------------------
@@ -259,7 +262,40 @@ def test_rerank_empty_candidates_error():
 
 
 def test_eval_report_bounds_and_json():
-    rep = EvalReport("t", "ACC", 0.5, 3, "abc")
-    assert '"value": 0.5' in rep.to_json()
+    rep = EvalReport("t", "ACC", 0.5, {"queries": 3, "mrr": 0.25})
+    # the CLI stamps the seed and config digest onto these fields
+    assert json.loads(json.dumps(dataclasses.asdict(rep))) == {
+        "task": "t", "metric": "ACC", "value": 0.5, "details": {"queries": 3, "mrr": 0.25}}
     with pytest.raises(ValueError):
-        EvalReport("t", "ACC", 1.5, 0, "x")
+        EvalReport("t", "ACC", 1.5, {})
+
+
+# -- the one ranking rule ----------------------------------------------------------
+
+
+def lexsort_rank(scores, ids, gold):
+    """Oracle: gold's position in the full lexsort ranking, or None."""
+    at = np.flatnonzero(ids[np.lexsort((ids, -scores))] == gold)
+    return int(at[0]) if len(at) else None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gold_rank_matches_the_lexsort_oracle_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    ids = rng.permutation(40)[:n]
+    # few distinct values, so most scores tie with another
+    scores = rng.integers(-2, 3, size=n).astype(np.float32) * np.float32(0.5)
+    for gold in ids:
+        assert gold_rank(scores, ids, gold) == lexsort_rank(scores, ids, gold)
+    assert sorted(gold_rank(scores, ids, g) for g in ids) == list(range(n))
+    absent = next(i for i in range(40) if i not in ids)
+    assert gold_rank(scores, ids, absent) is None
+    assert lexsort_rank(scores, ids, absent) is None
+
+
+def test_gold_rank_treats_signed_zeros_as_a_tie():
+    ids = np.array([3, 1, 2, 0])
+    scores = np.array([0.0, -0.0, 0.0, -0.0])
+    for gold in ids:
+        assert gold_rank(scores, ids, gold) == lexsort_rank(scores, ids, gold) == gold
