@@ -224,6 +224,8 @@ def attention_block(
     lp: LayerParams,
     heads: int,
     key_mask: np.ndarray | None = None,
+    *,
+    cls_only: bool = False,
 ) -> Tensor:
     """Asymmetric multi-head attention over (N, T, d) states with an optional
     (N, d) graph-enhanced token prepended to keys/values only: the q, k and v
@@ -231,6 +233,8 @@ def attention_block(
     weighted sum of values). Returns the context before the output projection.
 
     key_mask, if given, is (N, T) with True marking attendable positions.
+    With `cls_only`, only position 0 ([CLS]) queries, over the same keys and
+    values, and the context is (N, 1, d).
     """
     kv, mask = x, None
     if agg is not None:
@@ -239,8 +243,13 @@ def attention_block(
             key_mask = np.concatenate([np.ones((len(key_mask), 1), bool), key_mask], axis=1)
     if key_mask is not None:
         mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype)
-    return ad.attention(ad.linear(x, lp.wq, lp.bq), ad.linear(kv, lp.wk, lp.bk),
+    q = x[:, :1] if cls_only else x
+    return ad.attention(ad.linear(q, lp.wq, lp.bq), ad.linear(kv, lp.wk, lp.bk),
                         ad.linear(kv, lp.wv, lp.bv), heads, mask)
+
+
+def _slice(a, key):
+    return None if a is None else a[key]
 
 
 def transformer_block(
@@ -250,7 +259,9 @@ def transformer_block(
     heads: int,
     key_mask: np.ndarray | None = None,
     rows: int | None = None,
-) -> Tensor:
+    *,
+    full_rows: int | None = None,
+):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as two fused
     `ad.linear_residual_norm` nodes (output linear, residual, LN) and an
     `ad.linear_gelu`. The agg token is consumed by the attention; output
@@ -264,7 +275,33 @@ def transformer_block(
     the input order with the trimmed columns 0. Sequences do not interact
     inside a block, so real positions get the same output up to rounding,
     while no chunk spends work on the PAD columns it trimmed. The chunks are
-    row gathers and slices, so gradients flow through them too."""
+    row gathers and slices, so gradients flow through them too.
+
+    With `full_rows` = f, only the first f sequences keep their token states.
+    The others run their [CLS] row alone: it queries the same keys and values
+    as in the full block, so it gets the same output up to rounding, and no
+    other position is computed. The block then returns (states, cls): the
+    (f, T, d) token states, None when f is 0, and the (N, d) [CLS] output of
+    every sequence."""
+    if full_rows is None:
+        return _block(x, agg, lp, heads, key_mask, rows, False)
+    n, f = x.shape[0], full_rows
+    if f == n:
+        states = _block(x, agg, lp, heads, key_mask, rows, False)
+        return states, states[:, 0, :]
+    if f == 0:
+        return None, ad.reshape(_block(x, agg, lp, heads, key_mask, rows, True), (n, -1))
+    head, tail = slice(None, f), slice(f, None)
+    states, top = transformer_block(x[head], _slice(agg, head), lp, heads,
+                                    _slice(key_mask, head), rows, full_rows=f)
+    _, rest = transformer_block(x[tail], _slice(agg, tail), lp, heads,
+                                _slice(key_mask, tail), rows, full_rows=0)
+    return states, ad.concat([top, rest])
+
+
+def _block(x, agg, lp, heads, key_mask, rows, cls_only: bool) -> Tensor:
+    """transformer_block's output for every sequence of x, in row chunks
+    when `rows` is set; with `cls_only`, only the (N, 1, d) [CLS] rows."""
     if key_mask is not None and key_mask.all():
         key_mask = None  # no PAD: nothing to mask or zero
     if rows is not None:
@@ -275,17 +312,21 @@ def transformer_block(
         for i in range(0, n, rows):
             idx = order[i:i + rows]
             width = int(ends[idx[-1]])  # sorted ascending: the last is the longest
-            part = transformer_block(ad.take_rows(x, idx)[:, :width],
-                                     None if agg is None else ad.take_rows(agg, idx), lp,
-                                     heads, None if key_mask is None else key_mask[idx, :width])
-            if width < t:
+            part = _block(ad.take_rows(x, idx)[:, :width],
+                          None if agg is None else ad.take_rows(agg, idx), lp, heads,
+                          None if key_mask is None else key_mask[idx, :width], None, cls_only)
+            if width < t and not cls_only:
                 pad = np.zeros((len(idx), t - width, d), x.dtype)
                 part = ad.concat([part, Tensor(pad)], axis=1)
             parts.append(part)
         joined = ad.concat(parts, axis=0)
         del parts  # without a tape nothing else holds the chunks
         return ad.take_rows(joined, np.argsort(order))
-    ctx = attention_block(x, agg, lp, heads, key_mask=key_mask)
+    if cls_only:
+        ctx = attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=True)
+        x, key_mask = x[:, :1], None  # position 0 is [CLS], never PAD
+    else:
+        ctx = attention_block(x, agg, lp, heads, key_mask=key_mask)
     h = ad.linear_residual_norm(x, ctx, lp.wo, lp.bo, lp.ln1_g, lp.ln1_b)
     out = ad.linear_residual_norm(h, ad.linear_gelu(h, lp.w_up, lp.b_up), lp.w_down,
                                   lp.b_down, lp.ln2_g, lp.ln2_b)

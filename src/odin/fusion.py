@@ -14,6 +14,14 @@ sorted. Every frontier is then the first |B_a| rows, and a layer runs on a
 slice. Nodes that fall outside the current frontier freeze: their [CLS] row
 keeps the value of the last layer that ran them, and later aggregations read
 it there.
+
+Aggregation reads only [CLS] states, so a node's token states matter only
+while the next layer runs it. Each block therefore keeps full token states
+for the rows the next layer runs and computes only the [CLS] row of the
+others, the nodes that leave the frontier after it. The last layer's reader
+is the caller: it keeps token states for the batch only when asked
+(`token_states`, for the masked-token loss), and otherwise runs just the
+batch's [CLS], so the other nodes of its frontier freeze one layer earlier.
 """
 
 from __future__ import annotations
@@ -102,12 +110,15 @@ class _Frontier:
 class ForwardResult:
     batch_nodes: tuple[int, ...]      # sorted batch ids; rows of cls/final_states
     cls: Tensor                       # (B, d) final [CLS] per batch node
-    final_states: Tensor              # (B, T, d) final token states per batch node;
-                                      # exactly 0 at PAD positions
+    final_states: Tensor | None       # (B, T, d) final token states per batch node,
+                                      # exactly 0 at PAD positions; None unless the
+                                      # forward ran with token_states
     base_nodes: tuple[int, ...]       # row order of base_cls and cls_trace: the prefix
                                       # order of B_0 (batch first), not sorted
-    base_cls: Tensor                  # (|B_0|, d) last computed [CLS] of every node;
-                                      # a frozen node keeps the row it had when it left
+    base_cls: Tensor                  # (|B_0|, d) last computed [CLS] of every node: a
+                                      # node keeps the row of the last layer that ran it,
+                                      # which without token_states is layer L-2 for the
+                                      # last frontier's non-batch nodes
     cls_trace: list[np.ndarray] | None = None  # per-layer (|B_0|, d) snapshots
 
 
@@ -149,13 +160,15 @@ def _batch_tg(cls_act: Tensor, mean_nb: Tensor, sp: StageParams) -> Tensor:
     return ad.matmul(mean_nb, sp.w1.T) + ad.matmul(cls_act, sp.w2.T)
 
 
-def _check_finite(data: np.ndarray, layer: int, order):
-    """Rows of `data` are the first rows of the prefix order."""
-    if np.isfinite(data).all():
-        return
-    bad_rows = np.where(~np.isfinite(data.reshape(data.shape[0], -1)).all(axis=1))[0]
-    node = order[bad_rows[0]] if len(bad_rows) else "?"
-    raise FloatingPointError(f"non-finite activation at layer {layer}, node {node}")
+def _check_finite(states: Tensor | None, cls: Tensor, layer: int, order):
+    """Raise on a non-finite [CLS] row or token state of a layer's output;
+    rows of both are the first rows of the prefix order."""
+    for data in (cls.data, None if states is None else states.data):
+        if data is None or np.isfinite(data).all():
+            continue
+        bad_rows = np.where(~np.isfinite(data.reshape(data.shape[0], -1)).all(axis=1))[0]
+        raise FloatingPointError(f"non-finite activation at layer {layer}, "
+                                 f"node {order[bad_rows[0]]}")
 
 
 def pad_tokens(tokens_by_node, order):
@@ -178,12 +191,17 @@ def odin_forward(
     init_features: dict | None = None,
     record_trace: bool = False,
     rows: int | None = None,
+    token_states: bool = False,
 ) -> ForwardResult:
     """Run the full layer stack over a sampled subgraph.
 
-    Returns final [CLS] vectors (and final token states) for the batch
-    frontier only. `rows`, if set, bounds how many nodes each Transformer
-    block processes at once, in chunks trimmed of PAD (see
+    Returns final [CLS] vectors for the batch frontier, and with
+    `token_states` their final token states too. Each block keeps full token
+    states only for the rows the next layer runs; the other rows it runs
+    emit [CLS] alone (see transformer_block). Without `token_states` the last
+    layer runs only the batch's [CLS]; the identity encoder below keeps its
+    whole frontier there. `rows`, if set, bounds how many nodes
+    each Transformer block processes at once, in chunks trimmed of PAD (see
     transformer_block); the result is the same up to rounding.
     Given `init_features` (node -> vector), the text encoder is the
     identity: `tokens_by_node` is ignored, the Transformer blocks are skipped
@@ -203,10 +221,22 @@ def odin_forward(
                           f"stage(s) does not fit {schedule}")
     order = _prefix_order(sub)
     frontiers = _build_frontiers(sub, order)
+    b = len(sub.batch)
     heads = params.dims.heads
     trace: list[np.ndarray] | None = [] if record_trace else None
-
     identity_encoder = init_features is not None
+
+    # row plan: the frontier each layer runs (the hop counter advances after
+    # every aggregation layer), and how many of its rows keep token states:
+    # those the next layer runs, or at the last layer those the caller reads
+    plan, m = [], 0
+    for layer in range(schedule.depth):
+        plan.append(frontiers[min(m, sub.hop_count)])
+        m += schedule.is_tg(layer)
+    if not (token_states or identity_encoder):
+        plan[-1] = frontiers[-1]  # the batch
+    keep = [fr.size for fr in plan[1:]] + [b if token_states else 0]
+
     if identity_encoder:
         cls_all = Tensor(np.stack([init_features[v] for v in order]))
         states = None
@@ -216,19 +246,18 @@ def odin_forward(
             raise ValueError(f"missing token states for sampled node(s) {missing[:5]}")
         token_mat, lengths = pad_tokens(tokens_by_node, order)
         key_mask = np.arange(token_mat.shape[1])[None, :] < lengths[:, None]
-        states = embed_batch(token_mat, params)
-        states = transformer_block(states, None, params.layers[0], heads, key_mask, rows)
-        _check_finite(states.data, 0, order)
-        cls_all = states[:, 0, :]
+        states, cls_all = transformer_block(embed_batch(token_mat, params), None,
+                                            params.layers[0], heads, key_mask, rows,
+                                            full_rows=keep[0])
+        _check_finite(states, cls_all, 0, order)
     if trace is not None:
         trace.append(cls_all.data.copy())
 
-    # m counts the aggregation stages run so far; it selects the frontier,
-    # and stage m - 1 produced last_agg
+    # m counts the aggregation stages run so far; stage m - 1 produced last_agg
     m = 0
     last_agg = None
     for layer in range(1, schedule.depth):
-        fr = frontiers[min(m, sub.hop_count)]
+        fr = plan[layer]
         n = fr.size
         cls_act = cls_all[:n]
         is_tg = schedule.is_tg(layer)
@@ -248,15 +277,12 @@ def odin_forward(
 
         if identity_encoder:
             new_cls = cls_act if agg is None else ad.tanh(agg)
-            _check_finite(new_cls.data, layer, order)
+            _check_finite(None, new_cls, layer, order)
         else:
-            if n < states.shape[0]:
-                states = states[:n]
-                key_mask = key_mask[:n]
-            states = transformer_block(states, agg, params.layers[layer], heads,
-                                       key_mask, rows)
-            _check_finite(states.data, layer, order)
-            new_cls = states[:, 0, :]
+            # the previous block kept token states for exactly these n rows
+            states, new_cls = transformer_block(states, agg, params.layers[layer], heads,
+                                                key_mask[:n], rows, full_rows=keep[layer])
+            _check_finite(states, new_cls, layer, order)
         cls_all = ad.concat([new_cls, cls_all[n:]]) if n < len(order) else new_cls
 
         if is_tg:
@@ -265,12 +291,13 @@ def odin_forward(
         if trace is not None:
             trace.append(cls_all.data.copy())
 
-    b = len(sub.batch)
     cls_out = cls_all[:b]
-    if identity_encoder:
+    if not token_states:
+        final_states = None
+    elif identity_encoder:
         final_states = ad.reshape(cls_out, (b, 1, -1))
     else:
-        final_states = states[:b]
+        final_states = states
     return ForwardResult(
         batch_nodes=sub.batch,
         cls=cls_out,

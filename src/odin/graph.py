@@ -83,7 +83,8 @@ class TextGraph:
         else:
             raise ValueError(f"unknown label kind {kind!r}")
         if got is None:
-            raise ValueError(f"graph carries no {kind} labels")
+            raise GraphFormatError(f"graph carries no {kind} labels: no node record "
+                                   f"has a {kind}_label field")
         return got
 
 
@@ -218,8 +219,9 @@ def save_graph(graph: TextGraph, node_file, edge_file, label_file=None) -> None:
 def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) -> TaskSplit:
     """k training examples per class; leftover nodes split 50/50 valid/test.
 
-    Classes with fewer than k members contribute everything to train (with a
-    warning). Unlabeled nodes are excluded. Deterministic under seed.
+    Classes with fewer than k members contribute everything to train (with
+    one warning that names them all). Unlabeled nodes are excluded.
+    Deterministic under seed.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -231,15 +233,13 @@ def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) ->
     train: list[int] = []
     valid: list[int] = []
     test: list[int] = []
+    short: list = []
     for lab in sorted(by_class):
         members = by_class[lab]
         rng = generator(seed, "few_shot", label_kind, lab)
         order = [members[i] for i in rng.permutation(len(members))]
         if len(order) < k:
-            log.warning(
-                "class %r has %d member(s), fewer than k=%d; all go to train",
-                lab, len(order), k,
-            )
+            short.append(lab)
             train.extend(order)
             continue
         train.extend(order[:k])
@@ -247,4 +247,8 @@ def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) ->
         half = len(rest) // 2
         valid.extend(rest[:half])
         test.extend(rest[half:])
+    if short:
+        log.warning("%d of %d %s class(es) have fewer than k=%d members; all their nodes "
+                    "go to train: %s", len(short), len(by_class), label_kind, k,
+                    ", ".join(map(repr, short)))
     return TaskSplit(tuple(sorted(train)), tuple(sorted(valid)), tuple(sorted(test)))

@@ -242,7 +242,7 @@ def pretrain_step(
     plan, masked = plan_masks({v: tokens[v] for v in sub.batch}, graph, mask_ratio,
                               step_seed, vocab.mask_id, neighbor_pool=sub.sampled_adj)
     tokens.update(masked)
-    res = odin_forward(graph, sub, tokens, params, schedule)
+    res = odin_forward(graph, sub, tokens, params, schedule, token_states=True)
     l1 = mnp_loss(res.base_cls, res.base_nodes, plan)
     l2 = nmlm_loss(res.final_states, res.batch_nodes, plan, params)
     loss = l1 + l2

@@ -11,9 +11,10 @@ Inference rule: a node's embedding is the final [CLS] that odin_forward
 returns for it when the batch is the whole graph. It does not depend on
 which other nodes are requested, and it depends on how nodes are batched
 only through float32 rounding (at most 1e-5, a bound a test checks). The
-pass encodes num_nodes x depth node-layers whatever nodes are requested;
-each layer costs the sum of its chunks' widths, not num_nodes x the longest
-text.
+pass encodes num_nodes x depth node-layers whatever nodes are requested, the
+last layer's as [CLS] rows only (no caller reads an embedding's token
+states); each full layer costs the sum of its chunks' widths, not
+num_nodes x the longest text.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .checkpoint import CheckpointError, load_model, save_model
 from .config import RunConfig
 from .encoder import ConfigError, Vocab, as_param, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
-from .graph import TaskSplit, TextGraph, make_few_shot_split
+from .graph import GraphFormatError, TaskSplit, TextGraph, make_few_shot_split
 from .objectives import make_optimizer, optimize, pretrain_step, softmax_xent
 from .rngutil import generator, sub_seed
 from .sampler import sample_frontiers
@@ -46,6 +47,10 @@ from .tasks import (
 )
 
 log = logging.getLogger(__name__)
+
+# the settings that fix the BLAS thread count, which moves losses in the last
+# ULP; every train_log.jsonl row records them (None when unset)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
@@ -138,6 +143,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
     if start_epoch:
         _rewind_log(log_path, global_step)
     mode = "a" if start_epoch else "w"
+    blas_threads = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     with open(log_path, mode, encoding="utf-8") as log_fh:
         for epoch in range(start_epoch, p.epochs):
             order = generator(cfg.seed, "order", epoch).permutation(len(train_nodes))
@@ -147,7 +153,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
                 rec = pretrain_step(batch.tolist(), graph, params, cfg.schedule, optimizer,
                                     vocab, sub_seed(cfg.seed, "step", epoch, i),
                                     fanout=cfg.sampler.fanout, mask_ratio=p.mask_ratio)
-                rec.update(step=global_step, epoch=epoch)
+                rec.update(step=global_step, epoch=epoch, **blas_threads)
                 log_fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 total += rec["total"]
                 global_step += 1
@@ -186,12 +192,13 @@ def compute_embeddings(
     the whole graph, so it does not depend on batching. Every frontier is then
     the whole graph, no node freezes, and each node's neighbors are drawn
     once, at the batch-node hop. The pass costs num_nodes x depth node-layers
-    whatever `nodes` is; restricting it to the connected components that hold
-    `nodes` is not done. Each Transformer block runs over chunks of at most
-    `batch_size` nodes of similar text length, each trimmed to its longest
-    text (see transformer_block), so a layer encodes the sum over chunks of
-    chunk size x chunk width token rows rather than num_nodes x the longest
-    text. `batch_size` bounds memory; it moves an embedding only by rounding
+    whatever `nodes` is, the last layer's as [CLS] rows only; restricting it
+    to the connected components that hold `nodes` is not done. Each
+    Transformer block runs over chunks of at most `batch_size` nodes of
+    similar text length, each trimmed to its longest text (see
+    transformer_block), so a layer encodes the sum over chunks of chunk size
+    x chunk width token rows rather than num_nodes x the longest text.
+    `batch_size` bounds memory; it moves an embedding only by rounding
     (at most 1e-5 in float32, 1e-13 in float64), and for a fixed `batch_size`
     embeddings repeat bit for bit whatever `nodes` is. Embeddings have the
     parameters' dtype, float32.
@@ -336,8 +343,6 @@ def run_classify(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport
 def dpr_finetune(cfg, graph, params, vocab, split, labels) -> None:
     """In-batch contrastive training of node-vs-label-name encodings with one
     BM25-mined hard negative label per node."""
-    if graph.label_names is None:
-        raise ValueError("graph carries no label names")
     label_ids = sorted(graph.label_names)
     index = Bm25Index([word_tokens(graph.label_names[i]) for i in label_ids])
     hard_neg: dict[int, int] = {}
@@ -359,6 +364,9 @@ def _label_task(cfg, graph, params, vocab, shots: str, finetune: bool):
     """What retrieve and rerank score after the fine-label split at
     task.<shots> and, with `finetune`, a DPR fine-tune: (test node
     embeddings, label embeddings, gold label per test node)."""
+    if graph.label_names is None:
+        raise GraphFormatError("graph carries no label names: retrieve and rerank read "
+                               "them from labels.jsonl beside nodes.jsonl")
     labels = graph.labels("fine")
     split = _few_shot_split(cfg, graph, shots, "fine")
     if finetune:

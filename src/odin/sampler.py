@@ -82,9 +82,13 @@ def sample_frontiers(
 
 
 def encoded_node_count(sub: SampledSubgraph, depth: int, tg_positions) -> int:
-    """Total node encodings one forward pass performs: layer 0 runs over B_0,
-    and each later layer runs over the frontier selected by the hop counter,
-    which advances after every graph-aggregation layer."""
+    """Total node encodings one forward pass performs with token states (as
+    pretraining runs it): layer 0 runs over B_0, and each later layer runs
+    over the frontier selected by the hop counter, which advances after every
+    graph-aggregation layer. The count includes the node-layers that run
+    their [CLS] row only, those of nodes leaving the frontier after that
+    layer; a forward without token states runs only the batch at the last
+    layer, not its whole frontier."""
     positions = set(tg_positions)
     total = len(sub.base)
     m = 0

@@ -1,6 +1,6 @@
 """Shared test oracles: central finite differences, reference forms of the
-autodiff primitives, of the per-pair losses and of the per-node forward, and
-random tensors."""
+autodiff primitives, of the per-pair losses, of the per-node forward and of
+the forward without a row plan, and random tensors."""
 
 import logging
 from dataclasses import dataclass, field
@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from odin import autodiff as ad
+from odin import fusion
 from odin.autodiff import Tensor
 from odin.encoder import embed_batch, transformer_block
 
@@ -267,3 +268,44 @@ def per_node_forward(sub, tokens_by_node, params, schedule):
             cache.stage = m
             m += 1
     return states
+
+
+def full_row_forward(sub, tokens_by_node, params, schedule, rows=None):
+    """odin_forward without its row plan: every layer runs every row of its
+    frontier as a full block, the last layer too, and the result carries
+    the batch's final token states. Same aggregation and prefix order; the
+    oracle the row plan is checked against."""
+    order = fusion._prefix_order(sub)
+    frontiers = fusion._build_frontiers(sub, order)
+    heads = params.dims.heads
+    token_mat, lengths = fusion.pad_tokens(tokens_by_node, order)
+    key_mask = np.arange(token_mat.shape[1])[None, :] < lengths[:, None]
+    states = transformer_block(embed_batch(token_mat, params), None, params.layers[0], heads,
+                               key_mask, rows)
+    cls_all = states[:, 0, :]
+    trace = [cls_all.data.copy()]
+    m, last_agg = 0, None
+    for layer in range(1, schedule.depth):
+        fr = frontiers[min(m, sub.hop_count)]
+        n = fr.size
+        cls_act = cls_all[:n]
+        agg = None
+        if schedule.is_tg(layer):
+            agg = fusion._batch_tg(cls_act, fusion._neighbor_mean(cls_all, fr), params.stages[m])
+        elif schedule.strategy == "ME":
+            total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
+            agg = (total + cls_act) * (1.0 / (fr.counts + 1.0))
+        elif schedule.strategy == "PE" and m > 0:
+            agg = last_agg[:n]
+        elif schedule.strategy == "PG" and m > 0:
+            agg = fusion._batch_tg(cls_act, fusion._neighbor_mean(cls_all, fr),
+                                   params.stages[m - 1])
+        states = transformer_block(states[:n], agg, params.layers[layer], heads, key_mask[:n],
+                                   rows)
+        cls_all = ad.concat([states[:, 0, :], cls_all[n:]]) if n < len(order) else states[:, 0, :]
+        if schedule.is_tg(layer):
+            last_agg = agg
+            m += 1
+        trace.append(cls_all.data.copy())
+    b = len(sub.batch)
+    return fusion.ForwardResult(sub.batch, cls_all[:b], states[:b], order, cls_all, trace)

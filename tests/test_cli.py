@@ -205,6 +205,41 @@ def test_shots_that_leave_nothing_to_evaluate_end_in_one_error_line(
     assert not (tmp_path / "run" / command).exists()
 
 
+
+def _drop_label_field(path, field):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({k: v for k, v in row.items() if k != field}) + "\n"
+                            for row in rows))
+
+
+# what a task reads -> how the error names it when the graph lacks it
+MISSING_LABELS = {
+    "labels.jsonl": "no label names: .* labels.jsonl",
+    "fine_label": "no fine labels: .* fine_label field",
+    "coarse_label": "no coarse labels: .* coarse_label field",
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("task,missing", [
+    ("retrieve", "labels.jsonl"), ("rerank", "labels.jsonl"), ("retrieve", "fine_label"),
+    ("classify", "coarse_label"),
+])
+def test_a_graph_without_the_task_labels_ends_in_one_error_line(
+        tmp_path, monkeypatch, capsys, command, task, missing):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    if missing == "labels.jsonl":
+        (tmp_path / "data" / "labels.jsonl").unlink()
+    else:
+        _drop_label_field(tmp_path / "data" / "nodes.jsonl", missing)
+    for name in ("finetune_classify", "dpr_finetune"):
+        monkeypatch.setattr(runner, name, lambda *a: pytest.fail("fine-tuned before the check"))
+    _rejected(capsys, _argv(command, "--task", task), MISSING_LABELS[missing])
+    assert not (tmp_path / "run" / command).exists()
+
+
 def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()

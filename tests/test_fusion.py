@@ -13,12 +13,15 @@ from odin.config import RunConfig
 from odin.encoder import ConfigError, ModelDims, build_vocab
 from odin.fusion import LayerSchedule, light_preset, odin_forward, tokenize_nodes
 from odin.graph import TextGraph
+from odin.objectives import mnp_loss, nmlm_loss, plan_masks
+from odin.runner import linkpred_loss
 from odin.sampler import sample_frontiers
 
 from helpers import (
     AggCache,
     as_float64,
     finite_diff_check,
+    full_row_forward,
     per_node_forward,
     simple_aggregate,
     tg_aggregate,
@@ -219,7 +222,8 @@ def test_no_aggregation_schedule_equals_per_node_transformer():
 def test_single_isolated_node_tg_layers_inject_self_term():
     g = TextGraph(("only one node here",), frozenset())
     vocab, schedule, params = build_model(g, depth=3, positions=[1], strategy="PG")
-    res, _ = run_forward(g, [0], schedule, params, vocab)
+    # token states make the last block a full one, like the composition's
+    res, _ = run_forward(g, [0], schedule, params, vocab, token_states=True)
 
     # audited sub-op composition: layer 0 plain, layer 1 with agg = W2 @ cls,
     # layer 2 PG reuses stage 0 weights on the newer cls
@@ -363,7 +367,8 @@ def test_forward_matches_per_node_reference(strategy, caplog):
     with caplog.at_level(logging.WARNING):
         vocab, schedule, params = build_model(g, 6, [2, 4], strategy, seed=6)
         as_float64(params)
-        res, sub = run_forward(g, [0, 3, 5], schedule, params, vocab, fanout=2, seed=4)
+        res, sub = run_forward(g, [0, 3, 5], schedule, params, vocab, fanout=2, seed=4,
+                               token_states=True)
     assert "using VA" not in caplog.text
     assert len(sub.batch) < len(sub.budget(1)) < len(sub.base)
     tokens = tokenize_nodes(g, sub.base, vocab, params.dims.max_len)
@@ -399,7 +404,10 @@ def test_forward_gradients_flow_to_stage_weights():
     g = toy_graph(15, seed=11)
     vocab, schedule, params = build_model(g, 3, [1], "PG", d=4, max_len=6)
     res, _ = run_forward(g, [0, 1], schedule, params, vocab)
-    loss = (res.cls * res.cls).sum()
+    # not (cls * cls).sum(): a unit-gain layer norm output has a constant norm,
+    # so that loss has a zero gradient and only rounding would reach the stages
+    weights = np.random.default_rng(0).standard_normal(res.cls.shape)
+    loss = (res.cls * Tensor(weights)).sum()
     loss.backward()
     assert params.stages[0].w1.grad is not None
     assert np.any(params.stages[0].w1.grad != 0.0)
@@ -434,3 +442,146 @@ def test_encode_texts_isolated():
     tokens = tokenize_nodes(lone, [0], vocab, params.dims.max_len)
     res = odin_forward(lone, sub, tokens, params, schedule)
     assert np.max(np.abs(out.data[0] - res.cls.data[0])) < 1e-9
+
+
+# -- row plan ------------------------------------------------------------------------
+
+# depth 6 with stages at 2 and 5: layers 0-2 run B_0, layers 3-5 run B_1, and
+# the last layer's frontier B_1 is wider than the batch, as in the default
+# (1, 6, 11) schedule
+PLAN_BATCH = (0, 3, 5)
+PLAN_TOL = {True: 1e-12, False: 1e-5}  # float64, float32
+
+
+def _plan_case(strategy="PG", float64=True):
+    # texts of 2..5 words, so the token matrix has PAD and row chunks trim it
+    g = toy_graph(40, extra_edges=((0, 9), (3, 17), (5, 30), (12, 33)), seed=13)
+    vocab, schedule, params = build_model(g, 6, [2, 5], strategy, seed=6)
+    if float64:
+        as_float64(params)
+    sub = sample_frontiers(g, PLAN_BATCH, 2, fanout=2, seed=4)
+    assert len(sub.batch) < len(sub.budget(1)) < len(sub.base)
+    tokens = tokenize_nodes(g, sub.base, vocab, params.dims.max_len)
+    return g, sub, tokens, params, schedule
+
+
+@pytest.mark.parametrize("token_states", [False, True])
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("float64", [True, False])
+@pytest.mark.parametrize("strategy", ["VA", "ME", "PE", "PG"])
+def test_row_plan_matches_the_full_row_oracle(strategy, float64, rows, token_states, caplog):
+    with caplog.at_level(logging.WARNING):
+        g, sub, tokens, params, schedule = _plan_case(strategy, float64)
+    tol = PLAN_TOL[float64]
+    res = odin_forward(g, sub, tokens, params, schedule, rows=rows, record_trace=True,
+                       token_states=token_states)
+    want = full_row_forward(sub, tokens, params, schedule)
+    assert res.base_nodes == want.base_nodes
+    np.testing.assert_allclose(res.cls.data, want.cls.data, rtol=0, atol=tol)
+    if token_states:
+        np.testing.assert_allclose(res.final_states.data, want.final_states.data,
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(res.base_cls.data, want.base_cls.data, rtol=0, atol=tol)
+    else:
+        assert res.final_states is None
+        # the last frontier's other nodes were last run at layer 4
+        b, last = len(sub.batch), len(sub.budget(1))
+        np.testing.assert_allclose(res.base_cls.data[:b], want.base_cls.data[:b],
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(res.base_cls.data[b:last], want.cls_trace[-2][b:last],
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(res.base_cls.data[last:], want.base_cls.data[last:],
+                                   rtol=0, atol=tol)
+    b = len(sub.batch)
+    for got, ref in zip(res.cls_trace, want.cls_trace, strict=True):
+        np.testing.assert_allclose(got[:b], ref[:b], rtol=0, atol=tol)
+
+
+def _grads(params, loss):
+    for _, p in params.named_parameters():
+        p.zero_grad()
+    loss.backward()
+    return {name: p.grad.copy() for name, p in params.named_parameters() if p.grad is not None}
+
+
+def _assert_same_grads(got, want, tol):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("float64", [True, False])
+def test_row_plan_gives_the_oracle_gradients(float64, rows):
+    g, sub, tokens, params, schedule = _plan_case("PG", float64)
+    tol = PLAN_TOL[float64]
+    pairs = [(0, 3), (3, 5), (5, 0)]
+    got = _grads(params, linkpred_loss(
+        odin_forward(g, sub, tokens, params, schedule, rows=rows).cls, PLAN_BATCH, pairs))
+    want = _grads(params, linkpred_loss(
+        full_row_forward(sub, tokens, params, schedule).cls, PLAN_BATCH, pairs))
+    assert "stages.1.w1" in got
+    _assert_same_grads(got, want, tol)
+
+    # the pretrain loss: contrastive pairs on base_cls, masked tokens on final states
+    plan, masked = plan_masks({v: tokens[v] for v in sub.batch}, g, 0.3, 0, 2,
+                              neighbor_pool=sub.sampled_adj)
+    assert plan.num_pairs and plan.num_masked_tokens
+    tokens = {**tokens, **masked}
+
+    def pretrain_loss(res):
+        return (mnp_loss(res.base_cls, res.base_nodes, plan)
+                + nmlm_loss(res.final_states, res.batch_nodes, plan, params))
+
+    got = _grads(params, pretrain_loss(
+        odin_forward(g, sub, tokens, params, schedule, rows=rows, token_states=True)))
+    want = _grads(params, pretrain_loss(full_row_forward(sub, tokens, params, schedule)))
+    assert "mlm_head" in got
+    _assert_same_grads(got, want, tol)
+
+
+def _query_rows(monkeypatch, params):
+    """Patch attention_block; the returned dict maps a layer to the
+    sequences that queried with every token and with [CLS] only."""
+    seen = {}
+    attend = enc.attention_block
+
+    def record(x, agg, lp, heads, key_mask=None, *, cls_only=False):
+        layer = next(i for i, p in enumerate(params.layers) if p is lp)
+        counts = seen.setdefault(layer, [0, 0])
+        counts[cls_only] += x.shape[0]
+        return attend(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+
+    monkeypatch.setattr(enc, "attention_block", record)
+    return seen
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("token_states", [False, True])
+def test_cls_only_rows_are_where_the_frontier_shrinks(monkeypatch, token_states, rows):
+    g, sub, tokens, params, schedule = _plan_case()
+    seen = _query_rows(monkeypatch, params)
+    odin_forward(g, sub, tokens, params, schedule, rows=rows, token_states=token_states)
+    b0, b1, b = len(sub.base), len(sub.budget(1)), len(sub.batch)
+    # [full, [CLS]-only] sequences per layer; B_0 shrinks to B_1 after layer 2
+    want = {0: [b0, 0], 1: [b0, 0], 2: [b1, b0 - b1], 3: [b1, 0]}
+    if token_states:
+        want.update({4: [b1, 0], 5: [b, b1 - b]})
+    else:  # a fine-tune forward: the last layer runs the batch's [CLS] only
+        want.update({4: [b, b1 - b], 5: [0, b]})
+    assert seen == want
+
+
+def test_identity_mode_ignores_the_row_plan():
+    g, sub, _, params, schedule = _plan_case()
+    feats = {v: np.random.default_rng(v).standard_normal(8) for v in sub.base}
+    runs = [odin_forward(g, sub, {}, params, schedule, init_features=feats, record_trace=True,
+                         token_states=token_states) for token_states in (False, True)]
+    for got, want in zip(runs[0].cls_trace, runs[1].cls_trace, strict=True):
+        np.testing.assert_array_equal(got, want)
+    # the last layer ran all of B_1, not just the batch
+    last = len(sub.budget(1))
+    assert not np.allclose(runs[0].cls_trace[-1][:last], runs[0].cls_trace[-2][:last])
+    np.testing.assert_array_equal(runs[0].base_cls.data, runs[1].base_cls.data)
+    assert runs[0].final_states is None
+    assert runs[1].final_states.shape == (len(sub.batch), 1, 8)

@@ -164,6 +164,24 @@ def test_few_shot_small_class_all_in_train(caplog):
     assert "fewer than k" in caplog.text
 
 
+
+def test_few_shot_short_classes_log_one_warning(caplog):
+    # 12 classes of 2 members and one of 20: k=5 leaves 12 short classes
+    fine = tuple(i // 2 for i in range(24)) + (12,) * 20
+    g = TextGraph(tuple(f"t{i}" for i in range(len(fine))), frozenset(), fine_labels=fine)
+    with caplog.at_level(logging.WARNING, logger="odin.graph"):
+        split = make_few_shot_split(g, k=5, label_kind="fine", seed=0)
+    assert set(range(24)) <= set(split.train_ids)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    msg = caplog.records[0].getMessage()
+    assert msg.startswith("12 of 13 fine class(es) have fewer than k=5 members")
+    assert msg.endswith(": " + ", ".join(str(c) for c in range(12)))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="odin.graph"):
+        make_few_shot_split(g, k=2, label_kind="fine", seed=0)
+    assert not caplog.records
+
+
 def test_few_shot_per_class_counts():
     split = make_few_shot_split(labeled_graph(per_class=30, classes=3), 5, "fine", 7)
     g = labeled_graph(per_class=30, classes=3)

@@ -200,6 +200,38 @@ def test_block_in_row_chunks_gives_the_same_gradients():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+
+@pytest.mark.parametrize("rows", [None, 4])
+@pytest.mark.parametrize("full_rows", [0, 5, 11])
+def test_block_with_full_rows_matches_the_whole_block(full_rows, rows):
+    # 11 sequences with PAD: the first full_rows keep token states, the rest
+    # run [CLS] alone and must get the whole block's [CLS] and gradients
+    lp, x, agg, key_mask, params = _block_inputs(seed=4)
+    weights = np.random.default_rng(5).standard_normal(x.shape)
+    outs, grads = [], []
+    for plan in (None, full_rows):
+        for t in [p for _, p in params.named_parameters()] + [x, agg]:
+            t.zero_grad()
+        if plan is None:
+            whole = transformer_block(x, agg, lp, 2, key_mask)
+            states, cls = whole[:full_rows], whole[:, 0, :]
+        else:
+            states, cls = transformer_block(x, agg, lp, 2, key_mask, rows, full_rows=plan)
+            assert (states is None) == (full_rows == 0)
+        loss = (cls * weights[:, 0]).sum()
+        if full_rows:
+            loss = loss + (states * weights[:full_rows]).sum()
+        loss.backward()
+        outs.append([cls.data] + ([states.data] if full_rows else []))
+        grads.append([p.grad.copy() for _, p in params.named_parameters()
+                      if p.grad is not None] + [x.grad.copy(), agg.grad.copy()])
+    for want, got in zip(*outs, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert len(grads[0]) == len(grads[1]) == 18
+    for want, got in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # -- eval vs fine-tune --------------------------------------------------------------
 
 
@@ -334,6 +366,22 @@ def test_every_log_row_pairs_or_counts_each_batch_node(tmp_path):
     assert any(row["unpaired"] for row in rows) and any(row["pairs"] for row in rows)
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert "unpaired" not in report
+
+
+
+def test_every_log_row_records_the_blas_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    cfg = small_cfg(tmp_path, epochs=1, batch_size=6)
+    runner.run_pretrain(cfg, small_graph(), tmp_path / "run")
+    rows = [json.loads(line)
+            for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+    assert rows and all({name: row[name] for name in runner.BLAS_THREAD_VARS}
+                        == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                            "MKL_NUM_THREADS": "2"} for row in rows)
+    report = (tmp_path / "run" / "report.json").read_text()
+    assert not [name for name in runner.BLAS_THREAD_VARS if name in report]
 
 
 # -- resumed pretraining ---------------------------------------------------------------
