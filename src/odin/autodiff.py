@@ -25,10 +25,12 @@ Gradients are passed on and accumulated without copies. Fused closures build
 their result in fresh arrays: attention keeps its softmax weights and no other
 score-sized array, and gelu keeps its derivative instead of x and s. The
 post-norm block's fused nodes keep only what their backward reads, with the
-bits of the ops they fuse: `linear_gelu`, gelu(x @ w + b), keeps x and the
-gelu derivative; `linear_residual_norm`, layer_norm(r + x @ w + b), keeps x,
-xhat and inv. Row sums over the last axis are BLAS matvecs or einsum, so they
-can differ from numpy's pairwise `x.sum(axis=-1)` in the last ulps.
+bits of the ops they fuse: `linear_residual_norm`, layer_norm(r + x @ w + b),
+keeps x, xhat and inv; `mlp_residual_norm`, the MLP sublayer, keeps xhat and
+inv and recomputes its 4d-wide hidden layer in backward, tile by tile, from
+its input h (see its docstring for the bits across tiles). Row sums over
+the last axis are BLAS matvecs or einsum, so they can differ from numpy's
+pairwise `x.sum(axis=-1)` in the last ulps.
 """
 
 from __future__ import annotations
@@ -650,17 +652,79 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), parents, backward)
 
 
-def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """gelu(x @ w + b) as one tape node; gelu overwrites the GEMM's output."""
-    x2d = x.data.reshape(-1, x.shape[-1])
-    u = x2d @ w.data
-    u += b.data
-    out_data, deriv = _gelu_(u, True, _on_tape((x, w, b)))
+# Rows per tile of mlp_residual_norm's hidden layer on the tape: at d=32 a
+# 256 x 4d float32 tile is 128 KiB, which malloc reuses from step to step;
+# tiles of 512 rows or more faulted 2-7x as many fresh pages per pretrain step.
+_TILE = 256
+
+
+def _row_tiles(n: int, tile: int) -> list[slice]:
+    """Slices of `tile` rows over n rows. A last tile of one row joins the one
+    before: numpy runs a one-row product as a matrix-vector product, whose
+    bits can differ from the GEMM's."""
+    starts = list(range(0, n, tile))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _plus(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part, in place in `total`, a fresh array of an earlier tile."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def mlp_residual_norm(h: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor,
+                      b_down: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """layer_norm(h + gelu(h @ w_up + b_up) @ w_down + b_down, gain, bias), the
+    post-norm MLP sublayer, as one tape node.
+
+    On the tape the hidden layer runs in tiles of _TILE rows and is never
+    kept: backward recomputes each tile's hidden layer and gelu derivative
+    from h and sums the weight and bias gradients tile by tile. Off the tape
+    it runs in one pass. A GEMM's row does not depend on the other rows, so
+    the output has the bits of the composed ops however the rows are tiled,
+    and so do all gradients within one tile; across tiles, those of w_up,
+    b_up and w_down are sums of per-tile products, equal up to rounding."""
+    n = h.shape[-1]
+    h2d = h.data.reshape(-1, n)
+    parents = (h, w_up, b_up, w_down, b_down, gain, bias)
+    tiles = _row_tiles(len(h2d), _TILE if _on_tape(parents) else max(len(h2d), 1))
+
+    def hidden(rows: slice, derivative: bool):
+        u = h2d[rows] @ w_up.data
+        u += b_up.data
+        return _gelu_(u, True, derivative)
+
+    z = np.empty(h2d.shape, np.result_type(h2d, w_up.data, w_down.data))
+    for rows in tiles:
+        np.matmul(hidden(rows, False)[0], w_down.data, out=z[rows])
+    z += b_down.data
+    z += h2d
+    out_data, xhat, inv = _layer_norm_(z, gain, bias)
 
     def backward(g):
-        _linear_grad(g.reshape(deriv.shape) * deriv, x, x2d, w, b)
+        # gz takes the residual's gradient, then each tile's gradient through
+        # the MLP, and becomes h's
+        gz = _layer_norm_grad(g.reshape(xhat.shape), xhat, inv, gain, bias)
+        b_down._accum(np.ones(len(gz), gz.dtype) @ gz)
+        gw_up = gb_up = gw_down = None
+        for rows in tiles:
+            a, deriv = hidden(rows, True)
+            gw_down = _plus(gw_down, a.T @ gz[rows])
+            gu = gz[rows] @ w_down.data.T
+            gu *= deriv
+            gw_up = _plus(gw_up, h2d[rows].T @ gu)
+            gb_up = _plus(gb_up, np.ones(len(gu), gu.dtype) @ gu)
+            gz[rows] += gu @ w_up.data.T
+        h._accum(gz.reshape(h.shape))
+        w_up._accum(gw_up)
+        b_up._accum(gb_up)
+        w_down._accum(gw_down)
 
-    return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), (x, w, b), backward)
+    return _make(out_data.reshape(h.shape), parents, backward)
 
 
 def linear_residual_norm(r: Tensor, x: Tensor, w: Tensor, b: Tensor,

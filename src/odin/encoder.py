@@ -263,11 +263,11 @@ def transformer_block(
     full_rows: int | None = None,
 ):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as two fused
-    `ad.linear_residual_norm` nodes (output linear, residual, LN) and an
-    `ad.linear_gelu`. The agg token is consumed by the attention; output
-    length equals input length. The output is exactly 0 at PAD positions
-    (key_mask False); a mask without a False entry is dropped, so input
-    without PAD pays for no masking and no zeroing.
+    nodes, `ad.linear_residual_norm` (output linear, residual, LN) and
+    `ad.mlp_residual_norm` (MLP, residual, LN). The agg token is consumed by
+    the attention; output length equals input length. The output is exactly
+    0 at PAD positions (key_mask False); a mask without a False entry is
+    dropped, so input without PAD pays for no masking and no zeroing.
 
     With `rows`, the block stable-sorts the sequences by real length (one
     past the last True of key_mask), runs on chunks of at most that many
@@ -328,8 +328,7 @@ def _block(x, agg, lp, heads, key_mask, rows, cls_only: bool) -> Tensor:
     else:
         ctx = attention_block(x, agg, lp, heads, key_mask=key_mask)
     h = ad.linear_residual_norm(x, ctx, lp.wo, lp.bo, lp.ln1_g, lp.ln1_b)
-    out = ad.linear_residual_norm(h, ad.linear_gelu(h, lp.w_up, lp.b_up), lp.w_down,
-                                  lp.b_down, lp.ln2_g, lp.ln2_b)
+    out = ad.mlp_residual_norm(h, lp.w_up, lp.b_up, lp.w_down, lp.b_down, lp.ln2_g, lp.ln2_b)
     if key_mask is not None:
         out = out * key_mask[:, :, None]
     return out

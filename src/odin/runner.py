@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,10 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
                 rec = pretrain_step(batch.tolist(), graph, params, cfg.schedule, optimizer,
                                     vocab, sub_seed(cfg.seed, "step", epoch, i),
                                     fanout=cfg.sampler.fanout, mask_ratio=p.mask_ratio)
-                rec.update(step=global_step, epoch=epoch, **blas_threads)
+                # ru_maxrss is in KiB on Linux; like wall_ms, it never enters report.json
+                peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                rec.update(step=global_step, epoch=epoch, peak_rss_mb=peak_rss_mb,
+                           **blas_threads)
                 log_fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 total += rec["total"]
                 global_step += 1
@@ -229,14 +233,17 @@ def encode_labels(label_names: dict, params, schedule, vocab) -> dict[int, np.nd
 def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
               min_batch=1, nodes_of=tuple, head=()) -> None:
     """Shuffled minibatch epochs over `items` with every parameter group at
-    task.finetune_lr. A step samples and encodes the nodes_of(batch) and takes
-    one gradient step on loss_fn(batch, forward result); batches smaller than
-    `min_batch` are skipped. `head` holds (name, tensor) pairs that train with
-    the model but are not part of it. Orders and samples derive from (seed,
-    tag, epoch), so a fine-tune repeats bit for bit."""
+    task.finetune_lr. Every node is tokenized once per run. A step samples
+    and encodes the nodes_of(batch) and takes one gradient step on
+    loss_fn(batch, forward result); batches smaller than `min_batch` are
+    skipped. `head` holds (name, tensor) pairs that train with the model but
+    are not part of it. Orders and samples derive from (seed, tag, epoch), so
+    a fine-tune repeats bit for bit."""
     t = cfg.task
     optimizer = make_optimizer(cfg.pretrain.optimizer, t.finetune_lr, t.finetune_lr)
     named = [*params.named_parameters(), *head]
+    # odin_forward reads only the entries of the sampled nodes
+    tokens = tokenize_nodes(graph, range(graph.num_nodes), vocab, params.dims.max_len)
     for epoch in range(t.finetune_epochs):
         order = generator(cfg.seed, tag, epoch).permutation(len(items))
         for i in range(0, len(items), t.finetune_batch):
@@ -245,7 +252,6 @@ def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
                 continue
             sub = sample_frontiers(graph, nodes_of(batch), cfg.schedule.hop_count,
                                    cfg.sampler.fanout, sub_seed(cfg.seed, tag, epoch, i))
-            tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
             # no name holds the forward result, so each step frees its tape
             optimize(named, optimizer, loss_fn(batch, odin_forward(graph, sub, tokens,
                                                                    params, cfg.schedule)))

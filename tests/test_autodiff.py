@@ -457,23 +457,29 @@ def _fused_cases(rng, dtype):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
     return {
-        "linear_gelu": ([leaf(2, 3, 4), leaf(4, 6), leaf(6)], ad.linear_gelu,
-                        lambda x, w, b: ad.gelu(ad.linear(x, w, b))),
         "linear_residual_norm": (
             [leaf(2, 3, 5), leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(5), leaf(5)],
             ad.linear_residual_norm,
             lambda r, x, w, b, gain, bias: ad.layer_norm(r + ad.linear(x, w, b), gain, bias)),
+        "mlp_residual_norm": (
+            [leaf(2, 3, 4), leaf(4, 16), leaf(16), leaf(16, 4), leaf(4), leaf(4), leaf(4)],
+            ad.mlp_residual_norm, _mlp_composition),
     }
 
 
-@pytest.mark.parametrize("case", ["linear_gelu", "linear_residual_norm"])
+def _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias):
+    return ad.layer_norm(h + ad.linear(ad.gelu(ad.linear(h, w_up, b_up)), w_down, b_down),
+                         gain, bias)
+
+
+@pytest.mark.parametrize("case", ["linear_residual_norm", "mlp_residual_norm"])
 def test_fused_node_finite_differences(rng, case):
     leaves, fused, _ = _fused_cases(rng, np.float64)[case]
     w = Tensor(rng.standard_normal(fused(*leaves).shape))
     finite_diff_check(lambda: (fused(*leaves) * w).sum(), leaves)
 
 
-@pytest.mark.parametrize("case", ["linear_gelu", "linear_residual_norm"])
+@pytest.mark.parametrize("case", ["linear_residual_norm", "mlp_residual_norm"])
 def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
     leaves, fused, composed = _fused_cases(rng, np.float32)[case]
     weights = rng.standard_normal(fused(*leaves).shape).astype(np.float32)
@@ -491,11 +497,12 @@ def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
         np.testing.assert_array_equal(g_fused, g_composed)
 
 
-@pytest.mark.parametrize("case", ["linear_gelu", "linear_residual_norm"])
+@pytest.mark.parametrize("case", ["linear_residual_norm", "mlp_residual_norm"])
 def test_fused_node_keeps_two_output_sized_arrays(rng, case):
-    # linear_gelu keeps its output and the gelu derivative; linear_residual_norm
-    # its output, xhat and the per-row inv. The composition would also keep
-    # the GEMM's output (and the residual sum).
+    # Each keeps its output, xhat and the per-row inv. The composition would
+    # also keep the GEMM's output and the residual sum, and for the MLP the
+    # 4d-wide hidden layer and gelu derivative; mlp_residual_norm runs 1,800
+    # rows here, more than one tile.
     leaves, fused, _ = _fused_cases(rng, np.float32)[case]
     leaves = [Tensor(np.repeat(t.data[None], 300, axis=0) if t.ndim == 3 else t.data,
                      requires_grad=True) for t in leaves]
@@ -507,6 +514,56 @@ def test_fused_node_keeps_two_output_sized_arrays(rng, case):
         tracemalloc.stop()
     assert out._backward is not None
     assert kept < 2.5 * out.data.nbytes
+
+
+def _mlp_leaves(rng, h_dtype, w_dtype):
+    """(2, 5, 4) input h, 10 rows, and the MLP sublayer's parameters at
+    hidden width 16."""
+    shapes = [(4, 16), (16,), (16, 4), (4,), (4,), (4,)]
+    return [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            for shape, dtype in [((2, 5, 4), h_dtype)] + [(s, w_dtype) for s in shapes]]
+
+
+def test_mlp_residual_norm_finite_differences_across_tiles(rng, monkeypatch):
+    monkeypatch.setattr(ad, "_TILE", 4)  # tiles of 4, 4 and 2 rows
+    leaves = _mlp_leaves(rng, np.float64, np.float64)
+    w = Tensor(rng.standard_normal((2, 5, 4)))
+    finite_diff_check(lambda: (ad.mlp_residual_norm(*leaves) * w).sum(), leaves)
+
+
+@pytest.mark.parametrize("tile", [256, 4, 3])  # 1 tile; 4+4+2 rows; 3+3+4 rows, no 1-row tile
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                    (np.float64, np.float32)],
+                         ids=["float32", "float64", "float64 h, float32 weights"])
+def test_mlp_residual_norm_matches_its_composition(rng, monkeypatch, tile, dtypes):
+    # The output has the composition's bits on and off the tape, however the
+    # rows are tiled. The gradients do within one tile; across tiles the
+    # weight gradients are per-tile sums. Float32 weights meeting float64
+    # input get float64 gradients, summed in float64.
+    monkeypatch.setattr(ad, "_TILE", tile)
+    leaves = _mlp_leaves(rng, *dtypes)
+    seed = rng.standard_normal((2, 5, 4))
+    results = []
+    for op in (ad.mlp_residual_norm, _mlp_composition):
+        for t in leaves:
+            t.zero_grad()
+        with ad.no_grad():
+            off_tape = op(*leaves)
+        out = op(*leaves)
+        out.backward(seed)
+        results.append((off_tape.data, out.data, [t.grad for t in leaves]))
+    (got_off, got, got_grads), (want_off, want, want_grads) = results
+    np.testing.assert_array_equal(got_off, want_off)
+    np.testing.assert_array_equal(got, want)
+    dtype = np.result_type(*dtypes)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert g.dtype == w.dtype == dtype
+        if tile == 256:
+            np.testing.assert_array_equal(g, w)
+        elif dtype == np.float64:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        else:
+            assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max()
 
 
 # np.add.reduceat adds a group's first row to a pairwise sum of the rest, so
@@ -596,9 +653,10 @@ DTYPE_CASES = {
     "logsumexp": ([(3, 4)], ad.logsumexp),
     "layer_norm": ([(2, 3, 4), (4,), (4,)], ad.layer_norm),
     "linear with a bias": ([(2, 3, 4), (4, 5), (5,)], ad.linear),
-    "linear_gelu": ([(2, 3, 4), (4, 5), (5,)], ad.linear_gelu),
     "linear_residual_norm": ([(2, 3, 5), (2, 3, 4), (4, 5), (5,), (5,), (5,)],
                              ad.linear_residual_norm),
+    "mlp_residual_norm": ([(2, 3, 4), (4, 16), (16,), (16, 4), (4,), (4,), (4,)],
+                          ad.mlp_residual_norm),
     "masked attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
                          lambda q, k, v: ad.attention(q, k, v, 2, _KEY_MASK)),
 }

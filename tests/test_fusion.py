@@ -16,6 +16,7 @@ from odin.graph import TextGraph
 from odin.objectives import mnp_loss, nmlm_loss, plan_masks
 from odin.runner import linkpred_loss
 from odin.sampler import sample_frontiers
+from odin.synth import SyntheticSpec, generate
 
 from helpers import (
     AggCache,
@@ -570,6 +571,41 @@ def test_cls_only_rows_are_where_the_frontier_shrinks(monkeypatch, token_states,
     else:  # a fine-tune forward: the last layer runs the batch's [CLS] only
         want.update({4: [b, b1 - b], 5: [0, b]})
     assert seen == want
+
+
+def _tape_arrays(root: Tensor, skip) -> list[np.ndarray]:
+    """Every ndarray the tape under `root` holds, apart from the tensors in
+    `skip`: each node's data and the arrays in its backward closure and in
+    the closures of the functions that closure holds."""
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if id(node) not in skip:
+            arrays.append(node.data)
+        fns = [] if node._backward is None else [node._backward]
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    arrays.append(value)
+                elif callable(value) and getattr(value, "__closure__", None):
+                    fns.append(value)
+    return arrays
+
+
+def test_the_tape_keeps_no_mlp_hidden_layer():
+    g = generate(SyntheticSpec(n_nodes=30, vocab_size=40, words_per_node=6, seed=0))
+    vocab, schedule, params = build_model(g, 4, [1, 2])
+    hidden = params.dims.d * params.dims.mlp_ratio
+    res, _ = run_forward(g, [0, 5, 9], schedule, params, vocab, fanout=3, token_states=True)
+    loss = (res.final_states * res.final_states).sum() + res.cls.sum()
+    arrays = _tape_arrays(loss, {id(p) for _, p in params.named_parameters()})
+    assert any(a.shape[-1:] == (params.dims.d,) for a in arrays)
+    assert [a.shape for a in arrays if a.shape[-1:] == (hidden,)] == []
 
 
 def test_identity_mode_ignores_the_row_plan():

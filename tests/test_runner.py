@@ -321,6 +321,30 @@ def test_finetune_holds_one_tape_at_a_time(tmp_path, monkeypatch):
     assert live_at_start == [0] * len(results)
 
 
+def test_a_finetune_tokenizes_every_node_once(tmp_path, monkeypatch):
+    cfg = small_cfg(tmp_path)
+    cfg.task.finetune_epochs, cfg.task.finetune_batch = 2, 4
+    graph = small_graph()
+    vocab, _, params = runner.build_fresh_model(cfg, graph)
+    train_pairs, _ = runner.split_edges(graph, 8, cfg.seed)
+    calls, forwards = [], []
+    tokenize, forward = runner.tokenize_nodes, runner.odin_forward
+
+    def tracked_tokenize(graph, nodes, *args):
+        calls.append(list(nodes))
+        return tokenize(graph, nodes, *args)
+
+    def tracked_forward(*args, **kwargs):
+        forwards.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "tokenize_nodes", tracked_tokenize)
+    monkeypatch.setattr(runner, "odin_forward", tracked_forward)
+    runner.finetune_linkpred(cfg, graph, params, vocab, train_pairs)
+    assert len(forwards) == 2 * 2  # 8 pairs in batches of 4, two epochs
+    assert calls == [list(range(graph.num_nodes))]
+
+
 # -- checkpoint loading --------------------------------------------------------------
 
 
@@ -384,6 +408,18 @@ def test_every_log_row_records_the_blas_thread_settings(tmp_path, monkeypatch):
     assert not [name for name in runner.BLAS_THREAD_VARS if name in report]
 
 
+def test_every_log_row_records_the_peak_rss(tmp_path):
+    cfg = small_cfg(tmp_path, epochs=1, batch_size=6)
+    runner.run_pretrain(cfg, small_graph(), tmp_path / "run")
+    rows = [json.loads(line)
+            for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+    assert len(rows) == 24 // 6
+    peaks = [row["peak_rss_mb"] for row in rows]
+    assert all(isinstance(mb, float) and 10 < mb < 1e5 for mb in peaks)
+    assert peaks == sorted(peaks)  # a process's peak never falls
+    assert "peak_rss_mb" not in (tmp_path / "run" / "report.json").read_text()
+
+
 # -- resumed pretraining ---------------------------------------------------------------
 
 
@@ -394,7 +430,7 @@ class _Crash(RuntimeError):
 def _run_dir_files(out):
     rows = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
     for row in rows:
-        del row["wall_ms"]
+        del row["wall_ms"], row["peak_rss_mb"]
     return ((out / "report.json").read_bytes(), (out / "checkpoint.bin").read_bytes(), rows)
 
 
