@@ -22,15 +22,13 @@ gradients.
 Aliasing rule: a backward closure never writes into the arrays it closed
 over (forward inputs and saved intermediates) or into the incoming gradient.
 Gradients are passed on and accumulated without copies. Fused closures build
-their result in fresh arrays: attention keeps its softmax weights and no other
-score-sized array, and gelu keeps its derivative instead of x and s. The
-post-norm block's fused nodes keep only what their backward reads, with the
-bits of the ops they fuse: `linear_residual_norm`, layer_norm(r + x @ w + b),
-keeps x, xhat and inv; `mlp_residual_norm`, the MLP sublayer, keeps xhat and
-inv and recomputes its 4d-wide hidden layer in backward, tile by tile, from
-its input h (see its docstring for the bits across tiles). Row sums over
-the last axis are BLAS matvecs or einsum, so they can differ from numpy's
-pairwise `x.sum(axis=-1)` in the last ulps.
+their result in fresh arrays: gelu keeps its derivative instead of x and s.
+The post-norm block's two sublayers are one node each, with the bits of the
+ops they fuse: `attention_residual_norm` keeps its softmax weights, xhat and
+inv, `mlp_residual_norm` xhat and inv, and backward recomputes the rest tile
+by tile from their input (see their docstrings for the bits across tiles).
+Row sums over the last axis are BLAS matvecs or einsum, so they can differ
+from numpy's pairwise `x.sum(axis=-1)` in the last ulps.
 """
 
 from __future__ import annotations
@@ -543,43 +541,6 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(hd) + mask) v as one tape node, for
-    (N, T, d) q over (N, T', d) k and v; `mask` is an additive (N, T') array
-    (0 keep, -inf drop). Heads are strided views of d = heads * hd columns;
-    backward keeps the weights, the one score-sized array."""
-    hd = q.shape[-1] // heads
-    scale = float(1.0 / np.sqrt(hd))  # a numpy float64 would upcast float32 q
-
-    def split(x):  # (N, L, d) -> (N, heads, L, hd) view
-        return x.reshape(x.shape[0], x.shape[1], heads, hd).transpose(0, 2, 1, 3)
-
-    kh, vh = split(k.data), split(v.data)
-    w = split(q.data * scale) @ kh.transpose(0, 1, 3, 2)
-    if mask is not None:
-        w += mask[:, None, None, :]
-    w = _softmax_(w)
-    out_data = np.empty(q.shape, q.dtype)
-    np.matmul(w, vh, out=split(out_data))
-
-    def backward(g):
-        gh = split(g)
-        gq, gk, gv = (np.empty(t.shape, t.dtype) for t in (q, k, v))
-        np.matmul(w.transpose(0, 1, 3, 2), gh, out=split(gv))
-        gs = gh @ vh.transpose(0, 1, 3, 2)  # then the softmax Jacobian and the scale
-        gs -= np.einsum("...i,...i->...", gs, w)[..., None]
-        gs *= w
-        gs *= scale
-        np.matmul(gs, kh, out=split(gq))
-        np.matmul(gs.transpose(0, 1, 3, 2), split(q.data), out=split(gk))
-        q._accum(gq)
-        k._accum(gk)
-        v._accum(gv)
-
-    return _make(out_data, (q, k, v), backward)
-
-
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     shift = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - shift)
@@ -629,14 +590,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out_data.reshape(a.shape), (a, gain, bias), backward)
 
 
-def _linear_grad(g: np.ndarray, x: Tensor, x2d: np.ndarray, w: Tensor, b: Tensor | None):
-    """Accumulate the gradients of x @ w (+ b) from the 2-D g."""
-    x._accum((g @ w.data.T).reshape(x.shape))
-    w._accum(x2d.T @ g)
-    if b is not None:
-        b._accum(np.ones(len(g), g.dtype) @ g)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) as one tape node, flattening leading axes so numpy issues
     one big GEMM; the bias is added into the GEMM's output in place."""
@@ -646,15 +599,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out_data += b.data
 
     def backward(g):
-        _linear_grad(g.reshape(-1, g.shape[-1]), x, x2d, w, b)
+        g = g.reshape(-1, g.shape[-1])
+        x._accum((g @ w.data.T).reshape(x.shape))
+        w._accum(x2d.T @ g)
+        if b is not None:
+            b._accum(np.ones(len(g), g.dtype) @ g)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), parents, backward)
 
 
-# Rows per tile of mlp_residual_norm's hidden layer on the tape: at d=32 a
-# 256 x 4d float32 tile is 128 KiB, which malloc reuses from step to step;
-# tiles of 512 rows or more faulted 2-7x as many fresh pages per pretrain step.
+# Rows per MLP tile on the tape (attention takes twice as many, of d-wide rows):
+# at d=32 a 256 x 4d float32 hidden tile is 128 KiB, which malloc reuses from
+# step to step; tiles of 512 rows or more faulted 2-7x as many fresh pages.
 _TILE = 256
 
 
@@ -727,19 +684,95 @@ def mlp_residual_norm(h: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor,
     return _make(out_data.reshape(h.shape), parents, backward)
 
 
-def linear_residual_norm(r: Tensor, x: Tensor, w: Tensor, b: Tensor,
-                         gain: Tensor, bias: Tensor) -> Tensor:
-    """layer_norm(r + x @ w + b, gain, bias), a post-norm sublayer, as one node."""
-    x2d = x.data.reshape(-1, x.shape[-1])
-    z = x2d @ w.data
-    z += b.data
-    z += r.data.reshape(z.shape)
+def attention_residual_norm(x: Tensor, agg: Tensor | None, wq: Tensor, bq: Tensor,
+                            wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
+                            bo: Tensor, gain: Tensor, bias: Tensor, heads: int,
+                            mask: np.ndarray | None, cls_only: bool) -> Tensor:
+    """layer_norm(xq + attention(xq @ wq + bq, kv @ wk + bk, kv @ wv + bv) @ wo + bo),
+    the post-norm attention sublayer, as one tape node: x is (N, T, d), kv is
+    x behind the (N, d) agg row, or x, and xq is x, or x[:, :1] with
+    `cls_only`; `mask` is additive (N, T') over kv (0 keep, -inf drop).
+
+    On the tape it runs in tiles of whole sequences, about 2 _TILE rows, and
+    keeps only the softmax weights, xhat and inv: backward recomputes each
+    tile's q, k, v and context from x and agg and sums the weight gradients
+    tile by tile. Off the tape it runs in one pass. Bits as in mlp_residual_norm,
+    with tiles of 4k sequences: OpenBLAS's matrix-vector kernel sums softmax
+    rows 4 at a time, and a tail of 2 or 3 rows with other bits."""
+    n, t, d = x.shape
+    scale = float(1.0 / np.sqrt(d // heads))  # a numpy float64 would upcast float32 q
+    tq, tk = (1 if cls_only else t), t + (agg is not None)
+    parents = tuple(p for p in (x, agg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias)
+                    if p is not None)
+    tiles = _row_tiles(n, 4 * max(1, _TILE // (2 * t)) if _on_tape(parents) else max(n, 1))
+    dtype = np.result_type(x.data, wq.data)
+
+    def split(a, rows):  # (S * rows, d) -> (S, heads, rows, hd) view
+        return a.reshape(-1, rows, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def project(seqs: slice):  # a tile's xq and kv rows, and its q, k, v
+        xs = x.data[seqs]
+        kv = xs if agg is None else np.concatenate([agg.data[seqs, None], xs], axis=1)
+        xq, kv = (xs[:, :1] if cls_only else xs).reshape(-1, d), kv.reshape(-1, d)
+        return xq, kv, *(a @ w.data + b.data for a, w, b in ((xq, wq, bq), (kv, wk, bk),
+                                                             (kv, wv, bv)))
+
+    def context(w, v):  # the heads' weighted values as (S * tq, d) rows
+        out = np.empty((len(w) * tq, d), dtype)
+        np.matmul(w, split(v, tk), out=split(out, tq))
+        return out
+
+    weights = np.empty((n, heads, tq, tk), dtype)
+    z = np.empty((n * tq, d), dtype)
+    for seqs in tiles:
+        _, _, q, k, v = project(seqs)
+        w = weights[seqs]
+        np.matmul(split(q * scale, tq), split(k, tk).transpose(0, 1, 3, 2), out=w)
+        if mask is not None:
+            w += mask[seqs, None, None, :]
+        _softmax_(w)
+        np.matmul(context(w, v), wo.data, out=z[seqs.start * tq:seqs.stop * tq])
+    z += bo.data
+    z += (x.data[:, :1] if cls_only else x.data).reshape(z.shape)
     out_data, xhat, inv = _layer_norm_(z, gain, bias)
 
     def backward(g):
+        # gz is the residual's gradient; gx takes it and each tile's through q, k and v
         gz = _layer_norm_grad(g.reshape(xhat.shape), xhat, inv, gain, bias)
-        if r.requires_grad:
-            r._accum(gz.reshape(r.shape))
-        _linear_grad(gz, x, x2d, w, b)
+        bo._accum(np.ones(len(gz), gz.dtype) @ gz)
+        if cls_only:
+            gx = np.zeros(x.shape, gz.dtype)
+            gx[:, 0] = gz
+        else:
+            gx = gz.reshape(x.shape)
+        sums = {x: gx, **dict.fromkeys((wq, bq, wk, bk, wv, bv, wo))}
+        if agg is not None:
+            sums[agg] = np.empty(agg.shape, gz.dtype)
+        for seqs in tiles:
+            xq, kv, q, k, v = project(seqs)
+            w, gzt = weights[seqs], gz[seqs.start * tq:seqs.stop * tq]
+            sums[wo] = _plus(sums[wo], context(w, v).T @ gzt)
+            gh = split(gzt @ wo.data.T, tq)
+            gq, gk, gv = (np.empty(a.shape, gz.dtype) for a in (q, k, v))
+            np.matmul(w.transpose(0, 1, 3, 2), gh, out=split(gv, tk))
+            gs = gh @ split(v, tk).transpose(0, 1, 3, 2)  # then the softmax Jacobian and the scale
+            gs -= np.einsum("...i,...i->...", gs, w)[..., None]
+            gs *= w
+            gs *= scale
+            np.matmul(gs, split(k, tk), out=split(gq, tq))
+            np.matmul(gs.transpose(0, 1, 3, 2), split(q, tq), out=split(gk, tk))
+            for a, ga, wp, bp in ((xq, gq, wq, bq), (kv, gk, wk, bk), (kv, gv, wv, bv)):
+                sums[wp] = _plus(sums[wp], a.T @ ga)
+                sums[bp] = _plus(sums[bp], np.ones(len(ga), ga.dtype) @ ga)
+            gx[seqs, :tq] += (gq @ wq.data.T).reshape(-1, tq, d)
+            # as in the unfused ops, x takes k's part, then v's, or with agg their sum
+            parts = [gk @ wk.data.T, gv @ wv.data.T]
+            if agg is not None:
+                parts = [(parts[0] + parts[1]).reshape(-1, tk, d)]
+                sums[agg][seqs] = parts[0][:, 0]
+            for part in parts:
+                gx[seqs] += part.reshape(-1, tk, d)[:, tk - t:]
+        for p, total in sums.items():
+            p._accum(total)
 
-    return _make(out_data.reshape(r.shape), (r, x, w, b, gain, bias), backward)
+    return _make(out_data.reshape(n, tq, d), parents, backward)

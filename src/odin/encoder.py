@@ -227,25 +227,19 @@ def attention_block(
     *,
     cls_only: bool = False,
 ) -> Tensor:
-    """Asymmetric multi-head attention over (N, T, d) states with an optional
-    (N, d) graph-enhanced token prepended to keys/values only: the q, k and v
-    linears and one `ad.attention` node (heads, scale, masked softmax and
-    weighted sum of values). Returns the context before the output projection.
+    """The attention sublayer LN1(x + attention @ wo + bo) as one tape node:
+    asymmetric multi-head attention over (N, T, d) states with an optional
+    (N, d) graph-enhanced token prepended to the keys and values only.
 
     key_mask, if given, is (N, T) with True marking attendable positions.
     With `cls_only`, only position 0 ([CLS]) queries, over the same keys and
-    values, and the context is (N, 1, d).
+    values, and the output is (N, 1, d).
     """
-    kv, mask = x, None
-    if agg is not None:
-        kv = ad.concat([ad.reshape(agg, (agg.shape[0], 1, agg.shape[1])), x], axis=1)
-        if key_mask is not None:
-            key_mask = np.concatenate([np.ones((len(key_mask), 1), bool), key_mask], axis=1)
-    if key_mask is not None:
-        mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype)
-    q = x[:, :1] if cls_only else x
-    return ad.attention(ad.linear(q, lp.wq, lp.bq), ad.linear(kv, lp.wk, lp.bk),
-                        ad.linear(kv, lp.wv, lp.bv), heads, mask)
+    mask = None if key_mask is None else np.where(key_mask, 0.0, -np.inf).astype(x.dtype)
+    if mask is not None and agg is not None:  # the agg token is never masked
+        mask = np.concatenate([np.zeros((len(mask), 1), mask.dtype), mask], axis=1)
+    return ad.attention_residual_norm(x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv,
+                                      lp.wo, lp.bo, lp.ln1_g, lp.ln1_b, heads, mask, cls_only)
 
 
 def _slice(a, key):
@@ -263,7 +257,7 @@ def transformer_block(
     full_rows: int | None = None,
 ):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as two fused
-    nodes, `ad.linear_residual_norm` (output linear, residual, LN) and
+    nodes, `ad.attention_residual_norm` (attention_block) and
     `ad.mlp_residual_norm` (MLP, residual, LN). The agg token is consumed by
     the attention; output length equals input length. The output is exactly
     0 at PAD positions (key_mask False); a mask without a False entry is
@@ -323,11 +317,10 @@ def _block(x, agg, lp, heads, key_mask, rows, cls_only: bool) -> Tensor:
         del parts  # without a tape nothing else holds the chunks
         return ad.take_rows(joined, np.argsort(order))
     if cls_only:
-        ctx = attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=True)
-        x, key_mask = x[:, :1], None  # position 0 is [CLS], never PAD
+        h = attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=True)
+        key_mask = None  # position 0 is [CLS], never PAD
     else:
-        ctx = attention_block(x, agg, lp, heads, key_mask=key_mask)
-    h = ad.linear_residual_norm(x, ctx, lp.wo, lp.bo, lp.ln1_g, lp.ln1_b)
+        h = attention_block(x, agg, lp, heads, key_mask=key_mask)
     out = ad.mlp_residual_norm(h, lp.w_up, lp.b_up, lp.w_down, lp.b_down, lp.ln2_g, lp.ln2_b)
     if key_mask is not None:
         out = out * key_mask[:, :, None]

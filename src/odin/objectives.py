@@ -10,6 +10,7 @@ graph-aggregation stages train under separate learning rates.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -235,7 +236,9 @@ def pretrain_step(
     fanout: int,
     mask_ratio: float,
 ) -> dict:
-    """One gradient step of the joint objective on one node batch."""
+    """One gradient step of the joint objective on one node batch. Returns its
+    train_log.jsonl row, with each loss per term (l1 per pair, l2 per masked
+    token) beside its chance level and each learning-rate group's grad norm."""
     started = time.perf_counter()
     sub = sample_frontiers(graph, batch, schedule.hop_count, fanout, step_seed)
     tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
@@ -246,11 +249,22 @@ def pretrain_step(
     l1 = mnp_loss(res.base_cls, res.base_nodes, plan)
     l2 = nmlm_loss(res.final_states, res.batch_nodes, plan, params)
     loss = l1 + l2
-    optimize(list(params.named_parameters()), optimizer, loss)
+    named = list(params.named_parameters())
+    optimize(named, optimizer, loss)
+    squares = {"encoder": 0.0, "stages": 0.0}  # the stages train at lr_gnn
+    for name, p in named:
+        if p.grad is not None:
+            g = p.grad.reshape(-1)
+            squares["stages" if name.startswith("stages.") else "encoder"] += float(g @ g)
     return {
         "l1": float(l1.data),
         "l2": float(l2.data),
         "total": float(loss.data),
+        "l1_mean": float(l1.data) / plan.num_pairs if plan.num_pairs else None,
+        "l2_mean": float(l2.data) / plan.num_masked_tokens if plan.num_masked_tokens else None,
+        "l1_chance": math.log(2),
+        "l2_chance": math.log(vocab.size),
+        **{f"grad_norm_{group}": math.sqrt(sq) for group, sq in squares.items()},
         "pairs": plan.num_pairs,
         "unpaired": plan.unpaired,
         "masked_tokens": plan.num_masked_tokens,

@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, reference forms of the
-autodiff primitives, of the per-pair losses, of the per-node forward and of
-the forward without a row plan, and random tensors."""
+autodiff primitives and of the unfused attention sublayer, of the per-pair
+losses, of the per-node forward and of the forward without a row plan, a
+tape walker, and random tensors."""
 
 import logging
 from dataclasses import dataclass, field
@@ -129,6 +130,56 @@ def attention_oracle(q, k, v, heads, mask=None):
     return merge_heads(ad.matmul(weights, vh))
 
 
+def attention_node(q, k, v, heads, mask=None):
+    """Multi-head softmax(q k^T / sqrt(hd) + mask) v as one tape node, for
+    (N, T, d) q over (N, T', d) k and v, with `mask` an additive (N, T')
+    array: the op the attention sublayer ran before it was fused, with its
+    bits (scale on q, BLAS row sums) and its backward."""
+    hd = q.shape[-1] // heads
+    scale = float(1.0 / np.sqrt(hd))
+
+    def split(x):  # (N, L, d) -> (N, heads, L, hd) view
+        return x.reshape(x.shape[0], x.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    kh, vh = split(k.data), split(v.data)
+    w = split(q.data * scale) @ kh.transpose(0, 1, 3, 2)
+    if mask is not None:
+        w += mask[:, None, None, :]
+    w = ad._softmax_(w)
+    out_data = np.empty(q.shape, q.dtype)
+    np.matmul(w, vh, out=split(out_data))
+
+    def backward(g):
+        gh = split(g)
+        gq, gk, gv = (np.empty(t.shape, t.dtype) for t in (q, k, v))
+        np.matmul(w.transpose(0, 1, 3, 2), gh, out=split(gv))
+        gs = gh @ vh.transpose(0, 1, 3, 2)
+        gs -= np.einsum("...i,...i->...", gs, w)[..., None]
+        gs *= w
+        gs *= scale
+        np.matmul(gs, kh, out=split(gq))
+        np.matmul(gs.transpose(0, 1, 3, 2), split(q.data), out=split(gk))
+        q._accum(gq)
+        k._accum(gk)
+        v._accum(gv)
+
+    return ad._make(out_data, (q, k, v), backward)
+
+
+def attention_sublayer(x, agg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, heads, mask,
+                       cls_only, attend=attention_node, linear=ad.linear,
+                       layer_norm=ad.layer_norm):
+    """ad.attention_residual_norm as the unfused ops it replaced: concat the
+    agg row, the q, k and v linears, `attend`, the output linear, the
+    residual and the layer norm. With the default ops it has the node's
+    output bits; with the oracle ops it is an independent reference."""
+    kv = x if agg is None else ad.concat([ad.reshape(agg, (agg.shape[0], 1, agg.shape[1])), x],
+                                         axis=1)
+    xq = x[:, :1] if cls_only else x
+    ctx = attend(linear(xq, wq, bq), linear(kv, wk, bk), linear(kv, wv, bv), heads, mask)
+    return layer_norm(xq + linear(ctx, wo, bo), gain, bias)
+
+
 def add_at_oracle(idx, values, num_rows):
     """out[r] = sum of values[i] over idx[i] == r, by unbuffered np.add.at."""
     out = np.zeros((num_rows,) + np.shape(values)[1:])
@@ -154,6 +205,41 @@ def as_float64(params):
 
 def rand_tensor(rng, *shape, scale=1.0, requires_grad=True):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def tape_arrays(root: Tensor, skip) -> list[np.ndarray]:
+    """Every ndarray the tape under `root` holds, apart from the tensors whose
+    ids are in `skip`: each node's data and the arrays in its backward
+    closure and in the closures of the functions that closure holds."""
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if id(node) not in skip:
+            arrays.append(node.data)
+        fns = [] if node._backward is None else [node._backward]
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    arrays.append(value)
+                elif callable(value) and getattr(value, "__closure__", None):
+                    fns.append(value)
+    return arrays
+
+
+def tape_floats(root: Tensor, skip) -> int:
+    """The floats the tape under `root` keeps alive, counted once per
+    buffer: a view counts the whole array it views."""
+    owners = {}
+    for a in tape_arrays(root, skip):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a
+    return sum(a.size for a in owners.values() if a.dtype.kind == "f")
 
 
 def mnp_pair_loop_oracle(cls_by_node, plan):

@@ -12,6 +12,7 @@ from odin.autodiff import Tensor
 from helpers import (
     add_at_oracle,
     attention_oracle,
+    attention_sublayer,
     finite_diff_check,
     gelu_longdouble_oracle,
     gelu_oracle,
@@ -397,55 +398,117 @@ def test_gelu_builds_no_derivative_under_no_grad(rng):
     assert peak < 2.5 * x.data.nbytes
 
 
-# -- attention ----------------------------------------------------------------
+# -- attention sublayer ---------------------------------------------------------
 
 
-def _attention_inputs(rng, n=3, t=4, d=8, heads=2, masked=False):
-    """(N, T, d) queries over T' = T + 1 keys and values: the agg row first,
-    then the tokens; masked rows hide a PAD tail of their keys."""
-    q, k, v = (rand_tensor(rng, n, tk, d) for tk in (t, t + 1, t + 1))
-    mask = None
-    if masked:
-        key_mask = np.ones((n, t + 1), dtype=bool)
-        key_mask[0, 3:] = key_mask[2, 2:] = False
-        mask = np.where(key_mask, 0.0, -np.inf)
-    return q, k, v, heads, mask
+def _attention_leaves(rng, n=3, t=4, d=8, dtype=np.float64):
+    """(N, T, d) states x, an (N, d) agg token and the sublayer's q, k, v
+    and output weights and biases, then the norm's gain and bias."""
+    shapes = [(n, t, d), (n, d)] + [(d, d), (d,)] * 4 + [(d,), (d,)]
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+def _pad_mask(n, t, dtype=np.float64):
+    """An additive (N, T + 1) mask over [agg; x]: sequences 0, 3, 6, ...
+    hide a PAD tail of one key and sequences 2, 5, 8, ... of two."""
+    key_mask = np.ones((n, t + 1), dtype=bool)
+    key_mask[0::3, t:] = key_mask[2::3, t - 1:] = False
+    return np.where(key_mask, 0.0, -np.inf).astype(dtype)
+
+
+def _sublayer(leaves, heads, mask, cls_only, op=ad.attention_residual_norm, **ops):
+    x, agg, *rest = leaves
+    return op(x, agg, *rest, heads, mask, cls_only, **ops)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_matches_composite_oracle(rng, masked):
-    q, k, v, heads, mask = _attention_inputs(rng, masked=masked)
-    _assert_matches_oracle(lambda *qkv: ad.attention(*qkv, heads, mask),
-                           lambda *qkv: attention_oracle(*qkv, heads, mask),
-                           [q, k, v], rng.standard_normal(q.shape), mask)
+    leaves = _attention_leaves(rng)
+    mask = _pad_mask(3, 4) if masked else None
+    oracle_ops = dict(attend=attention_oracle, linear=linear_oracle, layer_norm=layer_norm_oracle)
+    _assert_matches_oracle(lambda *ls: _sublayer(ls, 2, mask, False),
+                           lambda *ls: _sublayer(ls, 2, mask, False, attention_sublayer,
+                                                 **oracle_ops),
+                           leaves, rng.standard_normal((3, 4, 8)), mask)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_finite_differences(rng, masked):
-    q, k, v, heads, mask = _attention_inputs(rng, masked=masked)
-    w = Tensor(rng.standard_normal(q.shape))
-    finite_diff_check(lambda: (ad.attention(q, k, v, heads, mask) * w).sum(), [q, k, v])
+    leaves = _attention_leaves(rng)
+    mask = _pad_mask(3, 4) if masked else None
+    w = Tensor(rng.standard_normal((3, 4, 8)))
+    finite_diff_check(lambda: (_sublayer(leaves, 2, mask, False) * w).sum(), leaves)
+
+
+@pytest.mark.parametrize("cls_only", [False, True])
+def test_attention_residual_norm_finite_differences_across_tiles(rng, monkeypatch, cls_only):
+    # 10 sequences of 3 tokens in tiles of 4, 4 and 2 sequences, with an agg
+    # token, a PAD mask and, for cls_only, one query per sequence
+    monkeypatch.setattr(ad, "_TILE", 4)
+    leaves = _attention_leaves(rng, n=10, t=3, d=4)
+    w = Tensor(rng.standard_normal((10, 1 if cls_only else 3, 4)))
+    finite_diff_check(lambda: (_sublayer(leaves, 2, _pad_mask(10, 3), cls_only) * w).sum(),
+                      leaves)
 
 
 def test_attention_is_one_tape_node(rng):
-    q, k, v, heads, mask = _attention_inputs(rng, masked=True)
-    out = ad.attention(q, k, v, heads, mask)
-    assert out.shape == q.shape
-    assert out._parents == (q, k, v)
+    leaves = _attention_leaves(rng)
+    out = _sublayer(leaves, 2, _pad_mask(3, 4), False)
+    assert out.shape == leaves[0].shape
+    assert out._parents == tuple(leaves)
     assert all(p._backward is None for p in out._parents)
 
 
 def test_attention_backward_repeats(rng):
-    q, k, v, heads, mask = _attention_inputs(rng, masked=True)
-    out = ad.attention(q, k, v, heads, mask)
-    seed = rng.standard_normal(q.shape)
+    leaves = _attention_leaves(rng)
+    out = _sublayer(leaves, 2, _pad_mask(3, 4), False)
+    seed = rng.standard_normal(out.shape)
     out.backward(seed)
-    first = [t.grad.copy() for t in (q, k, v)]
-    for t in (q, k, v):
+    first = [t.grad.copy() for t in leaves]
+    for t in leaves:
         t.zero_grad()
     out.backward(seed)
-    for t, g in zip((q, k, v), first):
+    for t, g in zip(leaves, first):
         np.testing.assert_array_equal(t.grad, g)
+
+
+@pytest.mark.parametrize("tiles", [(256, 10), (4, 10), (4, 9)],
+                         ids=["1 tile", "4+4+2 sequences", "4+5 sequences, no 1-sequence tile"])
+@pytest.mark.parametrize("cls_only", [False, True], ids=["all queries", "cls_only"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_residual_norm_matches_its_composition(rng, monkeypatch, tiles, cls_only,
+                                                         dtype):
+    # The output has the unfused ops' bits on and off the tape, however the
+    # sequences are tiled: 3 tokens and an agg token over 2 heads make 6 or,
+    # for cls_only, 2 softmax rows per sequence, and a PAD mask hides keys.
+    # The gradients have the bits within one tile; across tiles the weight
+    # and bias gradients are per-tile sums.
+    tile, n = tiles
+    monkeypatch.setattr(ad, "_TILE", tile)
+    leaves = _attention_leaves(rng, n=n, t=3, d=4, dtype=dtype)
+    mask = _pad_mask(n, 3, dtype)
+    seed = rng.standard_normal((n, 1 if cls_only else 3, 4))
+    results = []
+    for op in (ad.attention_residual_norm, attention_sublayer):
+        for t in leaves:
+            t.zero_grad()
+        with ad.no_grad():
+            off_tape = _sublayer(leaves, 2, mask, cls_only, op)
+        out = _sublayer(leaves, 2, mask, cls_only, op)
+        out.backward(seed)
+        results.append((off_tape.data, out.data, [t.grad for t in leaves]))
+    (got_off, got, got_grads), (want_off, want, want_grads) = results
+    np.testing.assert_array_equal(got_off, want_off)
+    np.testing.assert_array_equal(got, want)
+    # bk's gradient is 0 up to rounding (softmax ignores a shift shared by
+    # all keys), so the scale is the largest entry of any gradient
+    atol = (1e-12 if dtype == np.float64 else 1e-5) * max(np.abs(w).max() for w in want_grads)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert g.dtype == w.dtype == dtype
+        if tile == 256:
+            np.testing.assert_array_equal(g, w)
+        else:
+            assert np.abs(g - w).max() <= atol
 
 
 # -- fused block nodes ----------------------------------------------------------
@@ -457,10 +520,10 @@ def _fused_cases(rng, dtype):
         return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
     return {
-        "linear_residual_norm": (
-            [leaf(2, 3, 5), leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(5), leaf(5)],
-            ad.linear_residual_norm,
-            lambda r, x, w, b, gain, bias: ad.layer_norm(r + ad.linear(x, w, b), gain, bias)),
+        "attention_residual_norm": (
+            [leaf(2, 3, 4), leaf(2, 4)] + [leaf(*s) for s in [(4, 4), (4,)] * 4 + [(4,), (4,)]],
+            lambda *ls: _sublayer(ls, 2, None, False),
+            lambda *ls: _sublayer(ls, 2, None, False, attention_sublayer)),
         "mlp_residual_norm": (
             [leaf(2, 3, 4), leaf(4, 16), leaf(16), leaf(16, 4), leaf(4), leaf(4), leaf(4)],
             ad.mlp_residual_norm, _mlp_composition),
@@ -472,14 +535,14 @@ def _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias):
                          gain, bias)
 
 
-@pytest.mark.parametrize("case", ["linear_residual_norm", "mlp_residual_norm"])
+@pytest.mark.parametrize("case", ["attention_residual_norm", "mlp_residual_norm"])
 def test_fused_node_finite_differences(rng, case):
     leaves, fused, _ = _fused_cases(rng, np.float64)[case]
     w = Tensor(rng.standard_normal(fused(*leaves).shape))
     finite_diff_check(lambda: (fused(*leaves) * w).sum(), leaves)
 
 
-@pytest.mark.parametrize("case", ["linear_residual_norm", "mlp_residual_norm"])
+@pytest.mark.parametrize("case", ["attention_residual_norm", "mlp_residual_norm"])
 def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
     leaves, fused, composed = _fused_cases(rng, np.float32)[case]
     weights = rng.standard_normal(fused(*leaves).shape).astype(np.float32)
@@ -497,14 +560,15 @@ def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
         np.testing.assert_array_equal(g_fused, g_composed)
 
 
-@pytest.mark.parametrize("case", ["linear_residual_norm", "mlp_residual_norm"])
+@pytest.mark.parametrize("case", ["attention_residual_norm", "mlp_residual_norm"])
 def test_fused_node_keeps_two_output_sized_arrays(rng, case):
-    # Each keeps its output, xhat and the per-row inv. The composition would
-    # also keep the GEMM's output and the residual sum, and for the MLP the
-    # 4d-wide hidden layer and gelu derivative; mlp_residual_norm runs 1,800
-    # rows here, more than one tile.
+    # Each keeps its output, xhat and the per-row inv, and the attention
+    # sublayer its softmax weights too. The composition would also keep the
+    # GEMMs' outputs and the residual sum: for attention q, k, v, their
+    # [agg; x] input and the context, and for the MLP the 4d-wide hidden
+    # layer and gelu derivative. Both run 1,800 rows here, more than one tile.
     leaves, fused, _ = _fused_cases(rng, np.float32)[case]
-    leaves = [Tensor(np.repeat(t.data[None], 300, axis=0) if t.ndim == 3 else t.data,
+    leaves = [Tensor(np.repeat(t.data, 300, axis=0) if t.shape[0] == 2 else t.data,
                      requires_grad=True) for t in leaves]
     tracemalloc.start()
     try:
@@ -513,7 +577,9 @@ def test_fused_node_keeps_two_output_sized_arrays(rng, case):
     finally:
         tracemalloc.stop()
     assert out._backward is not None
-    assert kept < 2.5 * out.data.nbytes
+    n, t, _ = out.shape
+    weights = n * 2 * t * (t + 1) * out.data.itemsize if case == "attention_residual_norm" else 0
+    assert kept < 2.5 * out.data.nbytes + weights
 
 
 def _mlp_leaves(rng, h_dtype, w_dtype):
@@ -653,12 +719,14 @@ DTYPE_CASES = {
     "logsumexp": ([(3, 4)], ad.logsumexp),
     "layer_norm": ([(2, 3, 4), (4,), (4,)], ad.layer_norm),
     "linear with a bias": ([(2, 3, 4), (4, 5), (5,)], ad.linear),
-    "linear_residual_norm": ([(2, 3, 5), (2, 3, 4), (4, 5), (5,), (5,), (5,)],
-                             ad.linear_residual_norm),
+    "attention_residual_norm": ([(2, 3, 4)] + [(4, 4), (4,)] * 4 + [(4,), (4,)],
+                                lambda x, *rest: ad.attention_residual_norm(
+                                    x, None, *rest, 2, None, True)),
     "mlp_residual_norm": ([(2, 3, 4), (4, 16), (16,), (16, 4), (4,), (4,), (4,)],
                           ad.mlp_residual_norm),
-    "masked attention": ([(3, 4, 8), (3, 5, 8), (3, 5, 8)],
-                         lambda q, k, v: ad.attention(q, k, v, 2, _KEY_MASK)),
+    "masked attention": ([(3, 4, 8), (3, 8)] + [(8, 8), (8,)] * 4 + [(8,), (8,)],
+                         lambda x, agg, *rest: ad.attention_residual_norm(
+                             x, agg, *rest, 2, _KEY_MASK, False)),
 }
 
 

@@ -150,14 +150,21 @@ def test_embed_batch_matches_per_node():
 # -- attention -----------------------------------------------------------------
 
 
+def _ln1(lp, z):
+    """The block's first layer norm of the (N, T, d) array z."""
+    return ad.layer_norm(Tensor(z), lp.ln1_g, lp.ln1_b).data
+
+
 def test_attention_single_token_value_identity():
+    # one token attends to itself alone: the context is its value, x @ I,
+    # and the sublayer returns LN1(x + x), which is LN1(x)
     d = 4
     lp = make_layer_params(d)
     lp.wv.data[:] = np.eye(d)
     lp.wo.data[:] = np.eye(d)
     x = Tensor(np.array([[[1.0, -2.0, 3.0, 0.5]]]))
     out = enc.attention_block(x, None, lp, heads=2)
-    np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+    np.testing.assert_allclose(out.data, _ln1(lp, x.data), atol=1e-10)
 
 
 def test_attention_all_zero_projections_ignore_agg():
@@ -166,19 +173,23 @@ def test_attention_all_zero_projections_ignore_agg():
     x = Tensor(np.random.default_rng(0).standard_normal((1, 3, d)))
     agg = Tensor(np.full((1, d), 100.0))
     out = enc.attention_block(x, agg, lp, heads=2)
-    assert np.all(out.data == 0.0)
+    np.testing.assert_array_equal(out.data, _ln1(lp, x.data))
 
 
 def test_attention_matches_dense_oracle():
     rng = np.random.default_rng(7)
     d, heads = 8, 2
     lp = make_layer_params(d, rng)
+    lp.ln1_g.data[:] = rng.uniform(0.5, 1.5, d)
+    lp.ln1_b.data[:] = rng.standard_normal(d) * 0.1
     x = Tensor(rng.standard_normal((1, 2, d)) * 0.3)
     agg = Tensor(rng.standard_normal((1, d)) * 0.3)
-    # attention_block stops before the output projection
-    got = enc.attention_block(x, agg, lp, heads).data[0] @ lp.wo.data + lp.bo.data
-    want = dense_attention_oracle(x.data[0], agg.data, lp, heads)
+    # the sublayer: output projection, residual and LN1 included
+    got = enc.attention_block(x, agg, lp, heads).data[0]
+    want = _ln1(lp, x.data[0] + dense_attention_oracle(x.data[0], agg.data, lp, heads))
     assert np.max(np.abs(got - want)) < 1e-6
+    cls = enc.attention_block(x, agg, lp, heads, cls_only=True).data[0]
+    np.testing.assert_allclose(cls, got[:1], rtol=0, atol=1e-12)
 
 
 def test_attention_output_rows_equal_query_count():
@@ -187,6 +198,7 @@ def test_attention_output_rows_equal_query_count():
     x = Tensor(rng.standard_normal((1, 5, 8)))
     agg = Tensor(rng.standard_normal((1, 8)))
     assert enc.attention_block(x, agg, lp, heads=2).shape == (1, 5, 8)
+    assert enc.attention_block(x, agg, lp, heads=2, cls_only=True).shape == (1, 1, 8)
 
 
 def test_attention_weights_are_distributions():
@@ -202,15 +214,18 @@ def test_attention_weights_are_distributions():
 
 
 def test_attention_content_based_kv_permutation():
-    # permuting the key/value rows together leaves every query's output
+    # attention sees no positions: permuting the tokens permutes the
+    # sublayer's output rows alike, with the agg token still first among
+    # the keys and values
     rng = np.random.default_rng(13)
     d, heads = 8, 2
-    q = Tensor(rng.standard_normal((1, 3, d)))
-    k, v = rng.standard_normal((2, 1, 5, d))
+    lp = make_layer_params(d, rng)
+    x = rng.standard_normal((1, 5, d))
+    agg = Tensor(rng.standard_normal((1, d)))
     perm = np.random.default_rng(1).permutation(5)
-    out_a = ad.attention(q, Tensor(k), Tensor(v), heads).data
-    out_b = ad.attention(q, Tensor(k[:, perm]), Tensor(v[:, perm]), heads).data
-    np.testing.assert_allclose(out_a, out_b, atol=1e-10)
+    out_a = enc.attention_block(Tensor(x), agg, lp, heads).data
+    out_b = enc.attention_block(Tensor(x[:, perm]), agg, lp, heads).data
+    np.testing.assert_allclose(out_a[:, perm], out_b, atol=1e-10)
 
 
 def test_attention_key_mask_hides_rows():

@@ -25,6 +25,8 @@ from helpers import (
     full_row_forward,
     per_node_forward,
     simple_aggregate,
+    tape_arrays,
+    tape_floats,
     tg_aggregate,
 )
 
@@ -573,39 +575,45 @@ def test_cls_only_rows_are_where_the_frontier_shrinks(monkeypatch, token_states,
     assert seen == want
 
 
-def _tape_arrays(root: Tensor, skip) -> list[np.ndarray]:
-    """Every ndarray the tape under `root` holds, apart from the tensors in
-    `skip`: each node's data and the arrays in its backward closure and in
-    the closures of the functions that closure holds."""
-    arrays, seen, stack = [], set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        if id(node) not in skip:
-            arrays.append(node.data)
-        fns = [] if node._backward is None else [node._backward]
-        while fns:
-            for cell in fns.pop().__closure__ or ():
-                value = cell.cell_contents
-                if isinstance(value, np.ndarray):
-                    arrays.append(value)
-                elif callable(value) and getattr(value, "__closure__", None):
-                    fns.append(value)
-    return arrays
-
-
 def test_the_tape_keeps_no_mlp_hidden_layer():
     g = generate(SyntheticSpec(n_nodes=30, vocab_size=40, words_per_node=6, seed=0))
     vocab, schedule, params = build_model(g, 4, [1, 2])
     hidden = params.dims.d * params.dims.mlp_ratio
     res, _ = run_forward(g, [0, 5, 9], schedule, params, vocab, fanout=3, token_states=True)
     loss = (res.final_states * res.final_states).sum() + res.cls.sum()
-    arrays = _tape_arrays(loss, {id(p) for _, p in params.named_parameters()})
+    arrays = tape_arrays(loss, {id(p) for _, p in params.named_parameters()})
     assert any(a.shape[-1:] == (params.dims.d,) for a in arrays)
     assert [a.shape for a in arrays if a.shape[-1:] == (hidden,)] == []
+
+
+def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
+    # Per token row a block runs, the tape keeps the two sublayers' outputs
+    # and layer norm xhats (4d), the softmax weights (heads * (T + 1)) and a
+    # little more: the per-row norm scales, the embedding lookup of layer 0
+    # and the per-node [CLS] and aggregation arrays, under 3d at this size.
+    # Keeping q, k, v, their [agg; x] input or the context would add at
+    # least d per row, so no (N, T + 1, d) array may be on the tape.
+    g = generate(SyntheticSpec(n_nodes=30, vocab_size=40, words_per_node=10, seed=0))
+    vocab, schedule, params = build_model(g, 4, [1, 2], d=32, heads=4)
+    d, heads = params.dims.d, params.dims.heads
+    rows, widths = [], set()
+    attend = enc.attention_block
+
+    def record(x, agg, lp, heads, key_mask=None, *, cls_only=False):
+        rows.append(x.shape[0] * (1 if cls_only else x.shape[1]))
+        widths.add(x.shape[1])
+        return attend(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+
+    monkeypatch.setattr(enc, "attention_block", record)
+    res, _ = run_forward(g, [0, 5, 9], schedule, params, vocab, fanout=3, token_states=True)
+    loss = (res.final_states * res.final_states).sum() + res.cls.sum()
+    skip = {id(p) for _, p in params.named_parameters()}
+    (t,) = widths  # equal-length texts: one padded width
+    assert t == 11
+    kv = [a.shape for a in tape_arrays(loss, skip) if a.ndim == 3 and a.shape[1:] == (t + 1, d)]
+    assert kv == []
+    per_row = tape_floats(loss, skip) / sum(rows)
+    assert per_row < 4 * d + heads * (t + 1) + 3 * d
 
 
 def test_identity_mode_ignores_the_row_plan():

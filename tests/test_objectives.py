@@ -350,6 +350,28 @@ def test_pretrain_step_group_learning_rates_differ():
     assert not np.array_equal(before["stages.0.w1"], after["stages.0.w1"])
 
 
+class _GradRecorder:
+    """An optimizer that moves nothing and keeps a float64 copy of each
+    gradient it is handed."""
+
+    def step(self, named):
+        self.grads = {name: p.grad.astype(np.float64) for name, p in named
+                      if p.grad is not None}
+
+
+def test_pretrain_step_reports_the_gradient_norm_of_each_group():
+    g, vocab, schedule, params = train_fixture(seed=6)
+    optimizer = _GradRecorder()
+    rec = step([0, 1, 2, 4], g, params, schedule, optimizer, vocab, 3)
+    groups = {"stages": 0.0, "encoder": 0.0}
+    for name, grad in optimizer.grads.items():
+        groups["stages" if name.startswith("stages.") else "encoder"] += float((grad ** 2).sum())
+    assert len(optimizer.grads) == len(list(params.named_parameters()))
+    for group, squares in groups.items():
+        assert squares > 0
+        assert rec[f"grad_norm_{group}"] == pytest.approx(math.sqrt(squares), rel=1e-5)
+
+
 def test_adam_optimizer_state_round_trip():
     g, vocab, schedule, params = train_fixture(seed=5)
     optim = make_optimizer("adam", 1e-3, 1e-3)

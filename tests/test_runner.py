@@ -4,6 +4,7 @@ the model, the checkpoint loader, the pretrain log rows, resumed
 pretraining, float32 against float64, and a gate that pretraining learns."""
 
 import json
+import math
 import re
 import weakref
 
@@ -14,7 +15,7 @@ from odin import autodiff as ad
 from odin import encoder, runner
 from odin.checkpoint import load_arrays, load_model, save_model
 from odin.config import RunConfig
-from odin.encoder import ConfigError, ModelDims, init_params, transformer_block
+from odin.encoder import ConfigError, ModelDims, Vocab, init_params, transformer_block
 from odin.fusion import LayerSchedule, odin_forward, tokenize_nodes
 from odin.graph import TextGraph, make_few_shot_split
 from odin.objectives import make_optimizer, pretrain_step
@@ -391,6 +392,23 @@ def test_every_log_row_pairs_or_counts_each_batch_node(tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert "unpaired" not in report
 
+
+
+def test_every_log_row_records_loss_means_beside_their_chance_levels(tmp_path):
+    cfg = small_cfg(tmp_path, epochs=2, batch_size=6)
+    runner.run_pretrain(cfg, small_graph(seed=1), tmp_path / "run")
+    rows = [json.loads(line)
+            for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+    vocab = Vocab.load(tmp_path / "run" / "vocab.tsv")
+    assert rows and all(row["masked_tokens"] for row in rows)
+    for row in rows:
+        # a step without contrast pairs has no mean MNP loss
+        assert row["l1_mean"] == (row["l1"] / row["pairs"] if row["pairs"] else None)
+        assert row["l2_mean"] == row["l2"] / row["masked_tokens"]
+        assert row["l1_chance"] == math.log(2)
+        assert row["l2_chance"] == math.log(vocab.size)
+    report = (tmp_path / "run" / "report.json").read_text()
+    assert not [key for key in ("l1_mean", "l2_mean", "l1_chance", "l2_chance") if key in report]
 
 
 def test_every_log_row_records_the_blas_thread_settings(tmp_path, monkeypatch):
