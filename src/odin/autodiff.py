@@ -508,6 +508,31 @@ def gather_elements(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def stage_aggregate(cls_all: Tensor, n: int, nbr_flat: np.ndarray, nbr_seg: np.ndarray,
+                    w1: Tensor, w2: Tensor) -> Tensor:
+    """mean_nbr @ w1.T + cls_all[:n] @ w2.T, a stage's aggregation, as one tape
+    node that keeps only mean_nbr: row i is the mean of the rows nbr_flat[j]
+    with nbr_seg[j] == i, or 0 without any. Output and gradients have the
+    bits of take_rows, segment_sum, the 1/count scale and two matmuls."""
+    counts = np.bincount(nbr_seg, minlength=n)[:, None]
+    scale = (1.0 / np.maximum(counts, 1.0)).astype(cls_all.dtype)
+    mean = _row_sum(nbr_seg, cls_all.data[nbr_flat], n)
+    mean *= scale
+    out_data = mean @ w1.data.T
+    out_data += cls_all.data[:n] @ w2.data.T
+
+    def backward(g):
+        g_mean = g @ w1.data
+        g_mean *= scale
+        g_cls = _row_sum(nbr_flat, g_mean[nbr_seg], len(cls_all.data))
+        g_cls[:n] += g @ w2.data
+        cls_all._accum(g_cls)
+        w1._accum((mean.T @ g).T)
+        w2._accum((cls_all.data[:n].T @ g).T)
+
+    return _make(out_data, (cls_all, w1, w2), backward)
+
+
 # -- fused numerical primitives ------------------------------------------------
 
 
@@ -523,6 +548,15 @@ def _softmax_(x: np.ndarray) -> np.ndarray:
     np.exp(rows, out=rows)
     rows /= (rows @ np.ones(rows.shape[1], rows.dtype))[:, None]
     return rows.reshape(x.shape)
+
+
+def _attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """softmax(q @ k^T + mask) over the keys, a fresh (S, heads, Tq, T') array
+    for scaled queries q and keys k, with `mask` additive (S, T') or None."""
+    w = q @ k.transpose(0, 1, 3, 2)
+    if mask is not None:
+        w += mask[:, None, None, :]
+    return _softmax_(w)
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -694,11 +728,12 @@ def attention_residual_norm(x: Tensor, agg: Tensor | None, wq: Tensor, bq: Tenso
     `cls_only`; `mask` is additive (N, T') over kv (0 keep, -inf drop).
 
     On the tape it runs in tiles of whole sequences, about 2 _TILE rows, and
-    keeps only the softmax weights, xhat and inv: backward recomputes each
-    tile's q, k, v and context from x and agg and sums the weight gradients
-    tile by tile. Off the tape it runs in one pass. Bits as in mlp_residual_norm,
-    with tiles of 4k sequences: OpenBLAS's matrix-vector kernel sums softmax
-    rows 4 at a time, and a tail of 2 or 3 rows with other bits."""
+    keeps only LN1's xhat and inv: backward recomputes each tile's q, k, v,
+    softmax weights and context with the forward's bits and sums the weight
+    gradients tile by tile. Off the tape it runs in one pass. Bits as in
+    mlp_residual_norm, with tiles of 4k sequences: OpenBLAS's matrix-vector
+    kernel sums softmax rows 4 at a time, and a tail of 2 or 3 rows with
+    other bits."""
     n, t, d = x.shape
     scale = float(1.0 / np.sqrt(d // heads))  # a numpy float64 would upcast float32 q
     tq, tk = (1 if cls_only else t), t + (agg is not None)
@@ -714,24 +749,24 @@ def attention_residual_norm(x: Tensor, agg: Tensor | None, wq: Tensor, bq: Tenso
         xs = x.data[seqs]
         kv = xs if agg is None else np.concatenate([agg.data[seqs, None], xs], axis=1)
         xq, kv = (xs[:, :1] if cls_only else xs).reshape(-1, d), kv.reshape(-1, d)
-        return xq, kv, *(a @ w.data + b.data for a, w, b in ((xq, wq, bq), (kv, wk, bk),
-                                                             (kv, wv, bv)))
+        qkv = [a @ w.data for a, w in ((xq, wq), (kv, wk), (kv, wv))]
+        return xq, kv, *(np.add(p, b.data, out=p) for p, b in zip(qkv, (bq, bk, bv)))
+
+    def weights(q, k, seqs: slice):  # a tile's softmax weights, from q already scaled
+        tile_mask = None if mask is None else mask[seqs]
+        return _attention_weights(split(q, tq), split(k, tk), tile_mask)
 
     def context(w, v):  # the heads' weighted values as (S * tq, d) rows
         out = np.empty((len(w) * tq, d), dtype)
         np.matmul(w, split(v, tk), out=split(out, tq))
         return out
 
-    weights = np.empty((n, heads, tq, tk), dtype)
     z = np.empty((n * tq, d), dtype)
     for seqs in tiles:
         _, _, q, k, v = project(seqs)
-        w = weights[seqs]
-        np.matmul(split(q * scale, tq), split(k, tk).transpose(0, 1, 3, 2), out=w)
-        if mask is not None:
-            w += mask[seqs, None, None, :]
-        _softmax_(w)
-        np.matmul(context(w, v), wo.data, out=z[seqs.start * tq:seqs.stop * tq])
+        q *= scale
+        np.matmul(context(weights(q, k, seqs), v), wo.data,
+                  out=z[seqs.start * tq:seqs.stop * tq])
     z += bo.data
     z += (x.data[:, :1] if cls_only else x.data).reshape(z.shape)
     out_data, xhat, inv = _layer_norm_(z, gain, bias)
@@ -750,7 +785,7 @@ def attention_residual_norm(x: Tensor, agg: Tensor | None, wq: Tensor, bq: Tenso
             sums[agg] = np.empty(agg.shape, gz.dtype)
         for seqs in tiles:
             xq, kv, q, k, v = project(seqs)
-            w, gzt = weights[seqs], gz[seqs.start * tq:seqs.stop * tq]
+            w, gzt = weights(q * scale, k, seqs), gz[seqs.start * tq:seqs.stop * tq]
             sums[wo] = _plus(sums[wo], context(w, v).T @ gzt)
             gh = split(gzt @ wo.data.T, tq)
             gq, gk, gv = (np.empty(a.shape, gz.dtype) for a in (q, k, v))

@@ -235,7 +235,8 @@ def attention_block(
     With `cls_only`, only position 0 ([CLS]) queries, over the same keys and
     values, and the output is (N, 1, d).
     """
-    mask = None if key_mask is None else np.where(key_mask, 0.0, -np.inf).astype(x.dtype)
+    pad = key_mask is not None and not key_mask.all()  # an all-0 mask would change no bit
+    mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype) if pad else None
     if mask is not None and agg is not None:  # the agg token is never masked
         mask = np.concatenate([np.zeros((len(mask), 1), mask.dtype), mask], axis=1)
     return ad.attention_residual_norm(x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv,

@@ -4,7 +4,9 @@ An L-layer encoder runs layer 0 as a plain Transformer block over every
 sampled node, then walks layers 1..L-1 over a shrinking frontier: layers
 listed in the schedule aggregate neighbor [CLS] states through trainable
 stage-specific weights (and consume one hop of the frontier); the remaining
-layers apply one of four cheap aggregation strategies. Each layer's
+layers apply one of four cheap aggregation strategies. A stage's aggregation
+(at a scheduled layer, or a PG layer reusing the last stage) is one tape
+node, `ad.stage_aggregate`, that keeps only the neighbor mean. Each layer's
 aggregation output is prepended to that node's token sequence as attention
 context for exactly one block.
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import ConfigError, ParamSet, StageParams, embed_batch, tokenize, transformer_block
+from .encoder import ConfigError, ParamSet, embed_batch, tokenize, transformer_block
 from .graph import TextGraph
 from .sampler import SampledSubgraph, sample_frontiers
 
@@ -150,16 +152,6 @@ def _build_frontiers(sub: SampledSubgraph, order) -> list[_Frontier]:
     return out
 
 
-def _neighbor_mean(cls_all: Tensor, fr: _Frontier) -> Tensor:
-    gathered = ad.take_rows(cls_all, fr.nbr_flat)
-    sums = ad.segment_sum(gathered, fr.nbr_seg, fr.size)
-    return sums * (1.0 / np.maximum(fr.counts, 1.0))
-
-
-def _batch_tg(cls_act: Tensor, mean_nb: Tensor, sp: StageParams) -> Tensor:
-    return ad.matmul(mean_nb, sp.w1.T) + ad.matmul(cls_act, sp.w2.T)
-
-
 def _check_finite(states: Tensor | None, cls: Tensor, layer: int, order):
     """Raise on a non-finite [CLS] row or token state of a layer's output;
     rows of both are the first rows of the prefix order."""
@@ -259,24 +251,22 @@ def odin_forward(
     for layer in range(1, schedule.depth):
         fr = plan[layer]
         n = fr.size
-        cls_act = cls_all[:n]
         is_tg = schedule.is_tg(layer)
 
-        agg = None
-        if is_tg:
-            agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), params.stages[m])
-        elif schedule.strategy == "ME":
-            total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
-            agg = (total + cls_act) * (1.0 / (fr.counts + 1.0))
         # PE and PG have nothing to reuse before the first stage, so those
         # layers run as VA (RunConfig.validate warns)
+        agg = None
+        if is_tg or (schedule.strategy == "PG" and m > 0):
+            sp = params.stages[m if is_tg else m - 1]
+            agg = ad.stage_aggregate(cls_all, n, fr.nbr_flat, fr.nbr_seg, sp.w1, sp.w2)
+        elif schedule.strategy == "ME":
+            total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
+            agg = (total + cls_all[:n]) * (1.0 / (fr.counts + 1.0))
         elif schedule.strategy == "PE" and m > 0:
             agg = last_agg[:n]
-        elif schedule.strategy == "PG" and m > 0:
-            agg = _batch_tg(cls_act, _neighbor_mean(cls_all, fr), params.stages[m - 1])
 
         if identity_encoder:
-            new_cls = cls_act if agg is None else ad.tanh(agg)
+            new_cls = cls_all[:n] if agg is None else ad.tanh(agg)
             _check_finite(None, new_cls, layer, order)
         else:
             # the previous block kept token states for exactly these n rows

@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import ParamSet
-from .fusion import LayerSchedule, odin_forward, tokenize_nodes
+# unused here, but benchmarks/tracer.py patches tokenize_nodes in this namespace
+from .fusion import LayerSchedule, odin_forward, tokenize_nodes  # noqa: F401
 from .graph import TextGraph
 from .rngutil import generator
 from .sampler import sample_frontiers
@@ -232,20 +233,20 @@ def pretrain_step(
     schedule: LayerSchedule,
     optimizer,
     vocab,
+    tokens,
     step_seed: int,
     fanout: int,
     mask_ratio: float,
 ) -> dict:
-    """One gradient step of the joint objective on one node batch. Returns its
-    train_log.jsonl row, with each loss per term (l1 per pair, l2 per masked
+    """One gradient step of the joint objective on one node batch, reading the
+    ids of every sampled node from `tokens`, which it leaves as it is. Returns
+    its train_log.jsonl row, with each loss per term (l1 per pair, l2 per masked
     token) beside its chance level and each learning-rate group's grad norm."""
     started = time.perf_counter()
     sub = sample_frontiers(graph, batch, schedule.hop_count, fanout, step_seed)
-    tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
     plan, masked = plan_masks({v: tokens[v] for v in sub.batch}, graph, mask_ratio,
                               step_seed, vocab.mask_id, neighbor_pool=sub.sampled_adj)
-    tokens.update(masked)
-    res = odin_forward(graph, sub, tokens, params, schedule, token_states=True)
+    res = odin_forward(graph, sub, {**tokens, **masked}, params, schedule, token_states=True)
     l1 = mnp_loss(res.base_cls, res.base_nodes, plan)
     l2 = nmlm_loss(res.final_states, res.batch_nodes, plan, params)
     loss = l1 + l2

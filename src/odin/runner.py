@@ -145,6 +145,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
         _rewind_log(log_path, global_step)
     mode = "a" if start_epoch else "w"
     blas_threads = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    tokens = tokenize_nodes(graph, range(graph.num_nodes), vocab, params.dims.max_len)
     with open(log_path, mode, encoding="utf-8") as log_fh:
         for epoch in range(start_epoch, p.epochs):
             order = generator(cfg.seed, "order", epoch).permutation(len(train_nodes))
@@ -152,7 +153,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
             for i in range(steps_per_epoch):
                 batch = train_nodes[order[i * p.batch_size:(i + 1) * p.batch_size]]
                 rec = pretrain_step(batch.tolist(), graph, params, cfg.schedule, optimizer,
-                                    vocab, sub_seed(cfg.seed, "step", epoch, i),
+                                    vocab, tokens, sub_seed(cfg.seed, "step", epoch, i),
                                     fanout=cfg.sampler.fanout, mask_ratio=p.mask_ratio)
                 # ru_maxrss is in KiB on Linux; like wall_ms, it never enters report.json
                 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -1,7 +1,7 @@
 """Shared test oracles: central finite differences, reference forms of the
-autodiff primitives and of the unfused attention sublayer, of the per-pair
-losses, of the per-node forward and of the forward without a row plan, a
-tape walker, and random tensors."""
+autodiff primitives, of the unfused attention sublayer and stage
+aggregation, of the per-pair losses, of the per-node forward and of the
+forward without a row plan, a tape walker, and random tensors."""
 
 import logging
 from dataclasses import dataclass, field
@@ -356,6 +356,20 @@ def per_node_forward(sub, tokens_by_node, params, schedule):
     return states
 
 
+def neighbor_mean(cls_all: Tensor, fr) -> Tensor:
+    """The mean of each active node's sampled neighbor [CLS] rows (0 without
+    any) as take_rows, segment_sum and a 1/count scale."""
+    gathered = ad.take_rows(cls_all, fr.nbr_flat)
+    sums = ad.segment_sum(gathered, fr.nbr_seg, fr.size)
+    return sums * (1.0 / np.maximum(fr.counts, 1.0))
+
+
+def batch_tg(cls_act: Tensor, mean_nb: Tensor, sp) -> Tensor:
+    """mean_nb @ w1.T + cls_act @ w2.T as two matmuls and an add: with
+    neighbor_mean, the unfused form of ad.stage_aggregate."""
+    return ad.matmul(mean_nb, sp.w1.T) + ad.matmul(cls_act, sp.w2.T)
+
+
 def full_row_forward(sub, tokens_by_node, params, schedule, rows=None):
     """odin_forward without its row plan: every layer runs every row of its
     frontier as a full block, the last layer too, and the result carries
@@ -377,15 +391,14 @@ def full_row_forward(sub, tokens_by_node, params, schedule, rows=None):
         cls_act = cls_all[:n]
         agg = None
         if schedule.is_tg(layer):
-            agg = fusion._batch_tg(cls_act, fusion._neighbor_mean(cls_all, fr), params.stages[m])
+            agg = batch_tg(cls_act, neighbor_mean(cls_all, fr), params.stages[m])
         elif schedule.strategy == "ME":
             total = ad.segment_sum(ad.take_rows(cls_all, fr.nbr_flat), fr.nbr_seg, n)
             agg = (total + cls_act) * (1.0 / (fr.counts + 1.0))
         elif schedule.strategy == "PE" and m > 0:
             agg = last_agg[:n]
         elif schedule.strategy == "PG" and m > 0:
-            agg = fusion._batch_tg(cls_act, fusion._neighbor_mean(cls_all, fr),
-                                   params.stages[m - 1])
+            agg = batch_tg(cls_act, neighbor_mean(cls_all, fr), params.stages[m - 1])
         states = transformer_block(states[:n], agg, params.layers[layer], heads, key_mask[:n],
                                    rows)
         cls_all = ad.concat([states[:, 0, :], cls_all[n:]]) if n < len(order) else states[:, 0, :]

@@ -6,7 +6,7 @@ from odin import encoder as enc
 from odin.autodiff import Tensor
 from odin.encoder import ModelDims, Vocab, build_vocab, tokenize
 
-from helpers import finite_diff_check, split_heads
+from helpers import finite_diff_check
 
 
 def make_layer_params(d, rng=None, mlp_ratio=4):
@@ -201,16 +201,43 @@ def test_attention_output_rows_equal_query_count():
     assert enc.attention_block(x, agg, lp, heads=2, cls_only=True).shape == (1, 1, 8)
 
 
-def test_attention_weights_are_distributions():
+def test_attention_weights_are_distributions(monkeypatch):
+    # The weights the attention node itself uses, recorded where it computes
+    # them: 10 sequences in tiles of 4, 4 and 2, an agg token, a PAD tail of
+    # one or two keys, and all queries or [CLS] alone. Backward recomputes
+    # each tile's weights and must get the forward's bits.
+    monkeypatch.setattr(ad, "_TILE", 4)
     rng = np.random.default_rng(11)
-    d, heads, t = 8, 2, 4
+    d, heads, n, t = 8, 2, 10, 4
     lp = make_layer_params(d, rng)
-    x = Tensor(rng.standard_normal((1, t, d)))
-    q = split_heads(ad.linear(x, lp.wq, lp.bq), heads)
-    k = split_heads(ad.linear(x, lp.wk, lp.bk), heads)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(d // heads))
-    w = ad.softmax(scores).data
-    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+    x = Tensor(rng.standard_normal((n, t, d)), requires_grad=True)
+    agg = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    key_mask = np.ones((n, t), dtype=bool)
+    key_mask[0::3, t - 1:] = key_mask[2::3, t - 2:] = False
+    hidden = np.concatenate([np.zeros((n, 1), dtype=bool), ~key_mask], axis=1)  # over [agg; x]
+    calls = []
+    weights = ad._attention_weights
+
+    def record(q, k, mask):
+        w = weights(q, k, mask)
+        calls.append(w.copy())
+        return w
+
+    monkeypatch.setattr(ad, "_attention_weights", record)
+    for cls_only in (False, True):
+        calls.clear()
+        out = enc.attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+        forward = list(calls)
+        assert [len(w) for w in forward] == [4, 4, 2]
+        w = np.concatenate(forward)
+        assert w.shape == (n, heads, 1 if cls_only else t, t + 1)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        masked = np.broadcast_to(hidden[:, None, None, :], w.shape)
+        assert (w[masked] == 0.0).all() and (w[~masked] > 0.0).all()
+        out.backward(rng.standard_normal(out.shape))
+        assert len(calls) == 2 * len(forward)
+        for fwd, bwd in zip(forward, calls[len(forward):]):
+            np.testing.assert_array_equal(bwd, fwd)
 
 
 def test_attention_content_based_kv_permutation():

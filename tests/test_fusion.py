@@ -10,7 +10,7 @@ from odin import encoder as enc
 from odin import fusion
 from odin.autodiff import Tensor
 from odin.config import RunConfig
-from odin.encoder import ConfigError, ModelDims, build_vocab
+from odin.encoder import ConfigError, ModelDims, StageParams, build_vocab
 from odin.fusion import LayerSchedule, light_preset, odin_forward, tokenize_nodes
 from odin.graph import TextGraph
 from odin.objectives import mnp_loss, nmlm_loss, plan_masks
@@ -21,9 +21,12 @@ from odin.synth import SyntheticSpec, generate
 from helpers import (
     AggCache,
     as_float64,
+    batch_tg,
     finite_diff_check,
     full_row_forward,
+    neighbor_mean,
     per_node_forward,
+    rand_tensor,
     simple_aggregate,
     tape_arrays,
     tape_floats,
@@ -588,11 +591,12 @@ def test_the_tape_keeps_no_mlp_hidden_layer():
 
 def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
     # Per token row a block runs, the tape keeps the two sublayers' outputs
-    # and layer norm xhats (4d), the softmax weights (heads * (T + 1)) and a
-    # little more: the per-row norm scales, the embedding lookup of layer 0
-    # and the per-node [CLS] and aggregation arrays, under 3d at this size.
-    # Keeping q, k, v, their [agg; x] input or the context would add at
-    # least d per row, so no (N, T + 1, d) array may be on the tape.
+    # and layer norm xhats (4d) and a little more: the per-row norm scales,
+    # the embedding lookup of layer 0 and the per-node [CLS] and aggregation
+    # arrays, under 2d at this size. Keeping q, k, v, their [agg; x] input or
+    # the context would add at least d per row, so no (N, T + 1, d) array may
+    # be on the tape, and backward recomputes the softmax weights, so no
+    # (N, heads, Tq, T + 1) array may be on it either.
     g = generate(SyntheticSpec(n_nodes=30, vocab_size=40, words_per_node=10, seed=0))
     vocab, schedule, params = build_model(g, 4, [1, 2], d=32, heads=4)
     d, heads = params.dims.d, params.dims.heads
@@ -610,10 +614,91 @@ def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
     skip = {id(p) for _, p in params.named_parameters()}
     (t,) = widths  # equal-length texts: one padded width
     assert t == 11
-    kv = [a.shape for a in tape_arrays(loss, skip) if a.ndim == 3 and a.shape[1:] == (t + 1, d)]
+    arrays = tape_arrays(loss, skip)
+    kv = [a.shape for a in arrays if a.ndim == 3 and a.shape[1:] == (t + 1, d)]
     assert kv == []
+    weights = [a.shape for a in arrays
+               if a.ndim == 4 and (a.shape[1], a.shape[3]) == (heads, t + 1)]
+    assert weights == []
     per_row = tape_floats(loss, skip) / sum(rows)
-    assert per_row < 4 * d + heads * (t + 1) + 3 * d
+    assert per_row < 6 * d
+
+
+def _tape_nodes(root):
+    """Every tensor on the tape under `root`."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_each_stage_aggregation_is_one_node_without_the_neighbor_gather():
+    # layers 1 and 2 aggregate through stages 0 and 1, layer 3 reuses stage
+    # 1 (PG); each is one tape node, and no (E, d) gather of the E sampled
+    # neighbor rows, nor their per-node sums, stays on the tape
+    g = generate(SyntheticSpec(n_nodes=30, vocab_size=40, words_per_node=6, seed=0))
+    vocab, schedule, params = build_model(g, 4, [1, 2])
+    res, sub = run_forward(g, [0, 5, 9, 14], schedule, params, vocab, fanout=3,
+                           token_states=True)
+    loss = (res.final_states * res.final_states).sum() + res.cls.sum()
+    nodes = _tape_nodes(loss)
+    kinds = [n._backward.__qualname__.split(".")[0] for n in nodes if n._backward is not None]
+    assert kinds.count("stage_aggregate") == 3
+    assert "segment_sum" not in kinds
+    frontiers = fusion._build_frontiers(sub, res.base_nodes)
+    gathers = {len(fr.nbr_flat) for fr in frontiers}
+    assert gathers == {42, 12}  # no other (·, d) array on this tape has that many rows
+    d = params.dims.d
+    skip = {id(p) for _, p in params.named_parameters()}
+    assert [a.shape for a in tape_arrays(loss, skip)
+            if a.ndim == 2 and a.shape[1] == d and a.shape[0] in gathers] == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stage_aggregate_equals_its_composition(dtype):
+    # 7 [CLS] rows, the first 4 aggregate: node 0 samples row 5 twice, row 5
+    # recurs across nodes, node 2 has no neighbors and row 4 is nobody's
+    rng = np.random.default_rng(3)
+    flat = np.array([5, 5, 1, 6, 0, 3, 5], dtype=np.intp)
+    seg = np.array([0, 0, 0, 1, 1, 3, 3], dtype=np.intp)
+    counts = np.bincount(seg, minlength=4)[:, None]
+    fr = fusion._Frontier(4, flat, seg, counts)
+    cls_all, w1, w2 = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                       for s in [(7, 6), (6, 6), (6, 6)])
+    sp = StageParams(w1, w2)
+    seed = rng.standard_normal((4, 6)).astype(dtype)
+    results = []
+    for op in (lambda: ad.stage_aggregate(cls_all, 4, flat, seg, w1, w2),
+               lambda: batch_tg(cls_all[:4], neighbor_mean(cls_all, fr), sp)):
+        for t in (cls_all, w1, w2):
+            t.zero_grad()
+        out = op()
+        out.backward(seed)
+        results.append((out, [t.grad for t in (cls_all, w1, w2)]))
+    (got, got_grads), (want, want_grads) = results
+    assert got._parents == (cls_all, w1, w2)  # one tape node
+    np.testing.assert_array_equal(got.data, want.data)
+    # each gradient entry sums the same terms in the same order (a [CLS] row
+    # takes its own term and its neighbor terms, in two arrays either way),
+    # so the stated tolerance is 0
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert g.dtype == w.dtype == dtype
+        np.testing.assert_allclose(g, w, rtol=0, atol=0)
+    assert not got_grads[0][4].any()  # no node reads row 4
+
+
+def test_stage_aggregate_finite_differences():
+    rng = np.random.default_rng(4)
+    flat = np.array([5, 5, 1, 6, 0, 3, 5], dtype=np.intp)
+    seg = np.array([0, 0, 0, 1, 1, 3, 3], dtype=np.intp)
+    cls_all, w1, w2 = (rand_tensor(rng, *s) for s in [(7, 6), (6, 6), (6, 6)])
+    w = Tensor(rng.standard_normal((4, 6)))
+    finite_diff_check(lambda: (ad.stage_aggregate(cls_all, 4, flat, seg, w1, w2) * w).sum(),
+                      [cls_all, w1, w2])
 
 
 def test_identity_mode_ignores_the_row_plan():

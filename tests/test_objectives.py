@@ -7,7 +7,7 @@ from odin import encoder as enc
 from odin import objectives as obj
 from odin.autodiff import Tensor
 from odin.encoder import ModelDims, build_vocab
-from odin.fusion import LayerSchedule
+from odin.fusion import LayerSchedule, tokenize_nodes
 from odin.graph import TextGraph
 from odin.config import RunConfig
 from odin.objectives import (
@@ -310,7 +310,8 @@ def snapshot(params):
 
 
 def step(batch, g, params, schedule, optimizer, vocab, seed):
-    return pretrain_step(batch, g, params, schedule, optimizer, vocab, seed,
+    tokens = tokenize_nodes(g, range(g.num_nodes), vocab, params.dims.max_len)
+    return pretrain_step(batch, g, params, schedule, optimizer, vocab, tokens, seed,
                          fanout=3, mask_ratio=0.15)
 
 

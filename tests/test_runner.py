@@ -346,6 +346,32 @@ def test_a_finetune_tokenizes_every_node_once(tmp_path, monkeypatch):
     assert calls == [list(range(graph.num_nodes))]
 
 
+def test_a_pretraining_run_tokenizes_every_node_once(tmp_path, monkeypatch):
+    cfg = small_cfg(tmp_path, epochs=2, batch_size=8)
+    graph = small_graph()
+    calls, tables = [], []
+    tokenize, step = runner.tokenize_nodes, runner.pretrain_step
+
+    def tracked_tokenize(graph, nodes, *args):
+        calls.append(list(nodes))
+        return tokenize(graph, nodes, *args)
+
+    def tracked_step(batch, graph, params, schedule, optimizer, vocab, tokens, *args, **kw):
+        before = {v: ids.copy() for v, ids in tokens.items()}
+        rec = step(batch, graph, params, schedule, optimizer, vocab, tokens, *args, **kw)
+        tables.append(tokens)
+        assert tokens.keys() == before.keys()  # the masked rows are copies
+        assert all(np.array_equal(tokens[v], ids) for v, ids in before.items())
+        return rec
+
+    monkeypatch.setattr(runner, "tokenize_nodes", tracked_tokenize)
+    monkeypatch.setattr(runner, "pretrain_step", tracked_step)
+    report = runner.run_pretrain(cfg, graph, cfg.paths.out_dir)
+    assert calls == [list(range(graph.num_nodes))]
+    assert len(tables) == report["steps"] > 2
+    assert all(table is tables[0] for table in tables)
+
+
 # -- checkpoint loading --------------------------------------------------------------
 
 
@@ -513,10 +539,11 @@ def _losses_and_embeddings(cfg, graph, float64, steps=10):
     p = cfg.pretrain
     optimizer = make_optimizer(p.optimizer, p.lr_encoder, p.lr_gnn)
     train = runner.pretrain_split(graph, p.train_fraction, cfg.seed).train_ids
+    tokens = tokenize_nodes(graph, range(graph.num_nodes), vocab, params.dims.max_len)
     losses = []
     for i in range(steps):
         batch = np.random.default_rng(i).choice(train, p.batch_size, replace=False).tolist()
-        rec = pretrain_step(batch, graph, params, schedule, optimizer, vocab, i,
+        rec = pretrain_step(batch, graph, params, schedule, optimizer, vocab, tokens, i,
                             cfg.sampler.fanout, p.mask_ratio)
         losses.append(rec["total"])
     emb = _embed(cfg, graph, range(graph.num_nodes), params, schedule, vocab)
