@@ -11,24 +11,21 @@ scalar or an ndarray, such as a mask) takes the dtype of the tensor it meets,
 so float32 stays float32 through every op. Model parameters are float32
 (encoder.init_params); the oracle and finite-difference tests run the same
 ops in float64. Sums accumulate in the operands' dtype: numpy's pairwise
-sums, and BLAS dot products for matmuls and for the row sums below.
+sums, and BLAS dot products for matmuls and for row sums. Row sums over the
+last axis are BLAS matvecs or einsum, so they can differ from numpy's
+pairwise `x.sum(axis=-1)` in the last ulps.
 
 backward() frees each non-leaf gradient once that node's closure has pushed
-it to its parents, so after backward() only leaves (tensors without a
-closure, such as parameters) and the root hold a `grad`. Calling backward()
-again on the same tape, after zeroing the leaves, gives the same leaf
-gradients.
+it to its parents, so afterwards only leaves and the root hold a `grad`; a
+second backward() on the same tape, after zeroing the leaves, gives the same
+leaf gradients. A backward closure never writes into the arrays it closed
+over or into the incoming gradient, so gradients pass on without copies.
 
-Aliasing rule: a backward closure never writes into the arrays it closed
-over (forward inputs and saved intermediates) or into the incoming gradient.
-Gradients are passed on and accumulated without copies. Fused closures build
-their result in fresh arrays: gelu keeps its derivative instead of x and s.
-The post-norm block's two sublayers are one node each, with the bits of the
-ops they fuse: `attention_residual_norm` keeps its softmax weights, xhat and
-inv, `mlp_residual_norm` xhat and inv, and backward recomputes the rest tile
-by tile from their input (see their docstrings for the bits across tiles).
-Row sums over the last axis are BLAS matvecs or einsum, so they can differ
-from numpy's pairwise `x.sum(axis=-1)` in the last ulps.
+A fused node keeps only what its backward cannot rebuild cheaply, and has
+the bits of the ops it fuses: gelu keeps its derivative, stage_aggregate the
+neighbor mean, and post_norm_block, the whole post-norm Transformer block,
+LN2's xhat and inv; its backward recomputes the attention sublayer and the
+MLP's hidden layer from the block's input, one tile of sequences at a time.
 """
 
 from __future__ import annotations
@@ -588,13 +585,16 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _layer_norm_(x: np.ndarray, gain: Tensor, bias: Tensor):
-    """(out, xhat, inv) of layer_norm over the rows of the 2-D x."""
+def _layer_norm_(x: np.ndarray, gain: Tensor, bias: Tensor, into=(None, None, None)):
+    """(out, xhat, inv) of layer_norm over the rows of the 2-D x, written into
+    the arrays of `into` where given."""
     n = x.shape[1]
-    xhat = x - (x @ np.full(n, 1.0 / n, x.dtype))[:, None]
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + 1e-12)[:, None]
+    out, xhat, inv = into
+    xhat = np.subtract(x, (x @ np.full(n, 1.0 / n, x.dtype))[:, None], out=xhat)
+    inv = np.divide(1.0, np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + 1e-12)[:, None],
+                    out=inv)
     xhat *= inv
-    out = xhat * gain.data
+    out = np.multiply(xhat, gain.data, out=out)
     out += bias.data
     return out, xhat, inv
 
@@ -659,155 +659,151 @@ def _row_tiles(n: int, tile: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _plus(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
-    """total + part, in place in `total`, a fresh array of an earlier tile."""
-    if total is None:
-        return part
-    total += part
-    return total
+def _split_heads(a: np.ndarray, rows: int, heads: int) -> np.ndarray:
+    """(S * rows, d) -> (S, heads, rows, d / heads) view."""
+    return a.reshape(-1, rows, heads, a.shape[-1] // heads).transpose(0, 2, 1, 3)
 
 
-def mlp_residual_norm(h: Tensor, w_up: Tensor, b_up: Tensor, w_down: Tensor,
-                      b_down: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """layer_norm(h + gelu(h @ w_up + b_up) @ w_down + b_down, gain, bias), the
-    post-norm MLP sublayer, as one tape node.
-
-    On the tape the hidden layer runs in tiles of _TILE rows and is never
-    kept: backward recomputes each tile's hidden layer and gelu derivative
-    from h and sums the weight and bias gradients tile by tile. Off the tape
-    it runs in one pass. A GEMM's row does not depend on the other rows, so
-    the output has the bits of the composed ops however the rows are tiled,
-    and so do all gradients within one tile; across tiles, those of w_up,
-    b_up and w_down are sums of per-tile products, equal up to rounding."""
-    n = h.shape[-1]
-    h2d = h.data.reshape(-1, n)
-    parents = (h, w_up, b_up, w_down, b_down, gain, bias)
-    tiles = _row_tiles(len(h2d), _TILE if _on_tape(parents) else max(len(h2d), 1))
-
-    def hidden(rows: slice, derivative: bool):
-        u = h2d[rows] @ w_up.data
-        u += b_up.data
-        return _gelu_(u, True, derivative)
-
-    z = np.empty(h2d.shape, np.result_type(h2d, w_up.data, w_down.data))
-    for rows in tiles:
-        np.matmul(hidden(rows, False)[0], w_down.data, out=z[rows])
-    z += b_down.data
-    z += h2d
-    out_data, xhat, inv = _layer_norm_(z, gain, bias)
-
-    def backward(g):
-        # gz takes the residual's gradient, then each tile's gradient through
-        # the MLP, and becomes h's
-        gz = _layer_norm_grad(g.reshape(xhat.shape), xhat, inv, gain, bias)
-        b_down._accum(np.ones(len(gz), gz.dtype) @ gz)
-        gw_up = gb_up = gw_down = None
-        for rows in tiles:
-            a, deriv = hidden(rows, True)
-            gw_down = _plus(gw_down, a.T @ gz[rows])
-            gu = gz[rows] @ w_down.data.T
-            gu *= deriv
-            gw_up = _plus(gw_up, h2d[rows].T @ gu)
-            gb_up = _plus(gb_up, np.ones(len(gu), gu.dtype) @ gu)
-            gz[rows] += gu @ w_up.data.T
-        h._accum(gz.reshape(h.shape))
-        w_up._accum(gw_up)
-        b_up._accum(gb_up)
-        w_down._accum(gw_down)
-
-    return _make(out_data.reshape(h.shape), parents, backward)
-
-
-def attention_residual_norm(x: Tensor, agg: Tensor | None, wq: Tensor, bq: Tensor,
-                            wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
-                            bo: Tensor, gain: Tensor, bias: Tensor, heads: int,
-                            mask: np.ndarray | None, cls_only: bool) -> Tensor:
-    """layer_norm(xq + attention(xq @ wq + bq, kv @ wk + bk, kv @ wv + bv) @ wo + bo),
-    the post-norm attention sublayer, as one tape node: x is (N, T, d), kv is
-    x behind the (N, d) agg row, or x, and xq is x, or x[:, :1] with
-    `cls_only`; `mask` is additive (N, T') over kv (0 keep, -inf drop).
-
-    On the tape it runs in tiles of whole sequences, about 2 _TILE rows, and
-    keeps only LN1's xhat and inv: backward recomputes each tile's q, k, v,
-    softmax weights and context with the forward's bits and sums the weight
-    gradients tile by tile. Off the tape it runs in one pass. Bits as in
-    mlp_residual_norm, with tiles of 4k sequences: OpenBLAS's matrix-vector
-    kernel sums softmax rows 4 at a time, and a tail of 2 or 3 rows with
-    other bits."""
-    n, t, d = x.shape
+def _attention_residual_norm(x: Tensor, agg: Tensor | None, ws, heads: int,
+                             mask: np.ndarray | None, cls_only: bool, seqs: slice):
+    """post_norm_block's attention sublayer over the sequences `seqs`: h as
+    (S * Tq, d) rows, and what its backward reads."""
+    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = ws
+    xs, d = x.data[seqs], x.shape[2]
+    kv = xs if agg is None else np.concatenate([agg.data[seqs, None], xs], axis=1)
+    tq, tk = (1 if cls_only else xs.shape[1]), kv.shape[1]
+    xq, kv = (xs[:, :1] if cls_only else xs).reshape(-1, d), kv.reshape(-1, d)
+    q, k, v = (np.add(p, b.data, out=p)
+               for p, b in ((xq @ wq.data, bq), (kv @ wk.data, bk), (kv @ wv.data, bv)))
     scale = float(1.0 / np.sqrt(d // heads))  # a numpy float64 would upcast float32 q
-    tq, tk = (1 if cls_only else t), t + (agg is not None)
-    parents = tuple(p for p in (x, agg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias)
-                    if p is not None)
-    tiles = _row_tiles(n, 4 * max(1, _TILE // (2 * t)) if _on_tape(parents) else max(n, 1))
-    dtype = np.result_type(x.data, wq.data)
-
-    def split(a, rows):  # (S * rows, d) -> (S, heads, rows, hd) view
-        return a.reshape(-1, rows, heads, d // heads).transpose(0, 2, 1, 3)
-
-    def project(seqs: slice):  # a tile's xq and kv rows, and its q, k, v
-        xs = x.data[seqs]
-        kv = xs if agg is None else np.concatenate([agg.data[seqs, None], xs], axis=1)
-        xq, kv = (xs[:, :1] if cls_only else xs).reshape(-1, d), kv.reshape(-1, d)
-        qkv = [a @ w.data for a, w in ((xq, wq), (kv, wk), (kv, wv))]
-        return xq, kv, *(np.add(p, b.data, out=p) for p, b in zip(qkv, (bq, bk, bv)))
-
-    def weights(q, k, seqs: slice):  # a tile's softmax weights, from q already scaled
-        tile_mask = None if mask is None else mask[seqs]
-        return _attention_weights(split(q, tq), split(k, tk), tile_mask)
-
-    def context(w, v):  # the heads' weighted values as (S * tq, d) rows
-        out = np.empty((len(w) * tq, d), dtype)
-        np.matmul(w, split(v, tk), out=split(out, tq))
-        return out
-
-    z = np.empty((n * tq, d), dtype)
-    for seqs in tiles:
-        _, _, q, k, v = project(seqs)
-        q *= scale
-        np.matmul(context(weights(q, k, seqs), v), wo.data,
-                  out=z[seqs.start * tq:seqs.stop * tq])
+    w = _attention_weights(_split_heads(q * scale, tq, heads), _split_heads(k, tk, heads),
+                           None if mask is None else mask[seqs])
+    ctx = np.empty(q.shape, q.dtype)  # the heads' weighted values
+    np.matmul(w, _split_heads(v, tk, heads), out=_split_heads(ctx, tq, heads))
+    z = ctx @ wo.data
     z += bo.data
-    z += (x.data[:, :1] if cls_only else x.data).reshape(z.shape)
-    out_data, xhat, inv = _layer_norm_(z, gain, bias)
+    z += xq
+    h, xhat, inv = _layer_norm_(z, gain, bias)
+    return h, (xq, kv, q, k, v, w, ctx, xhat, inv)
+
+
+def _attention_residual_norm_grad(gh: np.ndarray, saved, ws, heads: int, seqs: slice,
+                                  gx: np.ndarray, gagg: np.ndarray | None):
+    """Accumulate the attention sublayer's parameter gradients over the
+    sequences `seqs` from gh, h's gradient, and write x's and, with an agg
+    token, agg's into gx[seqs] and gagg[seqs]."""
+    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = ws
+    xq, kv, q, k, v, w, ctx, xhat, inv = saved
+    t, d = gx.shape[1:]
+    tq, tk = w.shape[2:]
+    gz = _layer_norm_grad(gh, xhat, inv, gain, bias)  # the residual's gradient
+    bo._accum(np.ones(len(gz), gz.dtype) @ gz)
+    wo._accum(ctx.T @ gz)
+    gctx = _split_heads(gz @ wo.data.T, tq, heads)
+    gq, gk, gv = (np.empty(a.shape, gz.dtype) for a in (q, k, v))
+    np.matmul(w.transpose(0, 1, 3, 2), gctx, out=_split_heads(gv, tk, heads))
+    # the weights' gradient, then the softmax Jacobian and the scale
+    gs = gctx @ _split_heads(v, tk, heads).transpose(0, 1, 3, 2)
+    gs -= np.einsum("...i,...i->...", gs, w)[..., None]
+    gs *= w
+    gs *= float(1.0 / np.sqrt(d // heads))
+    np.matmul(gs, _split_heads(k, tk, heads), out=_split_heads(gq, tq, heads))
+    np.matmul(gs.transpose(0, 1, 3, 2), _split_heads(q, tq, heads),
+              out=_split_heads(gk, tk, heads))
+    for a, ga, wp, bp in ((xq, gq, wq, bq), (kv, gk, wk, bk), (kv, gv, wv, bv)):
+        wp._accum(a.T @ ga)
+        bp._accum(np.ones(len(ga), ga.dtype) @ ga)
+    gxs = gx[seqs]  # the residual's gradient and q's part, then k's and v's
+    gxs[:, :tq] = (gz + gq @ wq.data.T).reshape(-1, tq, d)
+    # as in the unfused ops, k's part and v's go one at a time, or with agg summed
+    parts = [gk @ wk.data.T, gv @ wv.data.T]
+    if gagg is not None:
+        parts = [(parts[0] + parts[1]).reshape(-1, tk, d)]
+        gagg[seqs] = parts[0][:, 0]
+    for part in parts:
+        gxs += part.reshape(-1, tk, d)[:, tk - t:]
+
+
+def _mlp_hidden(h: np.ndarray, w_up: Tensor, b_up: Tensor, derivative: bool):
+    u = h @ w_up.data
+    u += b_up.data
+    return _gelu_(u, True, derivative)
+
+
+def _mlp_residual_norm(h: np.ndarray, ws, tile: int, into):
+    """post_norm_block's MLP sublayer over the rows of h, the hidden layer in
+    tiles of `tile` rows: (out, xhat, inv) of LN2, written into `into`."""
+    w_up, b_up, w_down, b_down, gain, bias = ws
+    z = np.empty(h.shape, into[0].dtype)
+    for rows in _row_tiles(len(h), tile):
+        np.matmul(_mlp_hidden(h[rows], w_up, b_up, False)[0], w_down.data, out=z[rows])
+    z += b_down.data
+    z += h
+    _layer_norm_(z, gain, bias, into)
+
+
+def _mlp_residual_norm_grad(g: np.ndarray, h: np.ndarray, xhat, inv, ws, tile: int):
+    """Accumulate the MLP sublayer's parameter gradients from g, its output's
+    gradient, recomputing the hidden layer tile by tile; return h's."""
+    w_up, b_up, w_down, b_down, gain, bias = ws
+    gz = _layer_norm_grad(g, xhat, inv, gain, bias)  # the residual's, then h's gradient
+    b_down._accum(np.ones(len(gz), gz.dtype) @ gz)
+    for rows in _row_tiles(len(h), tile):
+        a, deriv = _mlp_hidden(h[rows], w_up, b_up, True)
+        w_down._accum(a.T @ gz[rows])
+        gu = gz[rows] @ w_down.data.T
+        gu *= deriv
+        w_up._accum(h[rows].T @ gu)
+        b_up._accum(np.ones(len(gu), gu.dtype) @ gu)
+        gz[rows] += gu @ w_up.data.T
+    return gz
+
+
+def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1,
+                    w_up, b_up, w_down, b_down, gain2, bias2, heads: int,
+                    mask: np.ndarray | None, cls_only: bool) -> Tensor:
+    """layer_norm(h + gelu(h @ w_up + b_up) @ w_down + b_down, gain2, bias2) with
+    h = layer_norm(xq + attention(xq @ wq + bq, kv @ wk + bk, kv @ wv + bv) @ wo
+    + bo, gain1, bias1), the post-norm Transformer block, as one tape node: x
+    is (N, T, d), kv is x behind the (N, d) agg row, or x, and xq is x, or
+    x[:, :1] with `cls_only`; `mask` is additive (N, T') over kv (0 keep,
+    -inf drop).
+
+    On the tape it runs in tiles of 4k whole sequences, about 2 _TILE rows,
+    the MLP's hidden layer in tiles of _TILE rows, and keeps only LN2's xhat
+    and inv. Backward recomputes each tile's attention sublayer with the
+    forward's bits, then runs the MLP's, LN1's and the attention's gradient
+    and sums the parameter gradients tile by tile. Off the tape it runs in
+    one pass. A GEMM's row does not depend on the other rows, and OpenBLAS's
+    matrix-vector kernel, which sums the layer norms' rows, sums them 4 at a
+    time and a tail of 2 or 3 with other bits, so with tiles of 4k sequences
+    the output has the unfused ops' bits however the sequences are tiled, as
+    do the gradients within one tile."""
+    n, t, d = x.shape
+    tq = 1 if cls_only else t
+    attn = (wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1)
+    mlp = (w_up, b_up, w_down, b_down, gain2, bias2)
+    parents = tuple(p for p in (x, agg, *attn, *mlp) if p is not None)
+    on_tape = _on_tape(parents)
+    tiles = [(seqs, slice(seqs.start * tq, seqs.stop * tq))  # (sequences, their rows)
+             for seqs in _row_tiles(n, 4 * max(1, _TILE // (2 * t)) if on_tape else max(n, 1))]
+    tile = _TILE if on_tape else max(n * tq, 1)
+    dtype = np.result_type(*(p.data for p in parents))
+    out, xhat, inv = (np.empty((n * tq, width), dtype) for width in (d, d, 1))
+    for seqs, rows in tiles:
+        h = _attention_residual_norm(x, agg, attn, heads, mask, cls_only, seqs)[0]
+        _mlp_residual_norm(h, mlp, tile, (out[rows], xhat[rows], inv[rows]))
 
     def backward(g):
-        # gz is the residual's gradient; gx takes it and each tile's through q, k and v
-        gz = _layer_norm_grad(g.reshape(xhat.shape), xhat, inv, gain, bias)
-        bo._accum(np.ones(len(gz), gz.dtype) @ gz)
-        if cls_only:
-            gx = np.zeros(x.shape, gz.dtype)
-            gx[:, 0] = gz
-        else:
-            gx = gz.reshape(x.shape)
-        sums = {x: gx, **dict.fromkeys((wq, bq, wk, bk, wv, bv, wo))}
+        g = g.reshape(-1, d)
+        gx = (np.zeros if cls_only else np.empty)(x.shape, dtype)
+        gagg = None if agg is None else np.empty(agg.shape, dtype)
+        for seqs, rows in tiles:
+            h, saved = _attention_residual_norm(x, agg, attn, heads, mask, cls_only, seqs)
+            gh = _mlp_residual_norm_grad(g[rows], h, xhat[rows], inv[rows], mlp, tile)
+            _attention_residual_norm_grad(gh, saved, attn, heads, seqs, gx, gagg)
+        x._accum(gx)
         if agg is not None:
-            sums[agg] = np.empty(agg.shape, gz.dtype)
-        for seqs in tiles:
-            xq, kv, q, k, v = project(seqs)
-            w, gzt = weights(q * scale, k, seqs), gz[seqs.start * tq:seqs.stop * tq]
-            sums[wo] = _plus(sums[wo], context(w, v).T @ gzt)
-            gh = split(gzt @ wo.data.T, tq)
-            gq, gk, gv = (np.empty(a.shape, gz.dtype) for a in (q, k, v))
-            np.matmul(w.transpose(0, 1, 3, 2), gh, out=split(gv, tk))
-            gs = gh @ split(v, tk).transpose(0, 1, 3, 2)  # then the softmax Jacobian and the scale
-            gs -= np.einsum("...i,...i->...", gs, w)[..., None]
-            gs *= w
-            gs *= scale
-            np.matmul(gs, split(k, tk), out=split(gq, tq))
-            np.matmul(gs.transpose(0, 1, 3, 2), split(q, tq), out=split(gk, tk))
-            for a, ga, wp, bp in ((xq, gq, wq, bq), (kv, gk, wk, bk), (kv, gv, wv, bv)):
-                sums[wp] = _plus(sums[wp], a.T @ ga)
-                sums[bp] = _plus(sums[bp], np.ones(len(ga), ga.dtype) @ ga)
-            gx[seqs, :tq] += (gq @ wq.data.T).reshape(-1, tq, d)
-            # as in the unfused ops, x takes k's part, then v's, or with agg their sum
-            parts = [gk @ wk.data.T, gv @ wv.data.T]
-            if agg is not None:
-                parts = [(parts[0] + parts[1]).reshape(-1, tk, d)]
-                sums[agg][seqs] = parts[0][:, 0]
-            for part in parts:
-                gx[seqs] += part.reshape(-1, tk, d)[:, tk - t:]
-        for p, total in sums.items():
-            p._accum(total)
+            agg._accum(gagg)
 
-    return _make(out_data.reshape(n, tq, d), parents, backward)
+    return _make(out.reshape(n, tq, d), parents, backward)

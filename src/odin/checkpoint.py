@@ -13,6 +13,7 @@ cut short or garbled, raises CheckpointError naming its path.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -67,30 +68,37 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _header_fields(path):
+    """A header that is not JSON, or a field of it that is missing or of the
+    wrong type, raises CheckpointError naming `path`."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, json.JSONDecodeError, UnicodeError) as exc:
+        raise CheckpointError(f"{path}: damaged header ({type(exc).__name__}: {exc})") from None
+
+
 def load_arrays(path):
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path} is not a checkpoint file")
     n = int.from_bytes(raw[len(MAGIC): len(MAGIC) + 8], "little")
-    try:
+    with _header_fields(path):
         header = json.loads(raw[len(MAGIC) + 8: len(MAGIC) + 8 + n])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: damaged header ({exc})") from None
-    if header["version"] != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
-    payload = raw[len(MAGIC) + 8 + n:]
-    arrays = {}
-    for name, info in header["arrays"].items():
-        if info["dtype"] not in DTYPES:
-            raise CheckpointError(f"{path}: {name} has unsupported dtype {info['dtype']!r}")
-        shape = tuple(info["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if info["offset"] + count * np.dtype(info["dtype"]).itemsize > len(payload):
-            raise CheckpointError(f"{path} is cut short: {name} runs past the payload")
-        arrays[name] = np.frombuffer(
-            payload, dtype=info["dtype"], count=count, offset=info["offset"]
-        ).reshape(shape).copy()
-    return arrays, header["meta"]
+        if header["version"] != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
+        payload = raw[len(MAGIC) + 8 + n:]
+        arrays = {}
+        for name, info in header["arrays"].items():
+            dtype, shape, offset = info["dtype"], tuple(info["shape"]), info["offset"]
+            if dtype not in DTYPES:
+                raise CheckpointError(f"{path}: {name} has unsupported dtype {dtype!r}")
+            count = int(np.prod(shape)) if shape else 1
+            if not 0 <= offset <= len(payload) - count * np.dtype(dtype).itemsize:
+                raise CheckpointError(f"{path} is cut short or its header damaged: {name} "
+                                      "lies outside the payload")
+            arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape).copy()
+        return arrays, header["meta"]
 
 
 def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
@@ -116,9 +124,11 @@ def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
 def load_model(path):
     """Returns (params, meta, optimizer_state_or_None)."""
     arrays, meta = load_arrays(path)
-    spec = meta["model"]
-    params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
-                         spec["num_stages"], seed=None)
+    with _header_fields(path):
+        spec, opt = meta["model"], meta.get("optimizer", {})
+        params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
+                             spec["num_stages"], seed=None)
+        adam_step = opt["t"] if opt.get("kind") == "adam" else None
     for name, p in params.named_parameters():
         if name not in arrays:
             raise CheckpointError(f"{path}: missing array {name}")
@@ -127,9 +137,9 @@ def load_model(path):
                                   f"{arrays[name].shape}, model {p.data.shape}")
         p.data = arrays[name]
     opt_state = None
-    if "optimizer" in meta and meta["optimizer"].get("kind") == "adam":
+    if adam_step is not None:
         opt_state = {
-            "t": meta["optimizer"]["t"],
+            "t": adam_step,
             "m": {k[len("opt.m."):]: v for k, v in arrays.items() if k.startswith("opt.m.")},
             "v": {k[len("opt.v."):]: v for k, v in arrays.items() if k.startswith("opt.v.")},
         }

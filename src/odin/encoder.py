@@ -51,14 +51,18 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """The vocab `save` wrote; a damaged file raises ValueError naming `path`."""
         id_to_token: list[str] = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                tok, idx = line.rstrip("\n").split("\t")
-                if int(idx) != len(id_to_token):
-                    raise ValueError(f"{path}: vocab ids must be dense, got id {idx} "
-                                     f"where {len(id_to_token)} was expected")
-                id_to_token.append(tok)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    tok, *idx = line.rstrip("\n").split("\t")
+                    if idx != [str(len(id_to_token))]:
+                        raise ValueError(f"line {len(id_to_token) + 1} is not 'token<TAB>"
+                                         f"{len(id_to_token)}': vocab ids must be dense")
+                    id_to_token.append(tok)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cls({t: i for i, t in enumerate(id_to_token)}, tuple(id_to_token))
 
 
@@ -218,51 +222,40 @@ def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
 # -- attention and the block ------------------------------------------------------
 
 
-def attention_block(
-    x: Tensor,
-    agg: Tensor | None,
-    lp: LayerParams,
-    heads: int,
-    key_mask: np.ndarray | None = None,
-    *,
-    cls_only: bool = False,
-) -> Tensor:
-    """The attention sublayer LN1(x + attention @ wo + bo) as one tape node:
-    asymmetric multi-head attention over (N, T, d) states with an optional
-    (N, d) graph-enhanced token prepended to the keys and values only.
+def attention_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
+                    key_mask: np.ndarray | None = None, *, cls_only: bool = False) -> Tensor:
+    """The block as one tape node, `ad.post_norm_block`: h = LN1(x + attention
+    @ wo + bo), then LN2(h + MLP(h)), with asymmetric multi-head attention over
+    (N, T, d) states and an optional (N, d) graph-enhanced token prepended to
+    the keys and values only. The node keeps only LN2's xhat and per-row
+    scale; backward recomputes the rest one tile of whole sequences at a time.
 
     key_mask, if given, is (N, T) with True marking attendable positions.
     With `cls_only`, only position 0 ([CLS]) queries, over the same keys and
-    values, and the output is (N, 1, d).
+    values, and the output is (N, 1, d). PAD rows are not zeroed here.
     """
     pad = key_mask is not None and not key_mask.all()  # an all-0 mask would change no bit
     mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype) if pad else None
     if mask is not None and agg is not None:  # the agg token is never masked
         mask = np.concatenate([np.zeros((len(mask), 1), mask.dtype), mask], axis=1)
-    return ad.attention_residual_norm(x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv,
-                                      lp.wo, lp.bo, lp.ln1_g, lp.ln1_b, heads, mask, cls_only)
+    return ad.post_norm_block(x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv, lp.wo, lp.bo,
+                              lp.ln1_g, lp.ln1_b, lp.w_up, lp.b_up, lp.w_down, lp.b_down,
+                              lp.ln2_g, lp.ln2_b, heads, mask, cls_only)
 
 
 def _slice(a, key):
     return None if a is None else a[key]
 
 
-def transformer_block(
-    x: Tensor,
-    agg: Tensor | None,
-    lp: LayerParams,
-    heads: int,
-    key_mask: np.ndarray | None = None,
-    rows: int | None = None,
-    *,
-    full_rows: int | None = None,
-):
-    """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as two fused
-    nodes, `ad.attention_residual_norm` (attention_block) and
-    `ad.mlp_residual_norm` (MLP, residual, LN). The agg token is consumed by
-    the attention; output length equals input length. The output is exactly
-    0 at PAD positions (key_mask False); a mask without a False entry is
-    dropped, so input without PAD pays for no masking and no zeroing.
+def transformer_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
+                      key_mask: np.ndarray | None = None, rows: int | None = None, *,
+                      full_rows: int | None = None):
+    """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as one tape
+    node (attention_block) that keeps only the second norm's statistics. The
+    agg token is consumed by the attention; output length equals input length.
+    The output is exactly 0 at PAD positions (key_mask False); a mask without
+    a False entry is dropped, so input without PAD pays for no masking and no
+    zeroing.
 
     With `rows`, the block stable-sorts the sequences by real length (one
     past the last True of key_mask), runs on chunks of at most that many
@@ -317,12 +310,7 @@ def _block(x, agg, lp, heads, key_mask, rows, cls_only: bool) -> Tensor:
         joined = ad.concat(parts, axis=0)
         del parts  # without a tape nothing else holds the chunks
         return ad.take_rows(joined, np.argsort(order))
-    if cls_only:
-        h = attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=True)
-        key_mask = None  # position 0 is [CLS], never PAD
-    else:
-        h = attention_block(x, agg, lp, heads, key_mask=key_mask)
-    out = ad.mlp_residual_norm(h, lp.w_up, lp.b_up, lp.w_down, lp.b_down, lp.ln2_g, lp.ln2_b)
-    if key_mask is not None:
-        out = out * key_mask[:, :, None]
-    return out
+    if cls_only:  # position 0 is [CLS], never PAD
+        return attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=True)
+    out = attention_block(x, agg, lp, heads, key_mask=key_mask)
+    return out if key_mask is None else out * key_mask[:, :, None]

@@ -146,6 +146,8 @@ def _parse_node_file(path: Path):
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: invalid JSON") from exc
+            if not isinstance(rec, dict):
+                raise GraphFormatError(f"{path}:{lineno}: not a JSON object")
             if rec.get("id") != len(texts):
                 raise GraphFormatError(
                     f"{path}:{lineno}: ids must be contiguous from 0, got {rec.get('id')}"

@@ -77,7 +77,10 @@ def load_checkpoint(path):
     vocab.tsv beside it. Raises CheckpointError when the two disagree on the
     vocabulary size, as when the vocab was written for another graph."""
     params, meta, opt_state = load_model(path)
-    vocab = Vocab.load(Path(path).parent / "vocab.tsv")
+    try:
+        vocab = Vocab.load(Path(path).parent / "vocab.tsv")
+    except ValueError as exc:  # a damaged vocab.tsv
+        raise CheckpointError(str(exc)) from None
     if vocab.size != params.vocab_size:
         raise CheckpointError(f"vocab.tsv holds {vocab.size} tokens but the checkpoint "
                               f"{path} was built for {params.vocab_size}")

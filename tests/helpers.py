@@ -169,10 +169,11 @@ def attention_node(q, k, v, heads, mask=None):
 def attention_sublayer(x, agg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, heads, mask,
                        cls_only, attend=attention_node, linear=ad.linear,
                        layer_norm=ad.layer_norm):
-    """ad.attention_residual_norm as the unfused ops it replaced: concat the
-    agg row, the q, k and v linears, `attend`, the output linear, the
-    residual and the layer norm. With the default ops it has the node's
-    output bits; with the oracle ops it is an independent reference."""
+    """The attention sublayer of ad.post_norm_block, h = LN1(xq + attention @
+    wo + bo), as unfused ops: concat the agg row, the q, k and v linears,
+    `attend`, the output linear, the residual and the layer norm. With the
+    default ops it has the node's bits for h; with the oracle ops it is an
+    independent reference."""
     kv = x if agg is None else ad.concat([ad.reshape(agg, (agg.shape[0], 1, agg.shape[1])), x],
                                          axis=1)
     xq = x[:, :1] if cls_only else x

@@ -398,14 +398,23 @@ def test_gelu_builds_no_derivative_under_no_grad(rng):
     assert peak < 2.5 * x.data.nbytes
 
 
-# -- attention sublayer ---------------------------------------------------------
+# -- the post-norm block ----------------------------------------------------------
+#
+# ad.post_norm_block runs the attention sublayer (ad._attention_residual_norm)
+# and the MLP sublayer (ad._mlp_residual_norm) per tile of whole sequences,
+# the MLP's hidden layer in sub-tiles of _TILE rows. The tests named after a
+# sublayer put that sublayer's tiling to the test.
 
 
-def _attention_leaves(rng, n=3, t=4, d=8, dtype=np.float64):
-    """(N, T, d) states x, an (N, d) agg token and the sublayer's q, k, v
-    and output weights and biases, then the norm's gain and bias."""
-    shapes = [(n, t, d), (n, d)] + [(d, d), (d,)] * 4 + [(d,), (d,)]
-    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+def _block_leaves(rng, n=3, t=4, d=8, dtype=np.float64, w_dtype=None):
+    """(N, T, d) states x, an (N, d) agg token, the attention's q, k, v and
+    output weights and biases and LN1's gain and bias, then the MLP's
+    weights and biases at hidden width 4d and LN2's gain and bias."""
+    shapes = ([(d, d), (d,)] * 4 + [(d,), (d,)]
+              + [(d, 4 * d), (4 * d,), (4 * d, d), (d,), (d,), (d,)])
+    dtypes = [dtype] * 2 + [w_dtype or dtype] * len(shapes)
+    return [Tensor(rng.standard_normal(s).astype(dt), requires_grad=True)
+            for s, dt in zip([(n, t, d), (n, d)] + shapes, dtypes)]
 
 
 def _pad_mask(n, t, dtype=np.float64):
@@ -416,52 +425,78 @@ def _pad_mask(n, t, dtype=np.float64):
     return np.where(key_mask, 0.0, -np.inf).astype(dtype)
 
 
-def _sublayer(leaves, heads, mask, cls_only, op=ad.attention_residual_norm, **ops):
-    x, agg, *rest = leaves
-    return op(x, agg, *rest, heads, mask, cls_only, **ops)
+def _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias, linear=ad.linear,
+                     layer_norm=ad.layer_norm):
+    return layer_norm(h + linear(ad.gelu(linear(h, w_up, b_up)), w_down, b_down), gain, bias)
+
+
+def _composition(x, agg, *rest, **ops):
+    """ad.post_norm_block as the unfused attention sublayer, then the
+    unfused MLP sublayer; `ops` replaces attention_sublayer's ops."""
+    *attn, w_up, b_up, w_down, b_down, gain, bias, heads, mask, cls_only = rest
+    h = attention_sublayer(x, agg, *attn, heads, mask, cls_only, **ops)
+    ops.pop("attend", None)
+    return _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias, **ops)
+
+
+def _block(leaves, heads, mask, cls_only, op=ad.post_norm_block, agg=True, **ops):
+    x, agg_leaf, *rest = leaves
+    return op(x, agg_leaf if agg else None, *rest, heads, mask, cls_only, **ops)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_matches_composite_oracle(rng, masked):
-    leaves = _attention_leaves(rng)
+    # the block against a composition of the oracle attention, linear and
+    # layer norm ops
+    leaves = _block_leaves(rng)
     mask = _pad_mask(3, 4) if masked else None
     oracle_ops = dict(attend=attention_oracle, linear=linear_oracle, layer_norm=layer_norm_oracle)
-    _assert_matches_oracle(lambda *ls: _sublayer(ls, 2, mask, False),
-                           lambda *ls: _sublayer(ls, 2, mask, False, attention_sublayer,
-                                                 **oracle_ops),
+    _assert_matches_oracle(lambda *ls: _block(ls, 2, mask, False),
+                           lambda *ls: _block(ls, 2, mask, False, _composition, **oracle_ops),
                            leaves, rng.standard_normal((3, 4, 8)), mask)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_finite_differences(rng, masked):
-    leaves = _attention_leaves(rng)
+    leaves = _block_leaves(rng)
     mask = _pad_mask(3, 4) if masked else None
     w = Tensor(rng.standard_normal((3, 4, 8)))
-    finite_diff_check(lambda: (_sublayer(leaves, 2, mask, False) * w).sum(), leaves)
+    finite_diff_check(lambda: (_block(leaves, 2, mask, False) * w).sum(), leaves)
 
 
 @pytest.mark.parametrize("cls_only", [False, True])
 def test_attention_residual_norm_finite_differences_across_tiles(rng, monkeypatch, cls_only):
     # 10 sequences of 3 tokens in tiles of 4, 4 and 2 sequences, with an agg
-    # token, a PAD mask and, for cls_only, one query per sequence
+    # token, a PAD mask and, for cls_only, one query per sequence; the MLP
+    # runs a tile's 12 or 6 rows in sub-tiles of 4 and 4, or 4 and 2
     monkeypatch.setattr(ad, "_TILE", 4)
-    leaves = _attention_leaves(rng, n=10, t=3, d=4)
+    leaves = _block_leaves(rng, n=10, t=3, d=4)
     w = Tensor(rng.standard_normal((10, 1 if cls_only else 3, 4)))
-    finite_diff_check(lambda: (_sublayer(leaves, 2, _pad_mask(10, 3), cls_only) * w).sum(),
+    finite_diff_check(lambda: (_block(leaves, 2, _pad_mask(10, 3), cls_only) * w).sum(),
                       leaves)
 
 
+def test_mlp_residual_norm_finite_differences_across_tiles(rng, monkeypatch):
+    # no agg token and no mask: one tile of 2 sequences, 10 rows, whose MLP
+    # runs in sub-tiles of 4, 4 and 2 rows
+    monkeypatch.setattr(ad, "_TILE", 4)
+    leaves = _block_leaves(rng, n=2, t=5, d=4)
+    w = Tensor(rng.standard_normal((2, 5, 4)))
+    finite_diff_check(lambda: (_block(leaves, 2, None, False, agg=False) * w).sum(),
+                      leaves[:1] + leaves[2:])
+
+
 def test_attention_is_one_tape_node(rng):
-    leaves = _attention_leaves(rng)
-    out = _sublayer(leaves, 2, _pad_mask(3, 4), False)
+    leaves = _block_leaves(rng)
+    out = _block(leaves, 2, _pad_mask(3, 4), False)
     assert out.shape == leaves[0].shape
     assert out._parents == tuple(leaves)
     assert all(p._backward is None for p in out._parents)
 
 
 def test_attention_backward_repeats(rng):
-    leaves = _attention_leaves(rng)
-    out = _sublayer(leaves, 2, _pad_mask(3, 4), False)
+    leaves = _block_leaves(rng)
+    out = _block(leaves, 2, _pad_mask(3, 4), False)
     seed = rng.standard_normal(out.shape)
     out.backward(seed)
     first = [t.grad.copy() for t in leaves]
@@ -474,17 +509,45 @@ def test_attention_backward_repeats(rng):
 
 def test_attention_residual_norm_ignores_an_all_zero_mask_to_the_bit(rng):
     # encoder.attention_block passes no mask where no key is PAD
-    leaves = _attention_leaves(rng)
+    leaves = _block_leaves(rng)
     seed = rng.standard_normal((3, 4, 8))
     results = []
     for mask in (np.zeros((3, 5)), None):
         for t in leaves:
             t.zero_grad()
-        out = _sublayer(leaves, 2, mask, False)
+        out = _block(leaves, 2, mask, False)
         out.backward(seed)
         results.append([out.data] + [t.grad for t in leaves])
     for got, want in zip(*results, strict=True):
         np.testing.assert_array_equal(got, want)
+
+
+def _assert_block_matches_its_composition(leaves, mask, cls_only, agg, seed, one_tile):
+    """post_norm_block has the composition's output bits on and off the
+    tape. Its gradients have them within one tile; across tiles they are
+    within 1e-12 (float64) or 1e-5 (float32) of the largest entry of any
+    gradient (bk's is 0 up to rounding: softmax ignores a shift shared by
+    all keys)."""
+    results = []
+    for op in (ad.post_norm_block, _composition):
+        for t in leaves:
+            t.zero_grad()
+        with ad.no_grad():
+            off_tape = _block(leaves, 2, mask, cls_only, op, agg)
+        out = _block(leaves, 2, mask, cls_only, op, agg)
+        out.backward(seed)
+        results.append((off_tape.data, out.data, [t.grad for t in leaves if t.grad is not None]))
+    (got_off, got, got_grads), (want_off, want, want_grads) = results
+    np.testing.assert_array_equal(got_off, want_off)
+    np.testing.assert_array_equal(got, want)
+    dtype = got.dtype
+    atol = (1e-12 if dtype == np.float64 else 1e-5) * max(np.abs(w).max() for w in want_grads)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert g.dtype == w.dtype == dtype
+        if one_tile:
+            np.testing.assert_array_equal(g, w)
+        else:
+            assert np.abs(g - w).max() <= atol
 
 
 @pytest.mark.parametrize("tiles", [(256, 10), (4, 10), (4, 9)],
@@ -493,71 +556,116 @@ def test_attention_residual_norm_ignores_an_all_zero_mask_to_the_bit(rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_residual_norm_matches_its_composition(rng, monkeypatch, tiles, cls_only,
                                                          dtype):
-    # The output has the unfused ops' bits on and off the tape, however the
-    # sequences are tiled: 3 tokens and an agg token over 2 heads make 6 or,
-    # for cls_only, 2 softmax rows per sequence, and a PAD mask hides keys.
-    # The gradients have the bits within one tile; across tiles the weight
-    # and bias gradients are per-tile sums.
+    # The block over tiles of whole sequences: 3 tokens and an agg token
+    # over 2 heads make 6 or, for cls_only, 2 softmax rows per sequence, a
+    # PAD mask hides keys, and at _TILE 4 the MLP splits a tile's rows too.
     tile, n = tiles
     monkeypatch.setattr(ad, "_TILE", tile)
-    leaves = _attention_leaves(rng, n=n, t=3, d=4, dtype=dtype)
-    mask = _pad_mask(n, 3, dtype)
+    leaves = _block_leaves(rng, n=n, t=3, d=4, dtype=dtype)
     seed = rng.standard_normal((n, 1 if cls_only else 3, 4))
-    results = []
-    for op in (ad.attention_residual_norm, attention_sublayer):
-        for t in leaves:
-            t.zero_grad()
-        with ad.no_grad():
-            off_tape = _sublayer(leaves, 2, mask, cls_only, op)
-        out = _sublayer(leaves, 2, mask, cls_only, op)
-        out.backward(seed)
-        results.append((off_tape.data, out.data, [t.grad for t in leaves]))
-    (got_off, got, got_grads), (want_off, want, want_grads) = results
-    np.testing.assert_array_equal(got_off, want_off)
-    np.testing.assert_array_equal(got, want)
-    # bk's gradient is 0 up to rounding (softmax ignores a shift shared by
-    # all keys), so the scale is the largest entry of any gradient
-    atol = (1e-12 if dtype == np.float64 else 1e-5) * max(np.abs(w).max() for w in want_grads)
-    for g, w in zip(got_grads, want_grads, strict=True):
-        assert g.dtype == w.dtype == dtype
-        if tile == 256:
-            np.testing.assert_array_equal(g, w)
-        else:
-            assert np.abs(g - w).max() <= atol
+    _assert_block_matches_its_composition(leaves, _pad_mask(n, 3, dtype), cls_only, True,
+                                          seed, tile == 256)
 
 
-# -- fused block nodes ----------------------------------------------------------
+@pytest.mark.parametrize("tile", [256, 4, 3])  # 1 tile; 4+4+2 rows; 3+3+4 rows, no 1-row tile
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                    (np.float64, np.float32)],
+                         ids=["float32", "float64", "float64 h, float32 weights"])
+def test_mlp_residual_norm_matches_its_composition(rng, monkeypatch, tile, dtypes):
+    # One tile of 2 sequences without agg or mask, 10 rows, whose MLP runs
+    # in sub-tiles of `tile` rows. Float32 weights meeting float64 input get
+    # float64 gradients, summed in float64.
+    monkeypatch.setattr(ad, "_TILE", tile)
+    leaves = _block_leaves(rng, n=2, t=5, d=4, dtype=dtypes[0], w_dtype=dtypes[1])
+    seed = rng.standard_normal((2, 5, 4))
+    _assert_block_matches_its_composition(leaves, None, False, False, seed, tile == 256)
 
 
-def _fused_cases(rng, dtype):
-    """(leaves, fused node, the unfused composition) for each fused node."""
-    def leaf(*shape):
-        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+def test_layer_norm_tiles_at_multiples_of_4_rows_keep_the_bits_of_one_call(rng):
+    # post_norm_block runs its layer norms per tile of 4k sequences; row
+    # sums go through a BLAS matrix-vector product, which groups rows by 4
+    for dtype in (np.float32, np.float64):
+        for d in (4, 8, 32, 33):
+            x = rng.standard_normal((23, d)).astype(dtype)
+            gain, bias = (Tensor(rng.standard_normal(d).astype(dtype)) for _ in range(2))
+            whole = ad._layer_norm_(x, gain, bias)
+            for tile in (4, 8, 12):
+                starts = range(0, len(x), tile)
+                parts = [ad._layer_norm_(x[a:a + tile], gain, bias) for a in starts]
+                for got, want in zip(zip(*parts), whole, strict=True):
+                    np.testing.assert_array_equal(np.concatenate(got), want)
 
+
+# -- fused nodes ----------------------------------------------------------------
+#
+# Next to the block, each of its two sublayer steps runs with its gradient
+# step as a tape node of its own, so a fault shows in the half it is in.
+
+
+def _attention_step(x, agg, *rest):
+    """ad._attention_residual_norm over every sequence, with
+    ad._attention_residual_norm_grad, as one tape node: the block's
+    attention sublayer, h = LN1(xq + attention @ wo + bo)."""
+    *ws, heads, mask, cls_only = rest
+    seqs = slice(0, len(x.data))
+    h, saved = ad._attention_residual_norm(x, agg, ws, heads, mask, cls_only, seqs)
+
+    def backward(g):
+        gx = np.zeros(x.shape, h.dtype)
+        gagg = None if agg is None else np.empty(agg.shape, h.dtype)
+        ad._attention_residual_norm_grad(g.reshape(h.shape), saved, ws, heads, seqs, gx, gagg)
+        x._accum(gx)
+        if agg is not None:
+            agg._accum(gagg)
+
+    parents = tuple(p for p in (x, agg, *ws) if p is not None)
+    return ad._make(h.reshape(len(x.data), -1, h.shape[-1]), parents, backward)
+
+
+def _mlp_step(h, *ws):
+    """ad._mlp_residual_norm over the rows of h, with
+    ad._mlp_residual_norm_grad, as one tape node: the block's MLP sublayer,
+    LN2(h + MLP(h)), its hidden layer in tiles of _TILE rows."""
+    h2d = h.data.reshape(-1, h.shape[-1])
+    dtype = np.result_type(h.data, *(p.data for p in ws))
+    out, xhat, inv = (np.empty((len(h2d), w), dtype) for w in (h.shape[-1], h.shape[-1], 1))
+    ad._mlp_residual_norm(h2d, ws, ad._TILE, (out, xhat, inv))
+
+    def backward(g):
+        gh = ad._mlp_residual_norm_grad(g.reshape(out.shape), h2d, xhat, inv, ws, ad._TILE)
+        h._accum(gh.reshape(h.shape))
+
+    return ad._make(out.reshape(h.shape), (h, *ws), backward)
+
+
+def _fused_cases(rng, dtype, n=2):
+    """(leaves, fused node, the unfused composition) for each fused node, on
+    n sequences of 3 tokens."""
+    leaves, mask = _block_leaves(rng, n=n, t=3, d=4, dtype=dtype), _pad_mask(n, 3, dtype)
+    attention, mlp = leaves[:12], leaves[:1] + leaves[12:]
     return {
-        "attention_residual_norm": (
-            [leaf(2, 3, 4), leaf(2, 4)] + [leaf(*s) for s in [(4, 4), (4,)] * 4 + [(4,), (4,)]],
-            lambda *ls: _sublayer(ls, 2, None, False),
-            lambda *ls: _sublayer(ls, 2, None, False, attention_sublayer)),
-        "mlp_residual_norm": (
-            [leaf(2, 3, 4), leaf(4, 16), leaf(16), leaf(16, 4), leaf(4), leaf(4), leaf(4)],
-            ad.mlp_residual_norm, _mlp_composition),
+        "attention_residual_norm": (attention, lambda *ls: _attention_step(*ls, 2, mask, False),
+                                    lambda *ls: attention_sublayer(*ls, 2, mask, False)),
+        "mlp_residual_norm": (mlp, _mlp_step, _mlp_composition),
+        "post_norm_block": (leaves, lambda *ls: _block(ls, 2, None, False),
+                            lambda *ls: _block(ls, 2, None, False, _composition)),
+        "post_norm_block, cls_only": (leaves, lambda *ls: _block(ls, 2, mask, True),
+                                      lambda *ls: _block(ls, 2, mask, True, _composition)),
     }
 
 
-def _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias):
-    return ad.layer_norm(h + ad.linear(ad.gelu(ad.linear(h, w_up, b_up)), w_down, b_down),
-                         gain, bias)
+_FUSED = ["attention_residual_norm", "mlp_residual_norm", "post_norm_block",
+          "post_norm_block, cls_only"]
 
 
-@pytest.mark.parametrize("case", ["attention_residual_norm", "mlp_residual_norm"])
+@pytest.mark.parametrize("case", _FUSED)
 def test_fused_node_finite_differences(rng, case):
     leaves, fused, _ = _fused_cases(rng, np.float64)[case]
     w = Tensor(rng.standard_normal(fused(*leaves).shape))
     finite_diff_check(lambda: (fused(*leaves) * w).sum(), leaves)
 
 
-@pytest.mark.parametrize("case", ["attention_residual_norm", "mlp_residual_norm"])
+@pytest.mark.parametrize("case", _FUSED)
 def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
     leaves, fused, composed = _fused_cases(rng, np.float32)[case]
     weights = rng.standard_normal(fused(*leaves).shape).astype(np.float32)
@@ -575,16 +683,14 @@ def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
         np.testing.assert_array_equal(g_fused, g_composed)
 
 
-@pytest.mark.parametrize("case", ["attention_residual_norm", "mlp_residual_norm"])
+@pytest.mark.parametrize("case", ["post_norm_block", "post_norm_block, cls_only"])
 def test_fused_node_keeps_two_output_sized_arrays(rng, case):
-    # Each keeps its output, xhat and the per-row inv. The composition would
-    # also keep the GEMMs' outputs and the residual sum: for attention q, k,
-    # v, their [agg; x] input, the softmax weights and the context, and for
-    # the MLP the 4d-wide hidden layer and gelu derivative. Both run 1,800
-    # rows here, more than one tile.
-    leaves, fused, _ = _fused_cases(rng, np.float32)[case]
-    leaves = [Tensor(np.repeat(t.data, 300, axis=0) if t.shape[0] == 2 else t.data,
-                     requires_grad=True) for t in leaves]
+    # The block keeps its output, LN2's xhat and the per-row inv. The
+    # composition would also keep the GEMMs' outputs and the residual sums:
+    # q, k, v, their [agg; x] input, the softmax weights, the context, h and
+    # LN1's xhat, and the MLP's 4d-wide hidden layer and gelu derivative.
+    # It runs 5,400 or 1,800 query rows here, more than one tile.
+    leaves, fused, _ = _fused_cases(rng, np.float32, n=1800)[case]
     tracemalloc.start()
     try:
         out = fused(*leaves)
@@ -593,56 +699,6 @@ def test_fused_node_keeps_two_output_sized_arrays(rng, case):
         tracemalloc.stop()
     assert out._backward is not None
     assert kept < 2.5 * out.data.nbytes
-
-
-def _mlp_leaves(rng, h_dtype, w_dtype):
-    """(2, 5, 4) input h, 10 rows, and the MLP sublayer's parameters at
-    hidden width 16."""
-    shapes = [(4, 16), (16,), (16, 4), (4,), (4,), (4,)]
-    return [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
-            for shape, dtype in [((2, 5, 4), h_dtype)] + [(s, w_dtype) for s in shapes]]
-
-
-def test_mlp_residual_norm_finite_differences_across_tiles(rng, monkeypatch):
-    monkeypatch.setattr(ad, "_TILE", 4)  # tiles of 4, 4 and 2 rows
-    leaves = _mlp_leaves(rng, np.float64, np.float64)
-    w = Tensor(rng.standard_normal((2, 5, 4)))
-    finite_diff_check(lambda: (ad.mlp_residual_norm(*leaves) * w).sum(), leaves)
-
-
-@pytest.mark.parametrize("tile", [256, 4, 3])  # 1 tile; 4+4+2 rows; 3+3+4 rows, no 1-row tile
-@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
-                                    (np.float64, np.float32)],
-                         ids=["float32", "float64", "float64 h, float32 weights"])
-def test_mlp_residual_norm_matches_its_composition(rng, monkeypatch, tile, dtypes):
-    # The output has the composition's bits on and off the tape, however the
-    # rows are tiled. The gradients do within one tile; across tiles the
-    # weight gradients are per-tile sums. Float32 weights meeting float64
-    # input get float64 gradients, summed in float64.
-    monkeypatch.setattr(ad, "_TILE", tile)
-    leaves = _mlp_leaves(rng, *dtypes)
-    seed = rng.standard_normal((2, 5, 4))
-    results = []
-    for op in (ad.mlp_residual_norm, _mlp_composition):
-        for t in leaves:
-            t.zero_grad()
-        with ad.no_grad():
-            off_tape = op(*leaves)
-        out = op(*leaves)
-        out.backward(seed)
-        results.append((off_tape.data, out.data, [t.grad for t in leaves]))
-    (got_off, got, got_grads), (want_off, want, want_grads) = results
-    np.testing.assert_array_equal(got_off, want_off)
-    np.testing.assert_array_equal(got, want)
-    dtype = np.result_type(*dtypes)
-    for g, w in zip(got_grads, want_grads, strict=True):
-        assert g.dtype == w.dtype == dtype
-        if tile == 256:
-            np.testing.assert_array_equal(g, w)
-        elif dtype == np.float64:
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-        else:
-            assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max()
 
 
 # np.add.reduceat adds a group's first row to a pairwise sum of the rest, so
@@ -701,6 +757,11 @@ def _keys_mask():
 
 _KEY_MASK = np.where(_keys_mask(), 0.0, -np.inf)  # additive, float64
 
+
+def _block_params(d):
+    """The shapes of post_norm_block's parameters at width d."""
+    return [(d, d), (d,)] * 4 + [(d,), (d,), (d, 4 * d), (4 * d,), (4 * d, d)] + [(d,)] * 3
+
 # Each case is (leaf shapes, op over the leaves). The constants (Python
 # scalars, bool and float64 arrays) are the kinds the model feeds in.
 DTYPE_CASES = {
@@ -732,13 +793,13 @@ DTYPE_CASES = {
     "logsumexp": ([(3, 4)], ad.logsumexp),
     "layer_norm": ([(2, 3, 4), (4,), (4,)], ad.layer_norm),
     "linear with a bias": ([(2, 3, 4), (4, 5), (5,)], ad.linear),
-    "attention_residual_norm": ([(2, 3, 4)] + [(4, 4), (4,)] * 4 + [(4,), (4,)],
-                                lambda x, *rest: ad.attention_residual_norm(
-                                    x, None, *rest, 2, None, True)),
-    "mlp_residual_norm": ([(2, 3, 4), (4, 16), (16,), (16, 4), (4,), (4,), (4,)],
-                          ad.mlp_residual_norm),
-    "masked attention": ([(3, 4, 8), (3, 8)] + [(8, 8), (8,)] * 4 + [(8,), (8,)],
-                         lambda x, agg, *rest: ad.attention_residual_norm(
+    "attention_residual_norm": ([(2, 3, 4)] + _block_params(4)[:10],
+                                lambda x, *rest: _attention_step(x, None, *rest, 2, None, True)),
+    "mlp_residual_norm": ([(2, 3, 4)] + _block_params(4)[10:], _mlp_step),
+    "post_norm_block": ([(2, 3, 4)] + _block_params(4),
+                        lambda x, *rest: ad.post_norm_block(x, None, *rest, 2, None, True)),
+    "masked attention": ([(3, 4, 8), (3, 8)] + _block_params(8),
+                         lambda x, agg, *rest: ad.post_norm_block(
                              x, agg, *rest, 2, _KEY_MASK, False)),
 }
 

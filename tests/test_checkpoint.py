@@ -206,3 +206,48 @@ def test_a_foreign_file_and_an_unknown_dtype_are_rejected(tmp_path, monkeypatch)
     monkeypatch.undo()
     with pytest.raises(CheckpointError, match="ids has unsupported dtype '<i8'"):
         load_arrays(path)
+
+
+def _with_header(path, header):
+    """Rewrite the checkpoint at `path` with `header`, keeping its payload."""
+    raw = path.read_bytes()
+    start = len(checkpoint.MAGIC) + 8
+    n = int.from_bytes(raw[len(checkpoint.MAGIC): start], "little")
+    text = json.dumps(header).encode()
+    path.write_bytes(checkpoint.MAGIC + len(text).to_bytes(8, "little") + text + raw[start + n:])
+
+
+def _header(path):
+    raw = path.read_bytes()
+    start = len(checkpoint.MAGIC) + 8
+    return json.loads(raw[start: start + int.from_bytes(raw[len(checkpoint.MAGIC): start],
+                                                        "little")])
+
+
+def _no_dtype(header):
+    del header["arrays"]["mlm_head"]["dtype"]
+    return header
+
+
+def _negative_offset(header):
+    header["arrays"]["mlm_head"]["offset"] = -8
+    return header
+
+
+def _no_model(header):
+    del header["meta"]["model"]
+    return header
+
+
+@pytest.mark.parametrize("damage", [lambda h: {}, lambda h: {"version": 3},
+                                    lambda h: [h], _no_dtype, _negative_offset, _no_model],
+                         ids=["empty object", "version only", "a list", "an array without dtype",
+                              "a negative offset", "meta without the model"])
+def test_a_header_of_the_wrong_shape_raises_checkpoint_error_naming_it(tmp_path, damage):
+    path = tmp_path / "checkpoint.bin"
+    _model_file(path)
+    _with_header(path, damage(_header(path)))
+    loaders = [load_model] if damage is _no_model else [load_arrays, load_model]
+    for load in loaders:
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*damaged"):
+            load(path)

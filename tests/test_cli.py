@@ -251,6 +251,19 @@ def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeyp
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("damage", ["[PAD]\t0\n[CLS] 1\n", "[PAD]\t0\n[CLS]\t1\tx\n",
+                                    "[PAD]\t0\n[CLS]\t2\n"],
+                         ids=["no tab", "two tabs", "ids not dense"])
+def test_a_damaged_vocab_ends_in_one_error_line(tmp_path, monkeypatch, capsys, damage):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    (tmp_path / "run" / "vocab.tsv").write_text(damage, encoding="utf-8")
+    _rejected(capsys, _argv("eval", "--task", "classify"),
+              "run/vocab.tsv: line 2 is not 'token<TAB>1'")
+    assert not (tmp_path / "run" / "eval").exists()
+
+
 def test_a_missing_file_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()

@@ -150,21 +150,25 @@ def test_embed_batch_matches_per_node():
 # -- attention -----------------------------------------------------------------
 
 
-def _ln1(lp, z):
-    """The block's first layer norm of the (N, T, d) array z."""
-    return ad.layer_norm(Tensor(z), lp.ln1_g, lp.ln1_b).data
+def _after_attention(lp, z):
+    """The block's output from z, the residual sum of its attention
+    sublayer: h = LN1(z), then LN2(h + MLP(h))."""
+    h = ad.layer_norm(Tensor(z), lp.ln1_g, lp.ln1_b).data
+    m = ad.gelu(Tensor(h @ lp.w_up.data + lp.b_up.data)).data @ lp.w_down.data + lp.b_down.data
+    return ad.layer_norm(Tensor(h + m), lp.ln2_g, lp.ln2_b).data
 
 
 def test_attention_single_token_value_identity():
     # one token attends to itself alone: the context is its value, x @ I,
-    # and the sublayer returns LN1(x + x), which is LN1(x)
+    # so the attention sublayer's residual sum is x + x
     d = 4
-    lp = make_layer_params(d)
+    lp = make_layer_params(d, np.random.default_rng(2))
     lp.wv.data[:] = np.eye(d)
     lp.wo.data[:] = np.eye(d)
+    lp.bv.data[:] = lp.bo.data[:] = 0.0
     x = Tensor(np.array([[[1.0, -2.0, 3.0, 0.5]]]))
     out = enc.attention_block(x, None, lp, heads=2)
-    np.testing.assert_allclose(out.data, _ln1(lp, x.data), atol=1e-10)
+    np.testing.assert_allclose(out.data, _after_attention(lp, x.data + x.data), atol=1e-10)
 
 
 def test_attention_all_zero_projections_ignore_agg():
@@ -173,7 +177,7 @@ def test_attention_all_zero_projections_ignore_agg():
     x = Tensor(np.random.default_rng(0).standard_normal((1, 3, d)))
     agg = Tensor(np.full((1, d), 100.0))
     out = enc.attention_block(x, agg, lp, heads=2)
-    np.testing.assert_array_equal(out.data, _ln1(lp, x.data))
+    np.testing.assert_array_equal(out.data, _after_attention(lp, x.data))
 
 
 def test_attention_matches_dense_oracle():
@@ -184,9 +188,10 @@ def test_attention_matches_dense_oracle():
     lp.ln1_b.data[:] = rng.standard_normal(d) * 0.1
     x = Tensor(rng.standard_normal((1, 2, d)) * 0.3)
     agg = Tensor(rng.standard_normal((1, d)) * 0.3)
-    # the sublayer: output projection, residual and LN1 included
+    # the whole block: output projection, residual, LN1 and the MLP sublayer
     got = enc.attention_block(x, agg, lp, heads).data[0]
-    want = _ln1(lp, x.data[0] + dense_attention_oracle(x.data[0], agg.data, lp, heads))
+    want = _after_attention(lp, x.data[0] + dense_attention_oracle(x.data[0], agg.data, lp,
+                                                                   heads))
     assert np.max(np.abs(got - want)) < 1e-6
     cls = enc.attention_block(x, agg, lp, heads, cls_only=True).data[0]
     np.testing.assert_allclose(cls, got[:1], rtol=0, atol=1e-12)

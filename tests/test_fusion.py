@@ -590,23 +590,27 @@ def test_the_tape_keeps_no_mlp_hidden_layer():
 
 
 def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
-    # Per token row a block runs, the tape keeps the two sublayers' outputs
-    # and layer norm xhats (4d) and a little more: the per-row norm scales,
-    # the embedding lookup of layer 0 and the per-node [CLS] and aggregation
-    # arrays, under 2d at this size. Keeping q, k, v, their [agg; x] input or
-    # the context would add at least d per row, so no (N, T + 1, d) array may
-    # be on the tape, and backward recomputes the softmax weights, so no
-    # (N, heads, Tq, T + 1) array may be on it either.
+    # Per token row a block runs, the tape keeps the block's output and LN2's
+    # xhat (2d) and a little more: the per-row norm scale, the embedding
+    # lookup of layer 0 and the per-node [CLS] and aggregation arrays, under
+    # 2d at this size. Keeping q, k, v, their [agg; x] input or the context
+    # would add at least d per row, so no (N, T + 1, d) array may be on the
+    # tape, and backward recomputes the softmax weights, so no (N, heads,
+    # Tq, T + 1) array may be on it either. Keeping the attention sublayer's
+    # output h or LN1's xhat would add d each: each block call is one tape
+    # node, straight from the block's input, agg token and parameters.
     g = generate(SyntheticSpec(n_nodes=30, vocab_size=40, words_per_node=10, seed=0))
     vocab, schedule, params = build_model(g, 4, [1, 2], d=32, heads=4)
     d, heads = params.dims.d, params.dims.heads
-    rows, widths = [], set()
+    rows, widths, calls = [], set(), []
     attend = enc.attention_block
 
     def record(x, agg, lp, heads, key_mask=None, *, cls_only=False):
         rows.append(x.shape[0] * (1 if cls_only else x.shape[1]))
         widths.add(x.shape[1])
-        return attend(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+        out = attend(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+        calls.append((out, (x, agg, lp)))
+        return out
 
     monkeypatch.setattr(enc, "attention_block", record)
     res, _ = run_forward(g, [0, 5, 9], schedule, params, vocab, fanout=3, token_states=True)
@@ -620,8 +624,15 @@ def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
     weights = [a.shape for a in arrays
                if a.ndim == 4 and (a.shape[1], a.shape[3]) == (heads, t + 1)]
     assert weights == []
+    on_tape = {id(node) for node in _tape_nodes(loss)}
+    assert len({id(out) for out, _ in calls}) == len(calls) == 6  # 4 layers, 2 [CLS]-only parts
+    for out, (x, agg, lp) in calls:
+        assert id(out) in on_tape
+        inputs = (x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv, lp.wo, lp.bo, lp.ln1_g,
+                  lp.ln1_b, lp.w_up, lp.b_up, lp.w_down, lp.b_down, lp.ln2_g, lp.ln2_b)
+        assert out._parents == tuple(p for p in inputs if p is not None)
     per_row = tape_floats(loss, skip) / sum(rows)
-    assert per_row < 6 * d
+    assert per_row < 4 * d
 
 
 def _tape_nodes(root):

@@ -64,6 +64,14 @@ def test_empty_text_is_hard_error(tmp_path):
         load_graph(nodes, edges)
 
 
+@pytest.mark.parametrize("line", ['[1, "hello world"]', '"node 1"', "7", "null"])
+def test_a_node_line_that_is_not_an_object_is_hard_error(tmp_path, line):
+    nodes, edges = write_graph_files(tmp_path, [{"id": 0, "text": "ok"}], ["0 1"])
+    nodes.write_text(nodes.read_text() + line + "\n")
+    with pytest.raises(GraphFormatError, match="nodes.jsonl:2: not a JSON object"):
+        load_graph(nodes, edges)
+
+
 def test_comments_and_blank_lines_in_edge_file(tmp_path):
     nodes, edges = write_graph_files(
         tmp_path,
