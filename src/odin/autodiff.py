@@ -26,6 +26,8 @@ the bits of the ops it fuses: gelu keeps its derivative, stage_aggregate the
 neighbor mean, and post_norm_block, the whole post-norm Transformer block,
 LN2's xhat and inv; its backward recomputes the attention sublayer and the
 MLP's hidden layer from the block's input, one tile of sequences at a time.
+The block plans its tiles itself, the same on and off the tape: sequences
+sorted by length, each tile trimmed of PAD.
 """
 
 from __future__ import annotations
@@ -643,9 +645,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_data.reshape(x.shape[:-1] + (w.shape[-1],)), parents, backward)
 
 
-# Rows per MLP tile on the tape (attention takes twice as many, of d-wide rows):
-# at d=32 a 256 x 4d float32 hidden tile is 128 KiB, which malloc reuses from
-# step to step; tiles of 512 rows or more faulted 2-7x as many fresh pages.
+# Rows per MLP tile (attention takes twice as many, of d-wide rows): at d=32 a
+# 256 x 4d float32 hidden tile is 128 KiB, which malloc reuses from step to
+# step; tiles of 512 rows or more faulted 2-7x as many fresh pages.
 _TILE = 256
 
 
@@ -659,25 +661,46 @@ def _row_tiles(n: int, tile: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _tile_plan(lengths: np.ndarray, t: int, full: int) -> list[tuple]:
+    """post_norm_block's tiles as (sequences, their lengths, query rows per
+    sequence), the sequences a slice where sorting leaves them in order. The
+    first `full` sequences query with every token, the others with [CLS]
+    alone. Each group is stable-sorted by length and cut into tiles of 4k
+    sequences whose query and key rows come to about 4 _TILE (a [CLS]-only
+    tile holds about twice as many), each trimmed to its longest, the last."""
+    tiles = []
+    for a, b, cls_only in ((0, full, False), (full, len(lengths), True)):
+        order = a + np.argsort(lengths[a:b], kind="stable")
+        in_order = (np.diff(order) > 0).all()  # then slices, whose tiles are views
+        for part in _row_tiles(b - a, 4 * max(1, _TILE // (t + (1 if cls_only else t)))):
+            seqs = slice(a + part.start, a + part.stop) if in_order else order[part]
+            lens = lengths[seqs]
+            tiles.append((seqs, lens, 1 if cls_only else int(lens[-1])))
+    return tiles
+
+
 def _split_heads(a: np.ndarray, rows: int, heads: int) -> np.ndarray:
     """(S * rows, d) -> (S, heads, rows, d / heads) view."""
     return a.reshape(-1, rows, heads, a.shape[-1] // heads).transpose(0, 2, 1, 3)
 
 
-def _attention_residual_norm(x: Tensor, agg: Tensor | None, ws, heads: int,
-                             mask: np.ndarray | None, cls_only: bool, seqs: slice):
-    """post_norm_block's attention sublayer over the sequences `seqs`: h as
-    (S * Tq, d) rows, and what its backward reads."""
+def _attention_residual_norm(x: Tensor, agg: Tensor | None, ws, heads: int, seqs,
+                             lens: np.ndarray, tq: int):
+    """post_norm_block's attention sublayer over the sequences `seqs` of
+    lengths `lens`, trimmed to the last, each querying with its first tq
+    tokens: h as (S * tq, d) rows, and what its backward reads."""
     wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = ws
-    xs, d = x.data[seqs], x.shape[2]
+    width, d = int(lens[-1]), x.shape[2]
+    xs = x.data[seqs, :width]
     kv = xs if agg is None else np.concatenate([agg.data[seqs, None], xs], axis=1)
-    tq, tk = (1 if cls_only else xs.shape[1]), kv.shape[1]
-    xq, kv = (xs[:, :1] if cls_only else xs).reshape(-1, d), kv.reshape(-1, d)
+    tk = kv.shape[1]
+    mask = None if lens[0] == width else np.where(  # over kv; the agg token is never PAD
+        np.arange(tk) < (lens + tk - width)[:, None], 0.0, -np.inf).astype(x.dtype)
+    xq, kv = xs[:, :tq].reshape(-1, d), kv.reshape(-1, d)
     q, k, v = (np.add(p, b.data, out=p)
                for p, b in ((xq @ wq.data, bq), (kv @ wk.data, bk), (kv @ wv.data, bv)))
     scale = float(1.0 / np.sqrt(d // heads))  # a numpy float64 would upcast float32 q
-    w = _attention_weights(_split_heads(q * scale, tq, heads), _split_heads(k, tk, heads),
-                           None if mask is None else mask[seqs])
+    w = _attention_weights(_split_heads(q * scale, tq, heads), _split_heads(k, tk, heads), mask)
     ctx = np.empty(q.shape, q.dtype)  # the heads' weighted values
     np.matmul(w, _split_heads(v, tk, heads), out=_split_heads(ctx, tq, heads))
     z = ctx @ wo.data
@@ -687,15 +710,15 @@ def _attention_residual_norm(x: Tensor, agg: Tensor | None, ws, heads: int,
     return h, (xq, kv, q, k, v, w, ctx, xhat, inv)
 
 
-def _attention_residual_norm_grad(gh: np.ndarray, saved, ws, heads: int, seqs: slice,
+def _attention_residual_norm_grad(gh: np.ndarray, saved, ws, heads: int, seqs, width: int,
                                   gx: np.ndarray, gagg: np.ndarray | None):
     """Accumulate the attention sublayer's parameter gradients over the
-    sequences `seqs` from gh, h's gradient, and write x's and, with an agg
-    token, agg's into gx[seqs] and gagg[seqs]."""
+    sequences `seqs`, trimmed to `width`, from gh, h's gradient, and write
+    x's and, with an agg token, agg's into gx[seqs] and gagg[seqs]."""
     wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = ws
     xq, kv, q, k, v, w, ctx, xhat, inv = saved
-    t, d = gx.shape[1:]
-    tq, tk = w.shape[2:]
+    s, _, tq, tk = w.shape
+    d = xq.shape[1]
     gz = _layer_norm_grad(gh, xhat, inv, gain, bias)  # the residual's gradient
     bo._accum(np.ones(len(gz), gz.dtype) @ gz)
     wo._accum(ctx.T @ gz)
@@ -713,15 +736,15 @@ def _attention_residual_norm_grad(gh: np.ndarray, saved, ws, heads: int, seqs: s
     for a, ga, wp, bp in ((xq, gq, wq, bq), (kv, gk, wk, bk), (kv, gv, wv, bv)):
         wp._accum(a.T @ ga)
         bp._accum(np.ones(len(ga), ga.dtype) @ ga)
-    gxs = gx[seqs]  # the residual's gradient and q's part, then k's and v's
-    gxs[:, :tq] = (gz + gq @ wq.data.T).reshape(-1, tq, d)
+    # the residual's gradient and q's part, then k's and v's
+    gx[seqs, :tq] = (gz + gq @ wq.data.T).reshape(s, tq, d)
     # as in the unfused ops, k's part and v's go one at a time, or with agg summed
     parts = [gk @ wk.data.T, gv @ wv.data.T]
     if gagg is not None:
-        parts = [(parts[0] + parts[1]).reshape(-1, tk, d)]
+        parts = [(parts[0] + parts[1]).reshape(s, tk, d)]
         gagg[seqs] = parts[0][:, 0]
     for part in parts:
-        gxs += part.reshape(-1, tk, d)[:, tk - t:]
+        gx[seqs, :width] += part.reshape(s, tk, d)[:, tk - width:]
 
 
 def _mlp_hidden(h: np.ndarray, w_up: Tensor, b_up: Tensor, derivative: bool):
@@ -730,25 +753,25 @@ def _mlp_hidden(h: np.ndarray, w_up: Tensor, b_up: Tensor, derivative: bool):
     return _gelu_(u, True, derivative)
 
 
-def _mlp_residual_norm(h: np.ndarray, ws, tile: int, into):
+def _mlp_residual_norm(h: np.ndarray, ws, into):
     """post_norm_block's MLP sublayer over the rows of h, the hidden layer in
-    tiles of `tile` rows: (out, xhat, inv) of LN2, written into `into`."""
+    tiles of _TILE rows: (out, xhat, inv) of LN2, written into `into`."""
     w_up, b_up, w_down, b_down, gain, bias = ws
     z = np.empty(h.shape, into[0].dtype)
-    for rows in _row_tiles(len(h), tile):
+    for rows in _row_tiles(len(h), _TILE):
         np.matmul(_mlp_hidden(h[rows], w_up, b_up, False)[0], w_down.data, out=z[rows])
     z += b_down.data
     z += h
     _layer_norm_(z, gain, bias, into)
 
 
-def _mlp_residual_norm_grad(g: np.ndarray, h: np.ndarray, xhat, inv, ws, tile: int):
+def _mlp_residual_norm_grad(g: np.ndarray, h: np.ndarray, xhat, inv, ws):
     """Accumulate the MLP sublayer's parameter gradients from g, its output's
     gradient, recomputing the hidden layer tile by tile; return h's."""
     w_up, b_up, w_down, b_down, gain, bias = ws
     gz = _layer_norm_grad(g, xhat, inv, gain, bias)  # the residual's, then h's gradient
     b_down._accum(np.ones(len(gz), gz.dtype) @ gz)
-    for rows in _row_tiles(len(h), tile):
+    for rows in _row_tiles(len(h), _TILE):
         a, deriv = _mlp_hidden(h[rows], w_up, b_up, True)
         w_down._accum(a.T @ gz[rows])
         gu = gz[rows] @ w_down.data.T
@@ -761,49 +784,57 @@ def _mlp_residual_norm_grad(g: np.ndarray, h: np.ndarray, xhat, inv, ws, tile: i
 
 def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1,
                     w_up, b_up, w_down, b_down, gain2, bias2, heads: int,
-                    mask: np.ndarray | None, cls_only: bool) -> Tensor:
+                    lengths: np.ndarray | None, full: int) -> Tensor:
     """layer_norm(h + gelu(h @ w_up + b_up) @ w_down + b_down, gain2, bias2) with
     h = layer_norm(xq + attention(xq @ wq + bq, kv @ wk + bk, kv @ wv + bv) @ wo
-    + bo, gain1, bias1), the post-norm Transformer block, as one tape node: x
-    is (N, T, d), kv is x behind the (N, d) agg row, or x, and xq is x, or
-    x[:, :1] with `cls_only`; `mask` is additive (N, T') over kv (0 keep,
-    -inf drop).
+    + bo, gain1, bias1), the post-norm Transformer block, as one tape node
+    over (N, T, d) states x of real lengths `lengths` (None: all T): kv is a
+    sequence's real tokens behind its (N, d) agg row, if any, and xq its
+    tokens for the first `full` sequences, its [CLS] for the others. The
+    (N, T, d) output ((N, 1, d) if `full` is 0) is exactly 0, with no gradient,
+    at PAD positions and, past the first `full` sequences, at all but [CLS].
 
-    On the tape it runs in tiles of 4k whole sequences, about 2 _TILE rows,
-    the MLP's hidden layer in tiles of _TILE rows, and keeps only LN2's xhat
-    and inv. Backward recomputes each tile's attention sublayer with the
-    forward's bits, then runs the MLP's, LN1's and the attention's gradient
-    and sums the parameter gradients tile by tile. Off the tape it runs in
-    one pass. A GEMM's row does not depend on the other rows, and OpenBLAS's
-    matrix-vector kernel, which sums the layer norms' rows, sums them 4 at a
-    time and a tail of 2 or 3 with other bits, so with tiles of 4k sequences
-    the output has the unfused ops' bits however the sequences are tiled, as
-    do the gradients within one tile."""
+    On and off the tape it runs the tiles of _tile_plan, each with a key
+    mask only if it holds PAD, the MLP's hidden layer in sub-tiles of _TILE
+    rows, and keeps only LN2's xhat and inv. Backward recomputes each tile's
+    attention sublayer with the forward's bits, then runs the gradients and
+    sums the parameter gradients tile by tile. A GEMM's row does not depend
+    on the other rows, and OpenBLAS's matrix-vector kernel, which sums the
+    layer norms' rows, sums them 4 at a time and a tail of 2 or 3 with other
+    bits, so with tiles of 4k sequences and without PAD the output has the
+    unfused ops' bits however the sequences are tiled, as do the gradients
+    within one tile; trimming PAD keys moves outputs only by rounding."""
     n, t, d = x.shape
-    tq = 1 if cls_only else t
     attn = (wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1)
     mlp = (w_up, b_up, w_down, b_down, gain2, bias2)
     parents = tuple(p for p in (x, agg, *attn, *mlp) if p is not None)
-    on_tape = _on_tape(parents)
-    tiles = [(seqs, slice(seqs.start * tq, seqs.stop * tq))  # (sequences, their rows)
-             for seqs in _row_tiles(n, 4 * max(1, _TILE // (2 * t)) if on_tape else max(n, 1))]
-    tile = _TILE if on_tape else max(n * tq, 1)
+    tiles = _tile_plan(np.full(n, t) if lengths is None else np.asarray(lengths), t, full)
     dtype = np.result_type(*(p.data for p in parents))
-    out, xhat, inv = (np.empty((n * tq, width), dtype) for width in (d, d, 1))
-    for seqs, rows in tiles:
-        h = _attention_residual_norm(x, agg, attn, heads, mask, cls_only, seqs)[0]
-        _mlp_residual_norm(h, mlp, tile, (out[rows], xhat[rows], inv[rows]))
+    out = np.zeros((n, t if full else 1, d), dtype)
+    ends = np.cumsum([0] + [len(lens) * tq for _, lens, tq in tiles])  # of LN2's rows
+    xhat, inv = (np.empty((ends[-1], w), dtype) for w in (d, 1))
+    for (seqs, lens, tq), a, b in zip(tiles, ends, ends[1:]):
+        h = _attention_residual_norm(x, agg, attn, heads, seqs, lens, tq)[0]
+        view = isinstance(seqs, slice) and tq == out.shape[1]  # LN2 then writes into out
+        o = out[seqs].reshape(-1, d) if view else np.empty(h.shape, dtype)
+        _mlp_residual_norm(h, mlp, (o, xhat[a:b], inv[a:b]))
+        o = o.reshape(-1, tq, d)
+        if lens[0] < tq:
+            o[np.arange(tq) >= lens[:, None]] = 0.0  # PAD queries
+        out[seqs, :tq] = o  # a no-op for a view: numpy skips a copy onto itself
 
     def backward(g):
-        g = g.reshape(-1, d)
-        gx = (np.zeros if cls_only else np.empty)(x.shape, dtype)
+        gx = np.zeros(x.shape, dtype)
         gagg = None if agg is None else np.empty(agg.shape, dtype)
-        for seqs, rows in tiles:
-            h, saved = _attention_residual_norm(x, agg, attn, heads, mask, cls_only, seqs)
-            gh = _mlp_residual_norm_grad(g[rows], h, xhat[rows], inv[rows], mlp, tile)
-            _attention_residual_norm_grad(gh, saved, attn, heads, seqs, gx, gagg)
+        for (seqs, lens, tq), a, b in zip(tiles, ends, ends[1:]):
+            gt = g[seqs, :tq]
+            if lens[0] < tq:  # PAD queries get no gradient
+                gt = gt * (np.arange(tq) < lens[:, None])[:, :, None]
+            h, saved = _attention_residual_norm(x, agg, attn, heads, seqs, lens, tq)
+            gh = _mlp_residual_norm_grad(gt.reshape(-1, d), h, xhat[a:b], inv[a:b], mlp)
+            _attention_residual_norm_grad(gh, saved, attn, heads, seqs, int(lens[-1]), gx, gagg)
         x._accum(gx)
         if agg is not None:
             agg._accum(gagg)
 
-    return _make(out.reshape(n, tq, d), parents, backward)
+    return _make(out, parents, backward)

@@ -93,6 +93,8 @@ def load_arrays(path):
             dtype, shape, offset = info["dtype"], tuple(info["shape"]), info["offset"]
             if dtype not in DTYPES:
                 raise CheckpointError(f"{path}: {name} has unsupported dtype {dtype!r}")
+            if not all(type(dim) is int and dim >= 0 for dim in shape):
+                raise CheckpointError(f"{path}: damaged header: {name} has shape {list(shape)}")
             count = int(np.prod(shape)) if shape else 1
             if not 0 <= offset <= len(payload) - count * np.dtype(dtype).itemsize:
                 raise CheckpointError(f"{path} is cut short or its header damaged: {name} "

@@ -223,94 +223,36 @@ def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
 
 
 def attention_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
-                    key_mask: np.ndarray | None = None, *, cls_only: bool = False) -> Tensor:
+                    lengths: np.ndarray | None = None, full_rows: int | None = None) -> Tensor:
     """The block as one tape node, `ad.post_norm_block`: h = LN1(x + attention
     @ wo + bo), then LN2(h + MLP(h)), with asymmetric multi-head attention over
-    (N, T, d) states and an optional (N, d) graph-enhanced token prepended to
-    the keys and values only. The node keeps only LN2's xhat and per-row
-    scale; backward recomputes the rest one tile of whole sequences at a time.
-
-    key_mask, if given, is (N, T) with True marking attendable positions.
-    With `cls_only`, only position 0 ([CLS]) queries, over the same keys and
-    values, and the output is (N, 1, d). PAD rows are not zeroed here.
-    """
-    pad = key_mask is not None and not key_mask.all()  # an all-0 mask would change no bit
-    mask = np.where(key_mask, 0.0, -np.inf).astype(x.dtype) if pad else None
-    if mask is not None and agg is not None:  # the agg token is never masked
-        mask = np.concatenate([np.zeros((len(mask), 1), mask.dtype), mask], axis=1)
+    (N, T, d) states of real lengths `lengths` (None: all T) and an optional
+    (N, d) graph-enhanced token prepended to the keys and values only. The
+    first `full_rows` sequences (None: all) query with every token, the
+    others with [CLS] alone. The (N, T, d) output ((N, 1, d) if `full_rows`
+    is 0) is 0 at PAD positions and, past `full_rows`, at all but [CLS]."""
     return ad.post_norm_block(x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv, lp.wo, lp.bo,
                               lp.ln1_g, lp.ln1_b, lp.w_up, lp.b_up, lp.w_down, lp.b_down,
-                              lp.ln2_g, lp.ln2_b, heads, mask, cls_only)
-
-
-def _slice(a, key):
-    return None if a is None else a[key]
+                              lp.ln2_g, lp.ln2_b, heads, lengths,
+                              x.shape[0] if full_rows is None else full_rows)
 
 
 def transformer_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
-                      key_mask: np.ndarray | None = None, rows: int | None = None, *,
-                      full_rows: int | None = None):
+                      lengths: np.ndarray | None = None, *, full_rows: int | None = None):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as one tape
     node (attention_block) that keeps only the second norm's statistics. The
     agg token is consumed by the attention; output length equals input length.
-    The output is exactly 0 at PAD positions (key_mask False); a mask without
-    a False entry is dropped, so input without PAD pays for no masking and no
-    zeroing.
-
-    With `rows`, the block stable-sorts the sequences by real length (one
-    past the last True of key_mask), runs on chunks of at most that many
-    sequences, each trimmed to its longest sequence, and returns the rows in
-    the input order with the trimmed columns 0. Sequences do not interact
-    inside a block, so real positions get the same output up to rounding,
-    while no chunk spends work on the PAD columns it trimmed. The chunks are
-    row gathers and slices, so gradients flow through them too.
+    The output is exactly 0 at PAD positions, past each sequence's real
+    length in `lengths`.
 
     With `full_rows` = f, only the first f sequences keep their token states.
     The others run their [CLS] row alone: it queries the same keys and values
     as in the full block, so it gets the same output up to rounding, and no
     other position is computed. The block then returns (states, cls): the
     (f, T, d) token states, None when f is 0, and the (N, d) [CLS] output of
-    every sequence."""
+    every sequence, both slices of the one node's output."""
+    out = attention_block(x, agg, lp, heads, lengths, full_rows)
     if full_rows is None:
-        return _block(x, agg, lp, heads, key_mask, rows, False)
-    n, f = x.shape[0], full_rows
-    if f == n:
-        states = _block(x, agg, lp, heads, key_mask, rows, False)
-        return states, states[:, 0, :]
-    if f == 0:
-        return None, ad.reshape(_block(x, agg, lp, heads, key_mask, rows, True), (n, -1))
-    head, tail = slice(None, f), slice(f, None)
-    states, top = transformer_block(x[head], _slice(agg, head), lp, heads,
-                                    _slice(key_mask, head), rows, full_rows=f)
-    _, rest = transformer_block(x[tail], _slice(agg, tail), lp, heads,
-                                _slice(key_mask, tail), rows, full_rows=0)
-    return states, ad.concat([top, rest])
-
-
-def _block(x, agg, lp, heads, key_mask, rows, cls_only: bool) -> Tensor:
-    """transformer_block's output for every sequence of x, in row chunks
-    when `rows` is set; with `cls_only`, only the (N, 1, d) [CLS] rows."""
-    if key_mask is not None and key_mask.all():
-        key_mask = None  # no PAD: nothing to mask or zero
-    if rows is not None:
-        n, t, d = x.shape
-        ends = np.full(n, t) if key_mask is None else t - np.argmax(key_mask[:, ::-1], axis=1)
-        order = np.argsort(ends, kind="stable")
-        parts = []
-        for i in range(0, n, rows):
-            idx = order[i:i + rows]
-            width = int(ends[idx[-1]])  # sorted ascending: the last is the longest
-            part = _block(ad.take_rows(x, idx)[:, :width],
-                          None if agg is None else ad.take_rows(agg, idx), lp, heads,
-                          None if key_mask is None else key_mask[idx, :width], None, cls_only)
-            if width < t and not cls_only:
-                pad = np.zeros((len(idx), t - width, d), x.dtype)
-                part = ad.concat([part, Tensor(pad)], axis=1)
-            parts.append(part)
-        joined = ad.concat(parts, axis=0)
-        del parts  # without a tape nothing else holds the chunks
-        return ad.take_rows(joined, np.argsort(order))
-    if cls_only:  # position 0 is [CLS], never PAD
-        return attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=True)
-    out = attention_block(x, agg, lp, heads, key_mask=key_mask)
-    return out if key_mask is None else out * key_mask[:, :, None]
+        return out
+    f = full_rows
+    return (None if f == 0 else out if f == len(out.data) else out[:f]), out[:, 0]

@@ -182,7 +182,6 @@ def odin_forward(
     *,
     init_features: dict | None = None,
     record_trace: bool = False,
-    rows: int | None = None,
     token_states: bool = False,
 ) -> ForwardResult:
     """Run the full layer stack over a sampled subgraph.
@@ -192,9 +191,9 @@ def odin_forward(
     states only for the rows the next layer runs; the other rows it runs
     emit [CLS] alone (see transformer_block). Without `token_states` the last
     layer runs only the batch's [CLS]; the identity encoder below keeps its
-    whole frontier there. `rows`, if set, bounds how many nodes
-    each Transformer block processes at once, in chunks trimmed of PAD (see
-    transformer_block); the result is the same up to rounding.
+    whole frontier there. Each layer is one block call over its frontier,
+    which tiles the sequences by length and trims their PAD itself (see
+    ad.post_norm_block).
     Given `init_features` (node -> vector), the text encoder is the
     identity: `tokens_by_node` is ignored, the Transformer blocks are skipped
     and each layer sets the active nodes' state to tanh(aggregate(...))
@@ -237,9 +236,8 @@ def odin_forward(
         if missing:
             raise ValueError(f"missing token states for sampled node(s) {missing[:5]}")
         token_mat, lengths = pad_tokens(tokens_by_node, order)
-        key_mask = np.arange(token_mat.shape[1])[None, :] < lengths[:, None]
         states, cls_all = transformer_block(embed_batch(token_mat, params), None,
-                                            params.layers[0], heads, key_mask, rows,
+                                            params.layers[0], heads, lengths,
                                             full_rows=keep[0])
         _check_finite(states, cls_all, 0, order)
     if trace is not None:
@@ -271,7 +269,7 @@ def odin_forward(
         else:
             # the previous block kept token states for exactly these n rows
             states, new_cls = transformer_block(states, agg, params.layers[layer], heads,
-                                                key_mask[:n], rows, full_rows=keep[layer])
+                                                lengths[:n], full_rows=keep[layer])
             _check_finite(states, new_cls, layer, order)
         cls_all = ad.concat([new_cls, cls_all[n:]]) if n < len(order) else new_cls
 

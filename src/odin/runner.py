@@ -8,12 +8,12 @@ bit for bit only at a fixed BLAS thread count: the BLAS splits its sums by
 thread, so changing the count moves losses in the last ULP.
 
 Inference rule: a node's embedding is the final [CLS] that odin_forward
-returns for it when the batch is the whole graph. It does not depend on
-which other nodes are requested, and it depends on how nodes are batched
-only through float32 rounding (at most 1e-5, a bound a test checks). The
-pass encodes num_nodes x depth node-layers whatever nodes are requested, the
-last layer's as [CLS] rows only (no caller reads an embedding's token
-states); each full layer costs the sum of its chunks' widths, not
+returns for it when the batch is the whole graph, so it depends only on the
+graph, the parameters, the schedule and the seed, not on which other nodes
+are requested. The pass encodes num_nodes x depth node-layers whatever nodes
+are requested, the last layer's as [CLS] rows only (no caller reads an
+embedding's token states); each block trims its tiles of similar-length
+texts of PAD, so a layer costs about the texts' total length, not
 num_nodes x the longest text.
 """
 
@@ -202,13 +202,10 @@ def compute_embeddings(
     once, at the batch-node hop. The pass costs num_nodes x depth node-layers
     whatever `nodes` is, the last layer's as [CLS] rows only; restricting it
     to the connected components that hold `nodes` is not done. Each
-    Transformer block runs over chunks of at most `batch_size` nodes of
-    similar text length, each trimmed to its longest text (see
-    transformer_block), so a layer encodes the sum over chunks of chunk size
-    x chunk width token rows rather than num_nodes x the longest text.
-    `batch_size` bounds memory; it moves an embedding only by rounding
-    (at most 1e-5 in float32, 1e-13 in float64), and for a fixed `batch_size`
-    embeddings repeat bit for bit whatever `nodes` is. Embeddings have the
+    Transformer block tiles the nodes by text length and trims each tile to
+    its longest text (see ad.post_norm_block). The pass is the same whatever
+    `nodes` is, so embeddings repeat bit for bit. Nothing reads `batch_size`:
+    it stays only for callers that pass it by position. Embeddings have the
     parameters' dtype, float32.
     """
     nodes = sorted(set(nodes))
@@ -220,7 +217,7 @@ def compute_embeddings(
                            sub_seed(seed, "embed"))
     tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
     with ad.no_grad():
-        res = odin_forward(graph, sub, tokens, params, schedule, rows=batch_size)
+        res = odin_forward(graph, sub, tokens, params, schedule)
     return {v: res.cls.data[v].copy() for v in nodes}
 
 

@@ -371,7 +371,7 @@ def batch_tg(cls_act: Tensor, mean_nb: Tensor, sp) -> Tensor:
     return ad.matmul(mean_nb, sp.w1.T) + ad.matmul(cls_act, sp.w2.T)
 
 
-def full_row_forward(sub, tokens_by_node, params, schedule, rows=None):
+def full_row_forward(sub, tokens_by_node, params, schedule):
     """odin_forward without its row plan: every layer runs every row of its
     frontier as a full block, the last layer too, and the result carries
     the batch's final token states. Same aggregation and prefix order; the
@@ -380,9 +380,8 @@ def full_row_forward(sub, tokens_by_node, params, schedule, rows=None):
     frontiers = fusion._build_frontiers(sub, order)
     heads = params.dims.heads
     token_mat, lengths = fusion.pad_tokens(tokens_by_node, order)
-    key_mask = np.arange(token_mat.shape[1])[None, :] < lengths[:, None]
     states = transformer_block(embed_batch(token_mat, params), None, params.layers[0], heads,
-                               key_mask, rows)
+                               lengths)
     cls_all = states[:, 0, :]
     trace = [cls_all.data.copy()]
     m, last_agg = 0, None
@@ -400,8 +399,7 @@ def full_row_forward(sub, tokens_by_node, params, schedule, rows=None):
             agg = last_agg[:n]
         elif schedule.strategy == "PG" and m > 0:
             agg = batch_tg(cls_act, neighbor_mean(cls_all, fr), params.stages[m - 1])
-        states = transformer_block(states[:n], agg, params.layers[layer], heads, key_mask[:n],
-                                   rows)
+        states = transformer_block(states[:n], agg, params.layers[layer], heads, lengths[:n])
         cls_all = ad.concat([states[:, 0, :], cls_all[n:]]) if n < len(order) else states[:, 0, :]
         if schedule.is_tg(layer):
             last_agg = agg

@@ -400,10 +400,12 @@ def test_gelu_builds_no_derivative_under_no_grad(rng):
 
 # -- the post-norm block ----------------------------------------------------------
 #
-# ad.post_norm_block runs the attention sublayer (ad._attention_residual_norm)
-# and the MLP sublayer (ad._mlp_residual_norm) per tile of whole sequences,
-# the MLP's hidden layer in sub-tiles of _TILE rows. The tests named after a
-# sublayer put that sublayer's tiling to the test.
+# ad.post_norm_block plans one layer in tiles (ad._tile_plan): the first
+# `full` sequences and the others, each sorted by length and cut into tiles
+# of 4k whole sequences trimmed of PAD. Per tile it runs the attention
+# sublayer (ad._attention_residual_norm) and the MLP sublayer
+# (ad._mlp_residual_norm), the MLP's hidden layer in sub-tiles of _TILE rows.
+# The tests named after a sublayer put that sublayer's tiling to the test.
 
 
 def _block_leaves(rng, n=3, t=4, d=8, dtype=np.float64, w_dtype=None):
@@ -417,12 +419,18 @@ def _block_leaves(rng, n=3, t=4, d=8, dtype=np.float64, w_dtype=None):
             for s, dt in zip([(n, t, d), (n, d)] + shapes, dtypes)]
 
 
-def _pad_mask(n, t, dtype=np.float64):
-    """An additive (N, T + 1) mask over [agg; x]: sequences 0, 3, 6, ...
-    hide a PAD tail of one key and sequences 2, 5, 8, ... of two."""
-    key_mask = np.ones((n, t + 1), dtype=bool)
-    key_mask[0::3, t:] = key_mask[2::3, t - 1:] = False
-    return np.where(key_mask, 0.0, -np.inf).astype(dtype)
+def _lengths(n, t):
+    """Real lengths of n sequences of width t: sequences 0, 3, 6, ... end
+    in one PAD token and sequences 2, 5, 8, ... in two."""
+    lengths = np.full(n, t)
+    lengths[0::3], lengths[2::3] = t - 1, t - 2
+    return lengths
+
+
+def _key_mask(lengths, t, dtype=np.float64):
+    """The additive (N, T + 1) mask over [agg; x] that hides PAD keys."""
+    real = np.arange(-1, t) < np.asarray(lengths)[:, None]
+    return np.where(real, 0.0, -np.inf).astype(dtype)
 
 
 def _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias, linear=ad.linear,
@@ -431,17 +439,35 @@ def _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias, linear=ad.linear
 
 
 def _composition(x, agg, *rest, **ops):
-    """ad.post_norm_block as the unfused attention sublayer, then the
-    unfused MLP sublayer; `ops` replaces attention_sublayer's ops."""
-    *attn, w_up, b_up, w_down, b_down, gain, bias, heads, mask, cls_only = rest
-    h = attention_sublayer(x, agg, *attn, heads, mask, cls_only, **ops)
-    ops.pop("attend", None)
-    return _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias, **ops)
+    """ad.post_norm_block as unfused ops: the attention sublayer, then the
+    MLP sublayer, over the first `full` sequences with every query and over
+    the others with [CLS] alone, padded with zeros past [CLS] when `full` is
+    not 0, and 0 at PAD positions; `ops` replaces attention_sublayer's ops."""
+    *attn, w_up, b_up, w_down, b_down, gain, bias, heads, lengths, full = rest
+    n, t, d = x.shape
+    real = np.arange(t) < (np.full(n, t) if lengths is None else lengths)[:, None]
+    mask = None if real.all() else _key_mask(real.sum(axis=1), t, x.dtype)
+    if agg is None and mask is not None:
+        mask = mask[:, 1:]
+    mlp_ops = {k: op for k, op in ops.items() if k != "attend"}
+    parts = []
+    for seqs, cls_only in ((slice(0, full), False), (slice(full, n), True)):
+        if seqs.start == seqs.stop:
+            continue
+        h = attention_sublayer(x[seqs], None if agg is None else agg[seqs], *attn, heads,
+                               None if mask is None else mask[seqs], cls_only, **ops)
+        part = _mlp_composition(h, w_up, b_up, w_down, b_down, gain, bias, **mlp_ops)
+        if cls_only and full and t > 1:
+            pad = Tensor(np.zeros((len(part.data), t - 1, d), part.dtype))
+            part = ad.concat([part, pad], axis=1)
+        parts.append(part)
+    out = parts[0] if len(parts) == 1 else ad.concat(parts)
+    return out if real.all() else out * real[:, :out.shape[1], None]
 
 
-def _block(leaves, heads, mask, cls_only, op=ad.post_norm_block, agg=True, **ops):
+def _block(leaves, heads, lengths, full, op=ad.post_norm_block, agg=True, **ops):
     x, agg_leaf, *rest = leaves
-    return op(x, agg_leaf if agg else None, *rest, heads, mask, cls_only, **ops)
+    return op(x, agg_leaf if agg else None, *rest, heads, lengths, full, **ops)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -449,46 +475,94 @@ def test_attention_matches_composite_oracle(rng, masked):
     # the block against a composition of the oracle attention, linear and
     # layer norm ops
     leaves = _block_leaves(rng)
-    mask = _pad_mask(3, 4) if masked else None
+    lengths = _lengths(3, 4) if masked else None
     oracle_ops = dict(attend=attention_oracle, linear=linear_oracle, layer_norm=layer_norm_oracle)
-    _assert_matches_oracle(lambda *ls: _block(ls, 2, mask, False),
-                           lambda *ls: _block(ls, 2, mask, False, _composition, **oracle_ops),
-                           leaves, rng.standard_normal((3, 4, 8)), mask)
+    _assert_matches_oracle(lambda *ls: _block(ls, 2, lengths, 3),
+                           lambda *ls: _block(ls, 2, lengths, 3, _composition, **oracle_ops),
+                           leaves, rng.standard_normal((3, 4, 8)), lengths)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_finite_differences(rng, masked):
     leaves = _block_leaves(rng)
-    mask = _pad_mask(3, 4) if masked else None
+    lengths = _lengths(3, 4) if masked else None
     w = Tensor(rng.standard_normal((3, 4, 8)))
-    finite_diff_check(lambda: (_block(leaves, 2, mask, False) * w).sum(), leaves)
+    finite_diff_check(lambda: (_block(leaves, 2, lengths, 3) * w).sum(), leaves)
 
 
-@pytest.mark.parametrize("cls_only", [False, True])
-def test_attention_residual_norm_finite_differences_across_tiles(rng, monkeypatch, cls_only):
-    # 10 sequences of 3 tokens in tiles of 4, 4 and 2 sequences, with an agg
-    # token, a PAD mask and, for cls_only, one query per sequence; the MLP
-    # runs a tile's 12 or 6 rows in sub-tiles of 4 and 4, or 4 and 2
+# 14 sequences of width 4; the first 9 sort to lengths 1 1 2 2 | 3 3 4 4 4
+# and the other 5 to 1 2 2 3 4, so lengths differ within and across tiles
+_MIXED_LENGTHS = np.array([4, 2, 3, 1, 4, 4, 2, 3, 1, 3, 1, 4, 2, 2])
+
+
+@pytest.mark.parametrize("cls_rows", [False, True])
+def test_attention_residual_norm_finite_differences_across_tiles(rng, monkeypatch, cls_rows):
+    # Float64, with an agg token and PAD. At _TILE 4 a tile holds 4
+    # sequences: all 14 sequences full make tiles of 4, 4, 4 and 2; with
+    # cls_rows the first 9 make 4 and 5 (no tile of one sequence) and the
+    # other 5, which query with [CLS] alone, make one more. The MLP runs a
+    # tile's rows in sub-tiles of 4.
     monkeypatch.setattr(ad, "_TILE", 4)
-    leaves = _block_leaves(rng, n=10, t=3, d=4)
-    w = Tensor(rng.standard_normal((10, 1 if cls_only else 3, 4)))
-    finite_diff_check(lambda: (_block(leaves, 2, _pad_mask(10, 3), cls_only) * w).sum(),
-                      leaves)
+    full = 9 if cls_rows else 14
+    assert len(ad._tile_plan(_MIXED_LENGTHS, 4, full)) == (3 if cls_rows else 4)
+    leaves = _block_leaves(rng, n=14, t=4, d=4)
+    w = Tensor(rng.standard_normal((14, 4, 4)))
+    finite_diff_check(lambda: (_block(leaves, 2, _MIXED_LENGTHS, full) * w).sum(), leaves)
 
 
 def test_mlp_residual_norm_finite_differences_across_tiles(rng, monkeypatch):
-    # no agg token and no mask: one tile of 2 sequences, 10 rows, whose MLP
+    # no agg token and no PAD: one tile of 2 sequences, 10 rows, whose MLP
     # runs in sub-tiles of 4, 4 and 2 rows
     monkeypatch.setattr(ad, "_TILE", 4)
     leaves = _block_leaves(rng, n=2, t=5, d=4)
     w = Tensor(rng.standard_normal((2, 5, 4)))
-    finite_diff_check(lambda: (_block(leaves, 2, None, False, agg=False) * w).sum(),
+    finite_diff_check(lambda: (_block(leaves, 2, None, 2, agg=False) * w).sum(),
                       leaves[:1] + leaves[2:])
+
+
+def test_tile_plan_sorts_trims_and_sizes_each_group():
+    # T = 11, 250 sequences of lengths 2..11, the first 100 full. A tile's
+    # query and key rows come to about 4 _TILE: a full tile holds
+    # 4 * (_TILE // 22) = 44 sequences, a [CLS]-only one, with one query row
+    # per sequence, 4 * (_TILE // 12) = 84.
+    lengths = 2 + np.arange(250) % 10
+    tiles = ad._tile_plan(lengths, 11, 100)
+    assert [(len(lens), tq, int(lens[-1])) for _, lens, tq in tiles] == [
+        (44, 6, 6), (44, 10, 10), (12, 11, 11), (84, 1, 7), (66, 1, 11)]
+    order = np.argsort(lengths[:100], kind="stable")
+    np.testing.assert_array_equal(np.concatenate([seqs for seqs, *_ in tiles[:3]]), order)
+    np.testing.assert_array_equal(np.concatenate([seqs for seqs, *_ in tiles[3:]]),
+                                  100 + np.argsort(lengths[100:], kind="stable"))
+    for seqs, lens, _ in tiles:
+        np.testing.assert_array_equal(lens, lengths[seqs])
+    # sequences that sorting leaves in order make slices
+    tiles = ad._tile_plan(np.sort(lengths), 11, 100)
+    assert [seqs for seqs, *_ in tiles] == [slice(0, 44), slice(44, 88), slice(88, 100),
+                                           slice(100, 184), slice(184, 250)]
+
+
+# sorted, the same lengths make tiles that are slices of the input: at
+# _TILE 4, with all 14 full, of lengths 1 1 1 2 | 2 2 2 3 | 3 3 4 4 | 4 4, so
+# the third tile is full width and holds PAD
+_SORTED_CASE = (np.sort(_MIXED_LENGTHS), 14)
+
+
+@pytest.mark.parametrize("lengths, full", [(_MIXED_LENGTHS, 9), _SORTED_CASE],
+                         ids=["mixed", "sorted"])
+def test_block_output_is_zero_at_pad_and_past_cls(rng, monkeypatch, lengths, full):
+    monkeypatch.setattr(ad, "_TILE", 4)
+    leaves = _block_leaves(rng, n=14, t=4, d=4)
+    out = _block(leaves, 2, lengths, full)
+    zero = np.arange(4) >= lengths[:, None]
+    zero[full:, 1:] = True
+    assert (out.data[zero] == 0).all() and (out.data[~zero] != 0).all()
+    out.backward(rng.standard_normal(out.shape))
+    assert (leaves[0].grad[np.arange(4) >= lengths[:, None]] == 0).all()
 
 
 def test_attention_is_one_tape_node(rng):
     leaves = _block_leaves(rng)
-    out = _block(leaves, 2, _pad_mask(3, 4), False)
+    out = _block(leaves, 2, _lengths(3, 4), 2)
     assert out.shape == leaves[0].shape
     assert out._parents == tuple(leaves)
     assert all(p._backward is None for p in out._parents)
@@ -496,7 +570,7 @@ def test_attention_is_one_tape_node(rng):
 
 def test_attention_backward_repeats(rng):
     leaves = _block_leaves(rng)
-    out = _block(leaves, 2, _pad_mask(3, 4), False)
+    out = _block(leaves, 2, _lengths(3, 4), 2)
     seed = rng.standard_normal(out.shape)
     out.backward(seed)
     first = [t.grad.copy() for t in leaves]
@@ -507,44 +581,63 @@ def test_attention_backward_repeats(rng):
         np.testing.assert_array_equal(t.grad, g)
 
 
-def test_attention_residual_norm_ignores_an_all_zero_mask_to_the_bit(rng):
-    # encoder.attention_block passes no mask where no key is PAD
-    leaves = _block_leaves(rng)
-    seed = rng.standard_normal((3, 4, 8))
+def test_attention_residual_norm_ignores_an_all_zero_mask_to_the_bit(rng, monkeypatch):
+    # Lengths that leave no PAD build no mask at all and give the bits of no
+    # lengths. With one sequence of length 3, sorting puts it in the first
+    # tile of 4, which gets a mask; the second tile gets none.
+    monkeypatch.setattr(ad, "_TILE", 8)  # tiles of 4 sequences
+    masks, weights = [], ad._attention_weights
+
+    def record(q, k, mask):
+        masks.append(mask)
+        return weights(q, k, mask)
+
+    monkeypatch.setattr(ad, "_attention_weights", record)
+    leaves = _block_leaves(rng, n=8, t=4, d=4)
+    seed = rng.standard_normal((8, 4, 4))
     results = []
-    for mask in (np.zeros((3, 5)), None):
+    for lengths in (np.full(8, 4), None):
         for t in leaves:
             t.zero_grad()
-        out = _block(leaves, 2, mask, False)
+        out = _block(leaves, 2, lengths, 8)
         out.backward(seed)
         results.append([out.data] + [t.grad for t in leaves])
     for got, want in zip(*results, strict=True):
         np.testing.assert_array_equal(got, want)
+    assert len(masks) == 8 and all(m is None for m in masks)
+    masks.clear()
+    _block(leaves, 2, np.array([4, 4, 4, 4, 4, 3, 4, 4]), 8)
+    assert masks[0].shape == (4, 5) and masks[1] is None
 
 
-def _assert_block_matches_its_composition(leaves, mask, cls_only, agg, seed, one_tile):
+def _assert_block_matches_its_composition(leaves, lengths, full, agg, seed, one_tile):
     """post_norm_block has the composition's output bits on and off the
-    tape. Its gradients have them within one tile; across tiles they are
-    within 1e-12 (float64) or 1e-5 (float32) of the largest entry of any
-    gradient (bk's is 0 up to rounding: softmax ignores a shift shared by
-    all keys)."""
+    tape when no sequence has PAD. Its gradients have them within one tile;
+    across tiles they are within 1e-12 (float64) or 1e-5 (float32) of the
+    largest entry of any gradient (bk's is 0 up to rounding: softmax ignores
+    a shift shared by all keys). With PAD, a tile trimmed of PAD keys moves
+    outputs within 1e-12 or 1e-5 too."""
     results = []
     for op in (ad.post_norm_block, _composition):
         for t in leaves:
             t.zero_grad()
         with ad.no_grad():
-            off_tape = _block(leaves, 2, mask, cls_only, op, agg)
-        out = _block(leaves, 2, mask, cls_only, op, agg)
+            off_tape = _block(leaves, 2, lengths, full, op, agg)
+        out = _block(leaves, 2, lengths, full, op, agg)
         out.backward(seed)
         results.append((off_tape.data, out.data, [t.grad for t in leaves if t.grad is not None]))
     (got_off, got, got_grads), (want_off, want, want_grads) = results
-    np.testing.assert_array_equal(got_off, want_off)
-    np.testing.assert_array_equal(got, want)
     dtype = got.dtype
-    atol = (1e-12 if dtype == np.float64 else 1e-5) * max(np.abs(w).max() for w in want_grads)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for a, b in ((got_off, want_off), (got, want)):
+        if lengths is None:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+    atol = tol * max(np.abs(w).max() for w in want_grads)
     for g, w in zip(got_grads, want_grads, strict=True):
         assert g.dtype == w.dtype == dtype
-        if one_tile:
+        if one_tile and lengths is None:
             np.testing.assert_array_equal(g, w)
         else:
             assert np.abs(g - w).max() <= atol
@@ -557,14 +650,17 @@ def _assert_block_matches_its_composition(leaves, mask, cls_only, agg, seed, one
 def test_attention_residual_norm_matches_its_composition(rng, monkeypatch, tiles, cls_only,
                                                          dtype):
     # The block over tiles of whole sequences: 3 tokens and an agg token
-    # over 2 heads make 6 or, for cls_only, 2 softmax rows per sequence, a
-    # PAD mask hides keys, and at _TILE 4 the MLP splits a tile's rows too.
+    # over 2 heads make 6 or, for cls_only, 2 softmax rows per sequence, and
+    # at _TILE 4 the MLP splits a tile's rows too. Without PAD, then with a
+    # PAD tail of one or two tokens that the tiles of the shortest sequences
+    # trim.
     tile, n = tiles
     monkeypatch.setattr(ad, "_TILE", tile)
     leaves = _block_leaves(rng, n=n, t=3, d=4, dtype=dtype)
-    seed = rng.standard_normal((n, 1 if cls_only else 3, 4))
-    _assert_block_matches_its_composition(leaves, _pad_mask(n, 3, dtype), cls_only, True,
-                                          seed, tile == 256)
+    seed = rng.standard_normal((n, 3, 4))[:, :1 if cls_only else 3]
+    full = 0 if cls_only else n
+    for lengths in (None, _lengths(n, 3)):
+        _assert_block_matches_its_composition(leaves, lengths, full, True, seed, tile == 256)
 
 
 @pytest.mark.parametrize("tile", [256, 4, 3])  # 1 tile; 4+4+2 rows; 3+3+4 rows, no 1-row tile
@@ -572,13 +668,42 @@ def test_attention_residual_norm_matches_its_composition(rng, monkeypatch, tiles
                                     (np.float64, np.float32)],
                          ids=["float32", "float64", "float64 h, float32 weights"])
 def test_mlp_residual_norm_matches_its_composition(rng, monkeypatch, tile, dtypes):
-    # One tile of 2 sequences without agg or mask, 10 rows, whose MLP runs
+    # One tile of 2 sequences without agg or PAD, 10 rows, whose MLP runs
     # in sub-tiles of `tile` rows. Float32 weights meeting float64 input get
     # float64 gradients, summed in float64.
     monkeypatch.setattr(ad, "_TILE", tile)
     leaves = _block_leaves(rng, n=2, t=5, d=4, dtype=dtypes[0], w_dtype=dtypes[1])
     seed = rng.standard_normal((2, 5, 4))
-    _assert_block_matches_its_composition(leaves, None, False, False, seed, tile == 256)
+    _assert_block_matches_its_composition(leaves, None, 2, False, seed, tile == 256)
+
+
+@pytest.mark.parametrize("lengths, full", [(_MIXED_LENGTHS, 9), _SORTED_CASE],
+                         ids=["mixed", "sorted"])
+def test_block_with_mixed_rows_matches_its_composition(rng, monkeypatch, lengths, full):
+    # 9 full sequences and 5 [CLS]-only ones with PAD, in 3 tiles; or the
+    # tiles of sorted lengths, slices of the input
+    monkeypatch.setattr(ad, "_TILE", 4)
+    leaves = _block_leaves(rng, n=14, t=4, d=4)
+    seed = rng.standard_normal((14, 4, 4))
+    _assert_block_matches_its_composition(leaves, lengths, full, True, seed, False)
+
+
+def test_block_gradients_do_not_depend_on_the_tile_size(rng, monkeypatch):
+    leaves = _block_leaves(rng, n=14, t=4, d=4)
+    seed = rng.standard_normal((14, 4, 4))
+    runs = []
+    for tile in (256, 8, 4, 3):
+        monkeypatch.setattr(ad, "_TILE", tile)
+        for t in leaves:
+            t.zero_grad()
+        out = _block(leaves, 2, _MIXED_LENGTHS, 9)
+        out.backward(seed)
+        runs.append([out.data] + [t.grad for t in leaves])
+    # within 1e-12 of the largest entry (bk's gradient is 0 up to rounding)
+    atol = 1e-12 * max(np.abs(want).max() for want in runs[0])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0], strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 def test_layer_norm_tiles_at_multiples_of_4_rows_keep_the_bits_of_one_call(rng):
@@ -603,23 +728,25 @@ def test_layer_norm_tiles_at_multiples_of_4_rows_keep_the_bits_of_one_call(rng):
 
 
 def _attention_step(x, agg, *rest):
-    """ad._attention_residual_norm over every sequence, with
+    """ad._attention_residual_norm over every sequence as one tile, of
+    ascending lengths `lens`, each with tq queries, with
     ad._attention_residual_norm_grad, as one tape node: the block's
     attention sublayer, h = LN1(xq + attention @ wo + bo)."""
-    *ws, heads, mask, cls_only = rest
-    seqs = slice(0, len(x.data))
-    h, saved = ad._attention_residual_norm(x, agg, ws, heads, mask, cls_only, seqs)
+    *ws, heads, lens, tq = rest
+    seqs = np.arange(len(x.data))
+    h, saved = ad._attention_residual_norm(x, agg, ws, heads, seqs, lens, tq)
 
     def backward(g):
         gx = np.zeros(x.shape, h.dtype)
         gagg = None if agg is None else np.empty(agg.shape, h.dtype)
-        ad._attention_residual_norm_grad(g.reshape(h.shape), saved, ws, heads, seqs, gx, gagg)
+        ad._attention_residual_norm_grad(g.reshape(h.shape), saved, ws, heads, seqs,
+                                         int(lens[-1]), gx, gagg)
         x._accum(gx)
         if agg is not None:
             agg._accum(gagg)
 
     parents = tuple(p for p in (x, agg, *ws) if p is not None)
-    return ad._make(h.reshape(len(x.data), -1, h.shape[-1]), parents, backward)
+    return ad._make(h.reshape(len(x.data), tq, h.shape[-1]), parents, backward)
 
 
 def _mlp_step(h, *ws):
@@ -629,10 +756,10 @@ def _mlp_step(h, *ws):
     h2d = h.data.reshape(-1, h.shape[-1])
     dtype = np.result_type(h.data, *(p.data for p in ws))
     out, xhat, inv = (np.empty((len(h2d), w), dtype) for w in (h.shape[-1], h.shape[-1], 1))
-    ad._mlp_residual_norm(h2d, ws, ad._TILE, (out, xhat, inv))
+    ad._mlp_residual_norm(h2d, ws, (out, xhat, inv))
 
     def backward(g):
-        gh = ad._mlp_residual_norm_grad(g.reshape(out.shape), h2d, xhat, inv, ws, ad._TILE)
+        gh = ad._mlp_residual_norm_grad(g.reshape(out.shape), h2d, xhat, inv, ws)
         h._accum(gh.reshape(h.shape))
 
     return ad._make(out.reshape(h.shape), (h, *ws), backward)
@@ -640,17 +767,19 @@ def _mlp_step(h, *ws):
 
 def _fused_cases(rng, dtype, n=2):
     """(leaves, fused node, the unfused composition) for each fused node, on
-    n sequences of 3 tokens."""
-    leaves, mask = _block_leaves(rng, n=n, t=3, d=4, dtype=dtype), _pad_mask(n, 3, dtype)
+    n sequences of 3 tokens, of lengths 2, 3, 2, 3, ..."""
+    leaves = _block_leaves(rng, n=n, t=3, d=4, dtype=dtype)
+    lengths = 2 + np.arange(n) % 2
+    mask = _key_mask(lengths, 3, dtype)
     attention, mlp = leaves[:12], leaves[:1] + leaves[12:]
     return {
-        "attention_residual_norm": (attention, lambda *ls: _attention_step(*ls, 2, mask, False),
+        "attention_residual_norm": (attention, lambda *ls: _attention_step(*ls, 2, lengths, 3),
                                     lambda *ls: attention_sublayer(*ls, 2, mask, False)),
         "mlp_residual_norm": (mlp, _mlp_step, _mlp_composition),
-        "post_norm_block": (leaves, lambda *ls: _block(ls, 2, None, False),
-                            lambda *ls: _block(ls, 2, None, False, _composition)),
-        "post_norm_block, cls_only": (leaves, lambda *ls: _block(ls, 2, mask, True),
-                                      lambda *ls: _block(ls, 2, mask, True, _composition)),
+        "post_norm_block": (leaves, lambda *ls: _block(ls, 2, None, n),
+                            lambda *ls: _block(ls, 2, None, n, _composition)),
+        "post_norm_block, cls_only": (leaves, lambda *ls: _block(ls, 2, lengths, 0),
+                                      lambda *ls: _block(ls, 2, lengths, 0, _composition)),
     }
 
 
@@ -685,11 +814,12 @@ def test_fused_node_equals_its_composition_bit_for_bit(rng, case):
 
 @pytest.mark.parametrize("case", ["post_norm_block", "post_norm_block, cls_only"])
 def test_fused_node_keeps_two_output_sized_arrays(rng, case):
-    # The block keeps its output, LN2's xhat and the per-row inv. The
-    # composition would also keep the GEMMs' outputs and the residual sums:
-    # q, k, v, their [agg; x] input, the softmax weights, the context, h and
-    # LN1's xhat, and the MLP's 4d-wide hidden layer and gelu derivative.
-    # It runs 5,400 or 1,800 query rows here, more than one tile.
+    # The block keeps its output, LN2's xhat and the per-row inv, one d-wide
+    # and one 1-wide array per query row, and its tile plan: two ints per
+    # sequence. The composition would also keep the GEMMs' outputs and the
+    # residual sums: q, k, v, their [agg; x] input, the softmax weights, the
+    # context, h and LN1's xhat, and the MLP's 4d-wide hidden layer and gelu
+    # derivative. It runs 5,400 or 1,800 query rows here, more than one tile.
     leaves, fused, _ = _fused_cases(rng, np.float32, n=1800)[case]
     tracemalloc.start()
     try:
@@ -698,7 +828,9 @@ def test_fused_node_keeps_two_output_sized_arrays(rng, case):
     finally:
         tracemalloc.stop()
     assert out._backward is not None
-    assert kept < 2.5 * out.data.nbytes
+    query_rows = 1800 if case.endswith("cls_only") else 5400
+    d, itemsize = out.shape[-1], out.data.itemsize
+    assert kept < out.data.nbytes + 1.5 * query_rows * d * itemsize + 2 * 8 * 1800
 
 
 # np.add.reduceat adds a group's first row to a pairwise sum of the rest, so
@@ -794,13 +926,14 @@ DTYPE_CASES = {
     "layer_norm": ([(2, 3, 4), (4,), (4,)], ad.layer_norm),
     "linear with a bias": ([(2, 3, 4), (4, 5), (5,)], ad.linear),
     "attention_residual_norm": ([(2, 3, 4)] + _block_params(4)[:10],
-                                lambda x, *rest: _attention_step(x, None, *rest, 2, None, True)),
+                                lambda x, *rest: _attention_step(x, None, *rest, 2,
+                                                                 np.full(2, 3), 1)),
     "mlp_residual_norm": ([(2, 3, 4)] + _block_params(4)[10:], _mlp_step),
     "post_norm_block": ([(2, 3, 4)] + _block_params(4),
-                        lambda x, *rest: ad.post_norm_block(x, None, *rest, 2, None, True)),
+                        lambda x, *rest: ad.post_norm_block(x, None, *rest, 2, None, 0)),
     "masked attention": ([(3, 4, 8), (3, 8)] + _block_params(8),
                          lambda x, agg, *rest: ad.post_norm_block(
-                             x, agg, *rest, 2, _KEY_MASK, False)),
+                             x, agg, *rest, 2, np.array([2, 4, 1]), 2)),
 }
 
 

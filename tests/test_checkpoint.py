@@ -251,3 +251,16 @@ def test_a_header_of_the_wrong_shape_raises_checkpoint_error_naming_it(tmp_path,
     for load in loaders:
         with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*damaged"):
             load(path)
+
+
+@pytest.mark.parametrize("shape", [[-1], [2.5]], ids=["a negative dimension",
+                                                     "a non-integer dimension"])
+def test_a_bad_dimension_raises_checkpoint_error_naming_it(tmp_path, shape):
+    # `a` holds 3 floats and `b` 5; read with shape [-1], `a` took all 8
+    path = tmp_path / "checkpoint.bin"
+    save_arrays(path, {"a": np.zeros(3, np.float32), "b": np.ones(5, np.float32)}, {})
+    header = _header(path)
+    header["arrays"]["a"]["shape"] = shape
+    _with_header(path, header)
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*damaged.*a has shape"):
+        load_arrays(path)

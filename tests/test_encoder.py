@@ -193,55 +193,67 @@ def test_attention_matches_dense_oracle():
     want = _after_attention(lp, x.data[0] + dense_attention_oracle(x.data[0], agg.data, lp,
                                                                    heads))
     assert np.max(np.abs(got - want)) < 1e-6
-    cls = enc.attention_block(x, agg, lp, heads, cls_only=True).data[0]
-    np.testing.assert_allclose(cls, got[:1], rtol=0, atol=1e-12)
+    cls = enc.attention_block(x, agg, lp, heads, full_rows=0).data[0]
+    np.testing.assert_allclose(cls[:1], got[:1], rtol=0, atol=1e-12)
+    assert not cls[1:].any()
 
 
 def test_attention_output_rows_equal_query_count():
+    # the output keeps the input's shape; a sequence past full_rows queries
+    # with [CLS] alone and its other rows are 0; with full_rows 0 only the
+    # [CLS] rows are returned
     rng = np.random.default_rng(3)
     lp = make_layer_params(8, rng)
-    x = Tensor(rng.standard_normal((1, 5, 8)))
-    agg = Tensor(rng.standard_normal((1, 8)))
-    assert enc.attention_block(x, agg, lp, heads=2).shape == (1, 5, 8)
-    assert enc.attention_block(x, agg, lp, heads=2, cls_only=True).shape == (1, 1, 8)
+    x = Tensor(rng.standard_normal((2, 5, 8)))
+    agg = Tensor(rng.standard_normal((2, 8)))
+    assert enc.attention_block(x, agg, lp, heads=2).data.all()
+    out = enc.attention_block(x, agg, lp, heads=2, full_rows=1).data
+    assert out.shape == (2, 5, 8)
+    assert out[0].all() and out[1, 0].all() and not out[1, 1:].any()
+    cls = enc.attention_block(x, agg, lp, heads=2, full_rows=0).data
+    np.testing.assert_allclose(cls, out[:, :1], rtol=0, atol=1e-12)
 
 
 def test_attention_weights_are_distributions(monkeypatch):
     # The weights the attention node itself uses, recorded where it computes
-    # them: 10 sequences in tiles of 4, 4 and 2, an agg token, a PAD tail of
-    # one or two keys, and all queries or [CLS] alone. Backward recomputes
-    # each tile's weights and must get the forward's bits.
+    # them: 10 sequences with an agg token and a PAD tail of one or two
+    # keys, all querying with every token or with [CLS] alone. Sorted by
+    # length, they make tiles of 4, 4 and 2 sequences, each trimmed to its
+    # longest sequence. Backward recomputes each
+    # tile's weights and must get the forward's bits.
     monkeypatch.setattr(ad, "_TILE", 4)
     rng = np.random.default_rng(11)
     d, heads, n, t = 8, 2, 10, 4
     lp = make_layer_params(d, rng)
     x = Tensor(rng.standard_normal((n, t, d)), requires_grad=True)
     agg = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-    key_mask = np.ones((n, t), dtype=bool)
-    key_mask[0::3, t - 1:] = key_mask[2::3, t - 2:] = False
-    hidden = np.concatenate([np.zeros((n, 1), dtype=bool), ~key_mask], axis=1)  # over [agg; x]
+    lengths = np.full(n, t)
+    lengths[0::3], lengths[2::3] = t - 1, t - 2
     calls = []
     weights = ad._attention_weights
 
     def record(q, k, mask):
         w = weights(q, k, mask)
-        calls.append(w.copy())
+        calls.append((w.copy(), mask))
         return w
 
     monkeypatch.setattr(ad, "_attention_weights", record)
-    for cls_only in (False, True):
+    # sorted lengths 2 2 2 3 | 3 3 3 4 | 4 4: a tile without PAD gets no mask
+    for full, shapes in ((n, [(4, t - 1, t, True), (4, t, t + 1, True), (2, t, t + 1, False)]),
+                         (0, [(4, 1, t, True), (4, 1, t + 1, True), (2, 1, t + 1, False)])):
         calls.clear()
-        out = enc.attention_block(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+        out = enc.attention_block(x, agg, lp, heads, lengths, full_rows=full)
         forward = list(calls)
-        assert [len(w) for w in forward] == [4, 4, 2]
-        w = np.concatenate(forward)
-        assert w.shape == (n, heads, 1 if cls_only else t, t + 1)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-        masked = np.broadcast_to(hidden[:, None, None, :], w.shape)
-        assert (w[masked] == 0.0).all() and (w[~masked] > 0.0).all()
+        assert [(*w.shape[:1], *w.shape[2:], mask is not None)
+                for w, mask in forward] == shapes
+        for w, mask in forward:
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+            hidden = np.zeros(w.shape, bool) if mask is None else np.broadcast_to(
+                mask[:, None, None, :] < 0, w.shape)
+            assert (w[hidden] == 0.0).all() and (w[~hidden] > 0.0).all()
         out.backward(rng.standard_normal(out.shape))
         assert len(calls) == 2 * len(forward)
-        for fwd, bwd in zip(forward, calls[len(forward):]):
+        for (fwd, _), (bwd, _) in zip(forward, calls[len(forward):]):
             np.testing.assert_array_equal(bwd, fwd)
 
 
@@ -267,8 +279,7 @@ def test_attention_key_mask_hides_rows():
     x_short = Tensor(rng.standard_normal((1, 2, d)))
     pad = np.zeros((1, 1, d))
     x_padded = Tensor(np.concatenate([x_short.data, pad], axis=1))
-    mask = np.array([[True, True, False]])
-    out_padded = enc.attention_block(x_padded, None, lp, heads, key_mask=mask).data
+    out_padded = enc.attention_block(x_padded, None, lp, heads, np.array([2])).data
     out_short = enc.attention_block(x_short, None, lp, heads).data
     np.testing.assert_allclose(out_padded[:, :2], out_short, atol=1e-12)
 

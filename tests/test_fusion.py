@@ -460,7 +460,7 @@ PLAN_TOL = {True: 1e-12, False: 1e-5}  # float64, float32
 
 
 def _plan_case(strategy="PG", float64=True):
-    # texts of 2..5 words, so the token matrix has PAD and row chunks trim it
+    # texts of 2..5 words, so the token matrix has PAD and the blocks' tiles trim it
     g = toy_graph(40, extra_edges=((0, 9), (3, 17), (5, 30), (12, 33)), seed=13)
     vocab, schedule, params = build_model(g, 6, [2, 5], strategy, seed=6)
     if float64:
@@ -471,15 +471,24 @@ def _plan_case(strategy="PG", float64=True):
     return g, sub, tokens, params, schedule
 
 
+def _patch_tile(monkeypatch, tile):
+    """With a tile of 3 rows, each block tiles 4 sequences at a time, full or
+    [CLS]-only, and its MLP 3 rows at a time."""
+    if tile is not None:
+        monkeypatch.setattr(ad, "_TILE", tile)
+
+
 @pytest.mark.parametrize("token_states", [False, True])
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("tile", [None, 3])
 @pytest.mark.parametrize("float64", [True, False])
 @pytest.mark.parametrize("strategy", ["VA", "ME", "PE", "PG"])
-def test_row_plan_matches_the_full_row_oracle(strategy, float64, rows, token_states, caplog):
+def test_row_plan_matches_the_full_row_oracle(strategy, float64, tile, token_states, caplog,
+                                              monkeypatch):
     with caplog.at_level(logging.WARNING):
         g, sub, tokens, params, schedule = _plan_case(strategy, float64)
     tol = PLAN_TOL[float64]
-    res = odin_forward(g, sub, tokens, params, schedule, rows=rows, record_trace=True,
+    _patch_tile(monkeypatch, tile)
+    res = odin_forward(g, sub, tokens, params, schedule, record_trace=True,
                        token_states=token_states)
     want = full_row_forward(sub, tokens, params, schedule)
     assert res.base_nodes == want.base_nodes
@@ -516,14 +525,15 @@ def _assert_same_grads(got, want, tol):
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=tol, err_msg=name)
 
 
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("tile", [None, 3])
 @pytest.mark.parametrize("float64", [True, False])
-def test_row_plan_gives_the_oracle_gradients(float64, rows):
+def test_row_plan_gives_the_oracle_gradients(float64, tile, monkeypatch):
     g, sub, tokens, params, schedule = _plan_case("PG", float64)
     tol = PLAN_TOL[float64]
     pairs = [(0, 3), (3, 5), (5, 0)]
+    _patch_tile(monkeypatch, tile)
     got = _grads(params, linkpred_loss(
-        odin_forward(g, sub, tokens, params, schedule, rows=rows).cls, PLAN_BATCH, pairs))
+        odin_forward(g, sub, tokens, params, schedule).cls, PLAN_BATCH, pairs))
     want = _grads(params, linkpred_loss(
         full_row_forward(sub, tokens, params, schedule).cls, PLAN_BATCH, pairs))
     assert "stages.1.w1" in got
@@ -540,7 +550,7 @@ def test_row_plan_gives_the_oracle_gradients(float64, rows):
                 + nmlm_loss(res.final_states, res.batch_nodes, plan, params))
 
     got = _grads(params, pretrain_loss(
-        odin_forward(g, sub, tokens, params, schedule, rows=rows, token_states=True)))
+        odin_forward(g, sub, tokens, params, schedule, token_states=True)))
     want = _grads(params, pretrain_loss(full_row_forward(sub, tokens, params, schedule)))
     assert "mlm_head" in got
     _assert_same_grads(got, want, tol)
@@ -552,22 +562,23 @@ def _query_rows(monkeypatch, params):
     seen = {}
     attend = enc.attention_block
 
-    def record(x, agg, lp, heads, key_mask=None, *, cls_only=False):
+    def record(x, agg, lp, heads, lengths=None, full_rows=None):
         layer = next(i for i, p in enumerate(params.layers) if p is lp)
-        counts = seen.setdefault(layer, [0, 0])
-        counts[cls_only] += x.shape[0]
-        return attend(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+        assert layer not in seen  # one call per layer
+        seen[layer] = [full_rows, x.shape[0] - full_rows]
+        return attend(x, agg, lp, heads, lengths, full_rows)
 
     monkeypatch.setattr(enc, "attention_block", record)
     return seen
 
 
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("tile", [None, 3])
 @pytest.mark.parametrize("token_states", [False, True])
-def test_cls_only_rows_are_where_the_frontier_shrinks(monkeypatch, token_states, rows):
+def test_cls_only_rows_are_where_the_frontier_shrinks(monkeypatch, token_states, tile):
     g, sub, tokens, params, schedule = _plan_case()
     seen = _query_rows(monkeypatch, params)
-    odin_forward(g, sub, tokens, params, schedule, rows=rows, token_states=token_states)
+    _patch_tile(monkeypatch, tile)
+    odin_forward(g, sub, tokens, params, schedule, token_states=token_states)
     b0, b1, b = len(sub.base), len(sub.budget(1)), len(sub.batch)
     # [full, [CLS]-only] sequences per layer; B_0 shrinks to B_1 after layer 2
     want = {0: [b0, 0], 1: [b0, 0], 2: [b1, b0 - b1], 3: [b1, 0]}
@@ -576,6 +587,34 @@ def test_cls_only_rows_are_where_the_frontier_shrinks(monkeypatch, token_states,
     else:  # a fine-tune forward: the last layer runs the batch's [CLS] only
         want.update({4: [b, b1 - b], 5: [0, b]})
     assert seen == want
+
+
+@pytest.mark.parametrize("token_states", [False, True])
+def test_each_layer_is_one_block_node_straight_from_its_input(monkeypatch, token_states):
+    # The frontier shrinks after layer 2 and, without token states, the last
+    # layer runs the batch's [CLS] alone; still every layer is one block
+    # node, whose input is the very tensor the layer got: no slice, concat
+    # or take_rows node of the layer's rows in between.
+    g, sub, tokens, params, schedule = _plan_case(float64=False)
+    inputs, nodes = [], []
+    block, node = fusion.transformer_block, ad.post_norm_block
+
+    def record_block(x, *args, **kwargs):
+        inputs.append(x)
+        return block(x, *args, **kwargs)
+
+    def record_node(*args):
+        nodes.append(node(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(fusion, "transformer_block", record_block)
+    monkeypatch.setattr(ad, "post_norm_block", record_node)
+    res = odin_forward(g, sub, tokens, params, schedule, token_states=token_states)
+    assert len(inputs) == len(nodes) == schedule.depth
+    for x, out in zip(inputs, nodes, strict=True):
+        assert out._parents[0] is x
+    on_tape = _tape_nodes(res.cls.sum())
+    assert sum(any(n is out for out in nodes) for n in on_tape) == schedule.depth
 
 
 def test_the_tape_keeps_no_mlp_hidden_layer():
@@ -605,10 +644,10 @@ def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
     rows, widths, calls = [], set(), []
     attend = enc.attention_block
 
-    def record(x, agg, lp, heads, key_mask=None, *, cls_only=False):
-        rows.append(x.shape[0] * (1 if cls_only else x.shape[1]))
+    def record(x, agg, lp, heads, lengths=None, full_rows=None):
+        rows.append(full_rows * x.shape[1] + x.shape[0] - full_rows)
         widths.add(x.shape[1])
-        out = attend(x, agg, lp, heads, key_mask=key_mask, cls_only=cls_only)
+        out = attend(x, agg, lp, heads, lengths, full_rows)
         calls.append((out, (x, agg, lp)))
         return out
 
@@ -625,7 +664,7 @@ def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
                if a.ndim == 4 and (a.shape[1], a.shape[3]) == (heads, t + 1)]
     assert weights == []
     on_tape = {id(node) for node in _tape_nodes(loss)}
-    assert len({id(out) for out, _ in calls}) == len(calls) == 6  # 4 layers, 2 [CLS]-only parts
+    assert len({id(out) for out, _ in calls}) == len(calls) == 4  # one per layer
     for out, (x, agg, lp) in calls:
         assert id(out) in on_tape
         inputs = (x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv, lp.wo, lp.bo, lp.ln1_g,

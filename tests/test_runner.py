@@ -1,4 +1,4 @@
-"""End-to-end runs: whole-graph embeddings, the row-chunked block they use,
+"""End-to-end runs: whole-graph embeddings, the tiles of the block they use,
 eval without fine-tuning, repeatable fine-tunes, a classify head kept out of
 the model, the checkpoint loader, the pretrain log rows, resumed
 pretraining, float32 against float64, and a gate that pretraining learns."""
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from odin import autodiff as ad
-from odin import encoder, runner
+from odin import runner
 from odin.checkpoint import load_arrays, load_model, save_model
 from odin.config import RunConfig
 from odin.encoder import ConfigError, ModelDims, Vocab, init_params, transformer_block
@@ -23,7 +23,7 @@ from odin.rngutil import sub_seed
 from odin.sampler import sample_frontiers
 from odin.synth import SyntheticSpec, generate
 
-from helpers import as_float64, rand_tensor
+from helpers import as_float64, full_row_forward, rand_tensor
 
 
 def small_cfg(tmp_path, **pretrain) -> RunConfig:
@@ -86,14 +86,15 @@ def test_embeddings_match_one_unchunked_forward_with_grad(tmp_path):
     tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
     res = odin_forward(graph, sub, tokens, params, schedule)
     assert res.cls.requires_grad
-    want = np.stack([got[v] for v in range(graph.num_nodes)])
-    np.testing.assert_allclose(want, res.cls.data, rtol=0, atol=1e-12)
+    # the blocks tile the same way on and off the tape
+    np.testing.assert_array_equal(np.stack([got[v] for v in range(graph.num_nodes)]),
+                                  res.cls.data)
 
 
 def _embeddings_per_eval_batch(tmp_path, float64):
     cfg = small_cfg(tmp_path)
     graph = small_graph()
-    assert len({len(text.split()) for text in graph.texts}) > 2  # chunks trim differently
+    assert len({len(text.split()) for text in graph.texts}) > 2  # tiles trim differently
     vocab, schedule, params = runner.build_fresh_model(cfg, graph)
     if float64:
         as_float64(params)
@@ -108,16 +109,46 @@ def _embeddings_per_eval_batch(tmp_path, float64):
 def test_embeddings_agree_across_eval_batch(tmp_path):
     runs = _embeddings_per_eval_batch(tmp_path, float64=True)
     for got in runs[1:]:
-        np.testing.assert_allclose(got, runs[0], rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got, runs[0])
 
 
 def test_float32_embeddings_agree_across_eval_batch(tmp_path):
-    # the bound compute_embeddings states; float32 runs measured up to 8e-7
-    # here and 1.7e-6 at the default dims and depth
+    # nothing reads the batch size, so embeddings repeat bit for bit
     runs = _embeddings_per_eval_batch(tmp_path, float64=False)
     assert runs[0].dtype == np.float32
     for got in runs[1:]:
-        np.testing.assert_allclose(got, runs[0], rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(got, runs[0])
+
+
+@pytest.mark.parametrize("float64", [False, True])
+def test_embeddings_repeat_bit_for_bit_and_match_the_full_row_oracle(tmp_path, float64):
+    # texts of 2 to 8 words: each block sorts, trims and tiles them itself
+    cfg = small_cfg(tmp_path)
+    graph = generate(SyntheticSpec(n_nodes=40, n_classes=3, vocab_size=40, words_per_node=8,
+                                   min_words_per_node=2, avg_degree=3.0, seed=5))
+    n = graph.num_nodes
+    assert {len(text.split()) for text in graph.texts} == set(range(2, 9))
+    vocab, schedule, params = runner.build_fresh_model(cfg, graph)
+    if float64:
+        as_float64(params)
+
+    def embed(nodes, batch_size):
+        return runner.compute_embeddings(graph, nodes, params, schedule, vocab,
+                                         cfg.sampler.fanout, cfg.seed, batch_size)
+
+    every = embed(range(n), 64)
+    for batch_size in (1, 5, 64):
+        for nodes in (range(n), [0], [n - 1, 3, 3, 17], range(1, n, 4)):
+            emb = embed(nodes, batch_size)
+            assert sorted(emb) == sorted(set(nodes))
+            for v in emb:
+                np.testing.assert_array_equal(emb[v], every[v])
+    sub = sample_frontiers(graph, range(n), schedule.hop_count, cfg.sampler.fanout,
+                           sub_seed(cfg.seed, "embed"))
+    tokens = tokenize_nodes(graph, sub.base, vocab, params.dims.max_len)
+    want = full_row_forward(sub, tokens, params, schedule).cls.data
+    np.testing.assert_allclose(np.stack([every[v] for v in range(n)]), want, rtol=0,
+                               atol=1e-12 if float64 else 1e-5)
 
 
 def test_embeddings_of_no_nodes_run_no_pass(tmp_path, monkeypatch):
@@ -135,7 +166,10 @@ def test_embeddings_of_no_nodes_run_no_pass(tmp_path, monkeypatch):
             _embed(cfg, graph, bad, params, schedule, vocab)
 
 
-# -- row-chunked Transformer block ------------------------------------------------
+# -- the block's tiles ------------------------------------------------------------
+#
+# A _TILE of 10 or less makes each block tile 4 sequences of width 5 at a
+# time, and _TILE 1 runs its MLP one row at a time.
 
 
 def _block_inputs(seed=0, n=11, t=5, d=8):
@@ -144,55 +178,60 @@ def _block_inputs(seed=0, n=11, t=5, d=8):
     x = rand_tensor(rng, n, t, d)
     agg = rand_tensor(rng, n, d)
     lengths = rng.integers(1, t + 1, size=n)
-    key_mask = np.arange(t)[None, :] < lengths[:, None]
-    return params.layers[0], x, agg, key_mask, params
+    return params.layers[0], x, agg, lengths, params
 
 
-@pytest.mark.parametrize("rows", [1, 4, 11, 50])
-def test_block_in_row_chunks_equals_whole_block(rows):
-    lp, x, agg, key_mask, _ = _block_inputs()
-    whole = transformer_block(x, agg, lp, 2, key_mask)
+@pytest.mark.parametrize("tile", [1, 4, 11, 50])
+def test_block_in_row_chunks_equals_whole_block(tile, monkeypatch):
+    lp, x, agg, lengths, _ = _block_inputs()
+    whole = transformer_block(x, agg, lp, 2, lengths)
+    monkeypatch.setattr(ad, "_TILE", tile)
     with ad.no_grad():
-        chunked = transformer_block(x, agg, lp, 2, key_mask, rows=rows)
-    assert chunked.shape == whole.shape
-    np.testing.assert_allclose(chunked.data, whole.data, rtol=0, atol=1e-13)
+        tiled = transformer_block(x, agg, lp, 2, lengths)
+    assert tiled.shape == whole.shape
+    np.testing.assert_allclose(tiled.data, whole.data, rtol=0, atol=1e-13)
 
 
-def test_block_output_is_zero_at_pad_positions():
-    lp, x, agg, key_mask, _ = _block_inputs()
-    assert not key_mask.all()
-    for rows in (None, 4):
-        out = transformer_block(x, agg, lp, 2, key_mask, rows=rows).data
-        assert np.all(out[~key_mask] == 0)
+def test_block_output_is_zero_at_pad_positions(monkeypatch):
+    lp, x, agg, lengths, _ = _block_inputs()
+    pad = np.arange(5)[None, :] >= lengths[:, None]
+    assert pad.any()
+    for tile in (None, 4):
+        if tile:
+            monkeypatch.setattr(ad, "_TILE", tile)
+        out = transformer_block(x, agg, lp, 2, lengths).data
+        assert np.all(out[pad] == 0)
 
 
 def test_block_chunks_are_trimmed_to_their_longest_sequence(monkeypatch):
     lp, x, agg, _, _ = _block_inputs()
     lengths = np.array([5, 1, 3, 2, 5, 1, 4, 1, 3, 1, 3])
-    key_mask = np.arange(5)[None, :] < lengths[:, None]
-    whole = transformer_block(x, agg, lp, 2, key_mask)
+    whole = transformer_block(x, agg, lp, 2, lengths)
     seen = []
-    attend = encoder.attention_block
+    weights = ad._attention_weights
 
-    def record(x, agg, lp, heads, key_mask=None):
-        seen.append((x.shape[:2], key_mask is None))
-        return attend(x, agg, lp, heads, key_mask=key_mask)
+    def record(q, k, mask):
+        seen.append((len(q), k.shape[2] - 1, mask is None))  # keys: [agg; x]
+        return weights(q, k, mask)
 
-    monkeypatch.setattr(encoder, "attention_block", record)
-    chunked = transformer_block(x, agg, lp, 2, key_mask, rows=4)
-    # sorted lengths 1 1 1 1 | 2 3 3 3 | 4 5 5; a chunk without PAD gets no mask
-    assert seen == [((4, 1), True), ((4, 3), False), ((3, 5), False)]
-    np.testing.assert_allclose(chunked.data, whole.data, rtol=0, atol=1e-13)
+    monkeypatch.setattr(ad, "_attention_weights", record)
+    monkeypatch.setattr(ad, "_TILE", 10)
+    tiled = transformer_block(x, agg, lp, 2, lengths)
+    # sorted lengths 1 1 1 1 | 2 3 3 3 | 4 5 5; a tile without PAD gets no mask
+    assert seen == [(4, 1, True), (4, 3, False), (3, 5, False)]
+    np.testing.assert_allclose(tiled.data, whole.data, rtol=0, atol=1e-13)
 
 
-def test_block_in_row_chunks_gives_the_same_gradients():
-    lp, x, agg, key_mask, params = _block_inputs(seed=2)
+def test_block_in_row_chunks_gives_the_same_gradients(monkeypatch):
+    lp, x, agg, lengths, params = _block_inputs(seed=2)
     weights = np.random.default_rng(3).standard_normal(x.shape)
     grads = []
-    for rows in (None, 4):  # 11 rows: chunks of 4, 4 and 3
+    for tile in (None, 4):  # 11 sequences: one tile, or tiles of 4, 4 and 3
+        if tile:
+            monkeypatch.setattr(ad, "_TILE", tile)
         for t in [p for _, p in params.named_parameters()] + [x, agg]:
             t.zero_grad()
-        out = transformer_block(x, agg, lp, 2, key_mask, rows=rows)
+        out = transformer_block(x, agg, lp, 2, lengths)
         (out * weights).sum().backward()
         grads.append([p.grad.copy() for _, p in params.named_parameters()
                       if p.grad is not None] + [x.grad.copy(), agg.grad.copy()])
@@ -202,22 +241,24 @@ def test_block_in_row_chunks_gives_the_same_gradients():
 
 
 
-@pytest.mark.parametrize("rows", [None, 4])
+@pytest.mark.parametrize("tile", [None, 4])
 @pytest.mark.parametrize("full_rows", [0, 5, 11])
-def test_block_with_full_rows_matches_the_whole_block(full_rows, rows):
+def test_block_with_full_rows_matches_the_whole_block(full_rows, tile, monkeypatch):
     # 11 sequences with PAD: the first full_rows keep token states, the rest
     # run [CLS] alone and must get the whole block's [CLS] and gradients
-    lp, x, agg, key_mask, params = _block_inputs(seed=4)
+    lp, x, agg, lengths, params = _block_inputs(seed=4)
     weights = np.random.default_rng(5).standard_normal(x.shape)
     outs, grads = [], []
     for plan in (None, full_rows):
         for t in [p for _, p in params.named_parameters()] + [x, agg]:
             t.zero_grad()
         if plan is None:
-            whole = transformer_block(x, agg, lp, 2, key_mask)
+            whole = transformer_block(x, agg, lp, 2, lengths)
             states, cls = whole[:full_rows], whole[:, 0, :]
         else:
-            states, cls = transformer_block(x, agg, lp, 2, key_mask, rows, full_rows=plan)
+            if tile:
+                monkeypatch.setattr(ad, "_TILE", tile)
+            states, cls = transformer_block(x, agg, lp, 2, lengths, full_rows=plan)
             assert (states is None) == (full_rows == 0)
         loss = (cls * weights[:, 0]).sum()
         if full_rows:
