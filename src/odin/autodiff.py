@@ -140,29 +140,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other, self))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self))
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -175,15 +157,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -689,7 +662,7 @@ def _attention_residual_norm(x: Tensor, agg: Tensor | None, ws, heads: int, seqs
     """post_norm_block's attention sublayer over the sequences `seqs` of
     lengths `lens`, trimmed to the last, each querying with its first tq
     tokens: h as (S * tq, d) rows, and what its backward reads."""
-    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = ws
+    wq, bq, wk, wv, bv, wo, bo, gain, bias = ws
     width, d = int(lens[-1]), x.shape[2]
     xs = x.data[seqs, :width]
     kv = xs if agg is None else np.concatenate([agg.data[seqs, None], xs], axis=1)
@@ -697,8 +670,8 @@ def _attention_residual_norm(x: Tensor, agg: Tensor | None, ws, heads: int, seqs
     mask = None if lens[0] == width else np.where(  # over kv; the agg token is never PAD
         np.arange(tk) < (lens + tk - width)[:, None], 0.0, -np.inf).astype(x.dtype)
     xq, kv = xs[:, :tq].reshape(-1, d), kv.reshape(-1, d)
-    q, k, v = (np.add(p, b.data, out=p)
-               for p, b in ((xq @ wq.data, bq), (kv @ wk.data, bk), (kv @ wv.data, bv)))
+    q, v = (np.add(p, b.data, out=p) for p, b in ((xq @ wq.data, bq), (kv @ wv.data, bv)))
+    k = kv @ wk.data
     scale = float(1.0 / np.sqrt(d // heads))  # a numpy float64 would upcast float32 q
     w = _attention_weights(_split_heads(q * scale, tq, heads), _split_heads(k, tk, heads), mask)
     ctx = np.empty(q.shape, q.dtype)  # the heads' weighted values
@@ -715,7 +688,7 @@ def _attention_residual_norm_grad(gh: np.ndarray, saved, ws, heads: int, seqs, w
     """Accumulate the attention sublayer's parameter gradients over the
     sequences `seqs`, trimmed to `width`, from gh, h's gradient, and write
     x's and, with an agg token, agg's into gx[seqs] and gagg[seqs]."""
-    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = ws
+    wq, bq, wk, wv, bv, wo, bo, gain, bias = ws
     xq, kv, q, k, v, w, ctx, xhat, inv = saved
     s, _, tq, tk = w.shape
     d = xq.shape[1]
@@ -733,7 +706,8 @@ def _attention_residual_norm_grad(gh: np.ndarray, saved, ws, heads: int, seqs, w
     np.matmul(gs, _split_heads(k, tk, heads), out=_split_heads(gq, tq, heads))
     np.matmul(gs.transpose(0, 1, 3, 2), _split_heads(q, tq, heads),
               out=_split_heads(gk, tk, heads))
-    for a, ga, wp, bp in ((xq, gq, wq, bq), (kv, gk, wk, bk), (kv, gv, wv, bv)):
+    wk._accum(kv.T @ gk)
+    for a, ga, wp, bp in ((xq, gq, wq, bq), (kv, gv, wv, bv)):
         wp._accum(a.T @ ga)
         bp._accum(np.ones(len(ga), ga.dtype) @ ga)
     # the residual's gradient and q's part, then k's and v's
@@ -782,17 +756,19 @@ def _mlp_residual_norm_grad(g: np.ndarray, h: np.ndarray, xhat, inv, ws):
     return gz
 
 
-def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1,
+def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, gain1, bias1,
                     w_up, b_up, w_down, b_down, gain2, bias2, heads: int,
-                    lengths: np.ndarray | None, full: int) -> Tensor:
+                    lengths: np.ndarray, full: int) -> Tensor:
     """layer_norm(h + gelu(h @ w_up + b_up) @ w_down + b_down, gain2, bias2) with
-    h = layer_norm(xq + attention(xq @ wq + bq, kv @ wk + bk, kv @ wv + bv) @ wo
+    h = layer_norm(xq + attention(xq @ wq + bq, kv @ wk, kv @ wv + bv) @ wo
     + bo, gain1, bias1), the post-norm Transformer block, as one tape node
-    over (N, T, d) states x of real lengths `lengths` (None: all T): kv is a
-    sequence's real tokens behind its (N, d) agg row, if any, and xq its
-    tokens for the first `full` sequences, its [CLS] for the others. The
-    (N, T, d) output ((N, 1, d) if `full` is 0) is exactly 0, with no gradient,
-    at PAD positions and, past the first `full` sequences, at all but [CLS].
+    over (N, T, d) states x of real lengths `lengths`: kv is a sequence's real
+    tokens behind its (N, d) agg row, if any, and xq its tokens for the first
+    `full` sequences, its [CLS] for the others. There is no key bias: it
+    would add one shift to every score of a query's row, which softmax
+    ignores, so no output would depend on it. The (N, T, d) output ((N, 1, d)
+    if `full` is 0) is exactly 0, with no gradient, at PAD positions and,
+    past the first `full` sequences, at all but [CLS].
 
     On and off the tape it runs the tiles of _tile_plan, each with a key
     mask only if it holds PAD, the MLP's hidden layer in sub-tiles of _TILE
@@ -805,10 +781,10 @@ def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, bk, wv, bv, wo, b
     unfused ops' bits however the sequences are tiled, as do the gradients
     within one tile; trimming PAD keys moves outputs only by rounding."""
     n, t, d = x.shape
-    attn = (wq, bq, wk, bk, wv, bv, wo, bo, gain1, bias1)
+    attn = (wq, bq, wk, wv, bv, wo, bo, gain1, bias1)
     mlp = (w_up, b_up, w_down, b_down, gain2, bias2)
     parents = tuple(p for p in (x, agg, *attn, *mlp) if p is not None)
-    tiles = _tile_plan(np.full(n, t) if lengths is None else np.asarray(lengths), t, full)
+    tiles = _tile_plan(np.asarray(lengths), t, full)
     dtype = np.result_type(*(p.data for p in parents))
     out = np.zeros((n, t if full else 1, d), dtype)
     ends = np.cumsum([0] + [len(lens) * tq for _, lens, tq in tiles])  # of LN2's rows

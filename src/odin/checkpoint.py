@@ -8,7 +8,9 @@ payload. Each array is stored in its own dtype, float32 (`<f4`) or float64
 so a model checkpoint is float32. Version 3 added the dtype; older files are
 rejected. The writer is fully deterministic (no timestamps), so identical
 runs produce identical bytes. A file that is not such a checkpoint, or is
-cut short or garbled, raises CheckpointError naming its path.
+cut short or garbled, raises CheckpointError naming its path. A model loads
+the arrays it names; others, such as the key biases of older files, are
+ignored.
 """
 
 from __future__ import annotations
@@ -128,6 +130,9 @@ def load_model(path):
     arrays, meta = load_arrays(path)
     with _header_fields(path):
         spec, opt = meta["model"], meta.get("optimizer", {})
+        for key in ("vocab_size", "depth", "num_stages"):
+            if spec[key] < 0:
+                raise CheckpointError(f"{path}: damaged header: model {key} is {spec[key]}")
         params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
                              spec["num_stages"], seed=None)
         adam_step = opt["t"] if opt.get("kind") == "adam" else None

@@ -120,7 +120,6 @@ class LayerParams:
     wv: Tensor
     wo: Tensor
     bq: Tensor
-    bk: Tensor
     bv: Tensor
     bo: Tensor
     w_up: Tensor
@@ -156,7 +155,7 @@ class ParamSet:
         yield "token_emb", self.token_emb
         yield "pos_emb", self.pos_emb
         for i, lp in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
+            for name in ("wq", "wk", "wv", "wo", "bq", "bv", "bo",
                          "w_up", "b_up", "w_down", "b_down",
                          "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
                 yield f"layers.{i}.{name}", getattr(lp, name)
@@ -190,8 +189,7 @@ def init_params(vocab_size: int, dims: ModelDims, depth: int, num_stages: int,
         layers.append(LayerParams(
             wq=_uniform(rng, (d, d), d), wk=_uniform(rng, (d, d), d),
             wv=_uniform(rng, (d, d), d), wo=_uniform(rng, (d, d), d),
-            bq=as_param(np.zeros(d)), bk=as_param(np.zeros(d)),
-            bv=as_param(np.zeros(d)), bo=as_param(np.zeros(d)),
+            bq=as_param(np.zeros(d)), bv=as_param(np.zeros(d)), bo=as_param(np.zeros(d)),
             w_up=_uniform(rng, (d, hidden), d), b_up=as_param(np.zeros(hidden)),
             w_down=_uniform(rng, (hidden, d), d), b_down=as_param(np.zeros(d)),
             ln1_g=as_param(np.ones(d)), ln1_b=as_param(np.zeros(d)),
@@ -223,36 +221,33 @@ def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
 
 
 def attention_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
-                    lengths: np.ndarray | None = None, full_rows: int | None = None) -> Tensor:
+                    lengths: np.ndarray, full_rows: int) -> Tensor:
     """The block as one tape node, `ad.post_norm_block`: h = LN1(x + attention
     @ wo + bo), then LN2(h + MLP(h)), with asymmetric multi-head attention over
-    (N, T, d) states of real lengths `lengths` (None: all T) and an optional
-    (N, d) graph-enhanced token prepended to the keys and values only. The
-    first `full_rows` sequences (None: all) query with every token, the
-    others with [CLS] alone. The (N, T, d) output ((N, 1, d) if `full_rows`
-    is 0) is 0 at PAD positions and, past `full_rows`, at all but [CLS]."""
-    return ad.post_norm_block(x, agg, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv, lp.wo, lp.bo,
+    (N, T, d) states of real lengths `lengths` and an optional (N, d)
+    graph-enhanced token prepended to the keys and values only. The first
+    `full_rows` sequences query with every token, the others with [CLS]
+    alone. The (N, T, d) output ((N, 1, d) if `full_rows` is 0) is 0 at PAD
+    positions and, past `full_rows`, at all but [CLS]."""
+    return ad.post_norm_block(x, agg, lp.wq, lp.bq, lp.wk, lp.wv, lp.bv, lp.wo, lp.bo,
                               lp.ln1_g, lp.ln1_b, lp.w_up, lp.b_up, lp.w_down, lp.b_down,
-                              lp.ln2_g, lp.ln2_b, heads, lengths,
-                              x.shape[0] if full_rows is None else full_rows)
+                              lp.ln2_g, lp.ln2_b, heads, lengths, full_rows)
 
 
 def transformer_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
-                      lengths: np.ndarray | None = None, *, full_rows: int | None = None):
+                      lengths: np.ndarray, *, full_rows: int):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as one tape
     node (attention_block) that keeps only the second norm's statistics. The
     agg token is consumed by the attention; output length equals input length.
     The output is exactly 0 at PAD positions, past each sequence's real
     length in `lengths`.
 
-    With `full_rows` = f, only the first f sequences keep their token states.
-    The others run their [CLS] row alone: it queries the same keys and values
-    as in the full block, so it gets the same output up to rounding, and no
-    other position is computed. The block then returns (states, cls): the
-    (f, T, d) token states, None when f is 0, and the (N, d) [CLS] output of
-    every sequence, both slices of the one node's output."""
+    Only the first `full_rows` = f sequences keep their token states. The
+    others run their [CLS] row alone: it queries the same keys and values as
+    in the full block, so it gets the same output up to rounding, and no
+    other position is computed. Returns (states, cls): the (f, T, d) token
+    states, None when f is 0, and the (N, d) [CLS] output of every sequence,
+    both slices of the one node's output."""
     out = attention_block(x, agg, lp, heads, lengths, full_rows)
-    if full_rows is None:
-        return out
     f = full_rows
     return (None if f == 0 else out if f == len(out.data) else out[:f]), out[:, 0]

@@ -114,7 +114,7 @@ class ForwardResult:
     cls: Tensor                       # (B, d) final [CLS] per batch node
     final_states: Tensor | None       # (B, T, d) final token states per batch node,
                                       # exactly 0 at PAD positions; None unless the
-                                      # forward ran with token_states
+                                      # forward ran with token_states and a text encoder
     base_nodes: tuple[int, ...]       # row order of base_cls and cls_trace: the prefix
                                       # order of B_0 (batch first), not sorted
     base_cls: Tensor                  # (|B_0|, d) last computed [CLS] of every node: a
@@ -187,7 +187,8 @@ def odin_forward(
     """Run the full layer stack over a sampled subgraph.
 
     Returns final [CLS] vectors for the batch frontier, and with
-    `token_states` their final token states too. Each block keeps full token
+    `token_states` their final token states too (None under the identity
+    encoder, which has no tokens). Each block keeps full token
     states only for the rows the next layer runs; the other rows it runs
     emit [CLS] alone (see transformer_block). Without `token_states` the last
     layer runs only the batch's [CLS]; the identity encoder below keeps its
@@ -279,17 +280,10 @@ def odin_forward(
         if trace is not None:
             trace.append(cls_all.data.copy())
 
-    cls_out = cls_all[:b]
-    if not token_states:
-        final_states = None
-    elif identity_encoder:
-        final_states = ad.reshape(cls_out, (b, 1, -1))
-    else:
-        final_states = states
     return ForwardResult(
         batch_nodes=sub.batch,
-        cls=cls_out,
-        final_states=final_states,
+        cls=cls_all[:b],
+        final_states=states if token_states else None,
         base_nodes=order,
         base_cls=cls_all,
         cls_trace=trace,

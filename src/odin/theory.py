@@ -134,10 +134,10 @@ def transformer_reduction_check(
     res = odin_forward(graph, sub, tokens, params, schedule)
     worst = 0.0
     for i, v in enumerate(res.batch_nodes):
-        x = embed_batch(tokens[v][None], params)
+        x, length = embed_batch(tokens[v][None], params), np.array([len(tokens[v])])
         for lp in params.layers:
-            x = transformer_block(x, None, lp, params.dims.heads)
-        worst = max(worst, float(np.max(np.abs(res.cls.data[i] - x.data[0, 0]))))
+            x, cls = transformer_block(x, None, lp, params.dims.heads, length, full_rows=1)
+        worst = max(worst, float(np.max(np.abs(res.cls.data[i] - cls.data[0]))))
     return worst
 
 

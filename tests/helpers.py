@@ -1,7 +1,8 @@
 """Shared test oracles: central finite differences, reference forms of the
 autodiff primitives, of the unfused attention sublayer and stage
 aggregation, of the per-pair losses, of the per-node forward and of the
-forward without a row plan, a tape walker, and random tensors."""
+forward without a row plan, a tape walker, random tensors, and a writer of
+an older checkpoint format."""
 
 import logging
 from dataclasses import dataclass, field
@@ -11,6 +12,7 @@ import numpy as np
 from odin import autodiff as ad
 from odin import fusion
 from odin.autodiff import Tensor
+from odin.checkpoint import load_arrays, save_arrays, save_model
 from odin.encoder import embed_batch, transformer_block
 
 log = logging.getLogger(__name__)
@@ -166,18 +168,18 @@ def attention_node(q, k, v, heads, mask=None):
     return ad._make(out_data, (q, k, v), backward)
 
 
-def attention_sublayer(x, agg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, heads, mask,
+def attention_sublayer(x, agg, wq, bq, wk, wv, bv, wo, bo, gain, bias, heads, mask,
                        cls_only, attend=attention_node, linear=ad.linear,
                        layer_norm=ad.layer_norm):
     """The attention sublayer of ad.post_norm_block, h = LN1(xq + attention @
-    wo + bo), as unfused ops: concat the agg row, the q, k and v linears,
-    `attend`, the output linear, the residual and the layer norm. With the
-    default ops it has the node's bits for h; with the oracle ops it is an
-    independent reference."""
+    wo + bo), as unfused ops: concat the agg row, the q, k and v linears (k's
+    without a bias), `attend`, the output linear, the residual and the layer
+    norm. With the default ops it has the node's bits for h; with the oracle
+    ops it is an independent reference."""
     kv = x if agg is None else ad.concat([ad.reshape(agg, (agg.shape[0], 1, agg.shape[1])), x],
                                          axis=1)
     xq = x[:, :1] if cls_only else x
-    ctx = attend(linear(xq, wq, bq), linear(kv, wk, bk), linear(kv, wv, bv), heads, mask)
+    ctx = attend(linear(xq, wq, bq), linear(kv, wk), linear(kv, wv, bv), heads, mask)
     return layer_norm(xq + linear(ctx, wo, bo), gain, bias)
 
 
@@ -202,6 +204,31 @@ def as_float64(params):
     for _, p in params.named_parameters():
         p.data = p.data.astype(np.float64)
     return params
+
+
+def no_pad(x):
+    """The real lengths of (N, T, d) states without PAD: T each."""
+    return np.full(x.shape[0], x.shape[1])
+
+
+def full_block(x, agg, lp, heads, lengths=None):
+    """transformer_block's (N, T, d) states with every sequence kept, over
+    sequences of real `lengths` (no_pad when None)."""
+    lengths = no_pad(x) if lengths is None else lengths
+    return transformer_block(x, agg, lp, heads, lengths, full_rows=x.shape[0])[0]
+
+
+def write_with_key_biases(path, params, meta):
+    """Write `params` as a model checkpoint of the format that still held a
+    key bias per layer, `layers.*.bk`, here nonzero. Returns the arrays
+    written."""
+    save_model(path, params, meta)
+    arrays, meta = load_arrays(path)
+    rng = np.random.default_rng(0)
+    for i in range(params.depth):
+        arrays[f"layers.{i}.bk"] = rng.standard_normal(params.dims.d).astype(np.float32)
+    save_arrays(path, arrays, meta)
+    return arrays
 
 
 def rand_tensor(rng, *shape, scale=1.0, requires_grad=True):
@@ -284,8 +311,8 @@ def tg_aggregate(cls_self: Tensor, cls_neighbors, w1: Tensor, w2: Tensor) -> Ten
     out = ad.matmul(w2, ad.reshape(cls_self, (-1, 1)))
     if cls_neighbors:
         stack = ad.concat([ad.reshape(c, (1, -1)) for c in cls_neighbors], axis=0)
-        mean = stack.mean(axis=0).reshape(-1, 1)
-        out = out + ad.matmul(w1, mean)
+        mean = ad.tsum(stack, axis=0) * (1.0 / len(cls_neighbors))
+        out = out + ad.matmul(w1, ad.reshape(mean, (-1, 1)))
     return ad.reshape(out, (-1,))
 
 
@@ -313,7 +340,7 @@ def simple_aggregate(strategy, cls_self, cls_neighbors, cache: AggCache, node: i
             [ad.reshape(cls_self, (1, -1))] + [ad.reshape(c, (1, -1)) for c in cls_neighbors],
             axis=0,
         )
-        return stack.mean(axis=0)
+        return ad.tsum(stack, axis=0) * (1.0 / stack.shape[0])
     if not cache.primed:
         log.warning("%s requested before the first aggregation stage; using VA", strategy)
         return None
@@ -331,8 +358,8 @@ def per_node_forward(sub, tokens_by_node, params, schedule):
     [CLS] states while the other nodes keep theirs. Returns node -> (1, T, d)
     final token states."""
     heads = params.dims.heads
-    states = {v: transformer_block(embed_batch(tokens_by_node[v][None], params), None,
-                                   params.layers[0], heads)
+    states = {v: full_block(embed_batch(tokens_by_node[v][None], params), None,
+                            params.layers[0], heads)
               for v in sub.base}
     cache = AggCache(params.stages)
     m = 0
@@ -348,7 +375,7 @@ def per_node_forward(sub, tokens_by_node, params, schedule):
             else:
                 agg = simple_aggregate(schedule.strategy, cls[v], nbrs, cache, v)
             agg = None if agg is None else ad.reshape(agg, (1, -1))
-            updated[v] = transformer_block(states[v], agg, params.layers[layer], heads)
+            updated[v] = full_block(states[v], agg, params.layers[layer], heads)
         states.update(updated)
         if tg:
             cache.tokens.update(aggs)
@@ -380,8 +407,7 @@ def full_row_forward(sub, tokens_by_node, params, schedule):
     frontiers = fusion._build_frontiers(sub, order)
     heads = params.dims.heads
     token_mat, lengths = fusion.pad_tokens(tokens_by_node, order)
-    states = transformer_block(embed_batch(token_mat, params), None, params.layers[0], heads,
-                               lengths)
+    states = full_block(embed_batch(token_mat, params), None, params.layers[0], heads, lengths)
     cls_all = states[:, 0, :]
     trace = [cls_all.data.copy()]
     m, last_agg = 0, None
@@ -399,7 +425,7 @@ def full_row_forward(sub, tokens_by_node, params, schedule):
             agg = last_agg[:n]
         elif schedule.strategy == "PG" and m > 0:
             agg = batch_tg(cls_act, neighbor_mean(cls_all, fr), params.stages[m - 1])
-        states = transformer_block(states[:n], agg, params.layers[layer], heads, lengths[:n])
+        states = full_block(states[:n], agg, params.layers[layer], heads, lengths[:n])
         cls_all = ad.concat([states[:, 0, :], cls_all[n:]]) if n < len(order) else states[:, 0, :]
         if schedule.is_tg(layer):
             last_agg = agg

@@ -14,6 +14,8 @@ from odin import checkpoint, encoder
 from odin.checkpoint import CheckpointError, load_arrays, load_model, save_arrays, save_model
 from odin.encoder import ModelDims, init_params
 
+from helpers import write_with_key_biases
+
 
 class _DiskFull:
     """File stand-in that writes `limit` bytes, then fails like a full disk."""
@@ -264,3 +266,28 @@ def test_a_bad_dimension_raises_checkpoint_error_naming_it(tmp_path, shape):
     _with_header(path, header)
     with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*damaged.*a has shape"):
         load_arrays(path)
+
+
+@pytest.mark.parametrize("key,value", [("vocab_size", -5), ("depth", -1), ("num_stages", -2)])
+def test_a_negative_model_size_raises_checkpoint_error_naming_it(tmp_path, key, value):
+    # at -1 and -2, a model without layers or stages loaded; at -5, numpy
+    # raised a ValueError that named no file
+    path = tmp_path / "checkpoint.bin"
+    _model_file(path)
+    header = _header(path)
+    header["meta"]["model"][key] = value
+    _with_header(path, header)
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + f".*{key} is {value}"):
+        load_model(path)
+
+
+def test_a_checkpoint_with_key_biases_loads_without_them(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    params = init_params(10, ModelDims(d=8, heads=2, max_len=6), 2, 1, seed=0)
+    arrays = write_with_key_biases(path, params, {"step": 0})
+    loaded, meta, _ = load_model(path)
+    named = dict(loaded.named_parameters())
+    assert sorted(named) == sorted(name for name in arrays if not name.endswith(".bk"))
+    for name, p in named.items():
+        assert p.data.tobytes() == arrays[name].tobytes(), name
+    assert meta["step"] == 0

@@ -251,6 +251,18 @@ def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeyp
     assert not (tmp_path / "run").exists()
 
 
+def test_a_negative_model_size_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    arrays, meta = checkpoint.load_arrays("run/checkpoint.bin")
+    meta["model"]["vocab_size"] = -5
+    checkpoint.save_arrays("run/checkpoint.bin", arrays, meta)
+    _rejected(capsys, _argv("eval", "--task", "classify"),
+              "run/checkpoint.bin: damaged header: model vocab_size is -5")
+    assert not (tmp_path / "run" / "eval").exists()
+
+
 @pytest.mark.parametrize("damage", ["[PAD]\t0\n[CLS] 1\n", "[PAD]\t0\n[CLS]\t1\tx\n",
                                     "[PAD]\t0\n[CLS]\t2\n"],
                          ids=["no tab", "two tabs", "ids not dense"])

@@ -6,7 +6,7 @@ from odin import encoder as enc
 from odin.autodiff import Tensor
 from odin.encoder import ModelDims, Vocab, build_vocab, tokenize
 
-from helpers import finite_diff_check
+from helpers import finite_diff_check, full_block, no_pad
 
 
 def make_layer_params(d, rng=None, mlp_ratio=4):
@@ -21,7 +21,7 @@ def make_layer_params(d, rng=None, mlp_ratio=4):
     ones = lambda *s: Tensor(np.ones(s), requires_grad=True)
     return enc.LayerParams(
         wq=mat((d, d), d), wk=mat((d, d), d), wv=mat((d, d), d), wo=mat((d, d), d),
-        bq=zeros(d), bk=zeros(d), bv=zeros(d), bo=zeros(d),
+        bq=zeros(d), bv=zeros(d), bo=zeros(d),
         w_up=mat((d, hidden), d), b_up=zeros(hidden),
         w_down=mat((hidden, d), hidden), b_down=zeros(d),
         ln1_g=ones(d), ln1_b=zeros(d), ln2_g=ones(d), ln2_b=zeros(d),
@@ -34,7 +34,7 @@ def dense_attention_oracle(x, agg, lp, heads):
     d = x.shape[1]
     hd = d // heads
     q = x @ lp.wq.data + lp.bq.data
-    k = kv @ lp.wk.data + lp.bk.data
+    k = kv @ lp.wk.data
     v = kv @ lp.wv.data + lp.bv.data
     ctx = np.zeros_like(x)
     for h in range(heads):
@@ -167,7 +167,7 @@ def test_attention_single_token_value_identity():
     lp.wo.data[:] = np.eye(d)
     lp.bv.data[:] = lp.bo.data[:] = 0.0
     x = Tensor(np.array([[[1.0, -2.0, 3.0, 0.5]]]))
-    out = enc.attention_block(x, None, lp, heads=2)
+    out = enc.attention_block(x, None, lp, 2, no_pad(x), 1)
     np.testing.assert_allclose(out.data, _after_attention(lp, x.data + x.data), atol=1e-10)
 
 
@@ -176,7 +176,7 @@ def test_attention_all_zero_projections_ignore_agg():
     lp = make_layer_params(d)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 3, d)))
     agg = Tensor(np.full((1, d), 100.0))
-    out = enc.attention_block(x, agg, lp, heads=2)
+    out = enc.attention_block(x, agg, lp, 2, no_pad(x), 1)
     np.testing.assert_array_equal(out.data, _after_attention(lp, x.data))
 
 
@@ -189,11 +189,11 @@ def test_attention_matches_dense_oracle():
     x = Tensor(rng.standard_normal((1, 2, d)) * 0.3)
     agg = Tensor(rng.standard_normal((1, d)) * 0.3)
     # the whole block: output projection, residual, LN1 and the MLP sublayer
-    got = enc.attention_block(x, agg, lp, heads).data[0]
+    got = enc.attention_block(x, agg, lp, heads, no_pad(x), 1).data[0]
     want = _after_attention(lp, x.data[0] + dense_attention_oracle(x.data[0], agg.data, lp,
                                                                    heads))
     assert np.max(np.abs(got - want)) < 1e-6
-    cls = enc.attention_block(x, agg, lp, heads, full_rows=0).data[0]
+    cls = enc.attention_block(x, agg, lp, heads, no_pad(x), 0).data[0]
     np.testing.assert_allclose(cls[:1], got[:1], rtol=0, atol=1e-12)
     assert not cls[1:].any()
 
@@ -206,11 +206,11 @@ def test_attention_output_rows_equal_query_count():
     lp = make_layer_params(8, rng)
     x = Tensor(rng.standard_normal((2, 5, 8)))
     agg = Tensor(rng.standard_normal((2, 8)))
-    assert enc.attention_block(x, agg, lp, heads=2).data.all()
-    out = enc.attention_block(x, agg, lp, heads=2, full_rows=1).data
+    assert enc.attention_block(x, agg, lp, 2, no_pad(x), 2).data.all()
+    out = enc.attention_block(x, agg, lp, 2, no_pad(x), 1).data
     assert out.shape == (2, 5, 8)
     assert out[0].all() and out[1, 0].all() and not out[1, 1:].any()
-    cls = enc.attention_block(x, agg, lp, heads=2, full_rows=0).data
+    cls = enc.attention_block(x, agg, lp, 2, no_pad(x), 0).data
     np.testing.assert_allclose(cls, out[:, :1], rtol=0, atol=1e-12)
 
 
@@ -242,7 +242,7 @@ def test_attention_weights_are_distributions(monkeypatch):
     for full, shapes in ((n, [(4, t - 1, t, True), (4, t, t + 1, True), (2, t, t + 1, False)]),
                          (0, [(4, 1, t, True), (4, 1, t + 1, True), (2, 1, t + 1, False)])):
         calls.clear()
-        out = enc.attention_block(x, agg, lp, heads, lengths, full_rows=full)
+        out = enc.attention_block(x, agg, lp, heads, lengths, full)
         forward = list(calls)
         assert [(*w.shape[:1], *w.shape[2:], mask is not None)
                 for w, mask in forward] == shapes
@@ -267,8 +267,8 @@ def test_attention_content_based_kv_permutation():
     x = rng.standard_normal((1, 5, d))
     agg = Tensor(rng.standard_normal((1, d)))
     perm = np.random.default_rng(1).permutation(5)
-    out_a = enc.attention_block(Tensor(x), agg, lp, heads).data
-    out_b = enc.attention_block(Tensor(x[:, perm]), agg, lp, heads).data
+    out_a = enc.attention_block(Tensor(x), agg, lp, heads, [5], 1).data
+    out_b = enc.attention_block(Tensor(x[:, perm]), agg, lp, heads, [5], 1).data
     np.testing.assert_allclose(out_a[:, perm], out_b, atol=1e-10)
 
 
@@ -279,8 +279,8 @@ def test_attention_key_mask_hides_rows():
     x_short = Tensor(rng.standard_normal((1, 2, d)))
     pad = np.zeros((1, 1, d))
     x_padded = Tensor(np.concatenate([x_short.data, pad], axis=1))
-    out_padded = enc.attention_block(x_padded, None, lp, heads, np.array([2])).data
-    out_short = enc.attention_block(x_short, None, lp, heads).data
+    out_padded = enc.attention_block(x_padded, None, lp, heads, np.array([2]), 1).data
+    out_short = enc.attention_block(x_short, None, lp, heads, np.array([2]), 1).data
     np.testing.assert_allclose(out_padded[:, :2], out_short, atol=1e-12)
 
 
@@ -291,7 +291,7 @@ def test_layer_zero_weights_is_double_layernorm():
     d = 4
     lp = make_layer_params(d)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 3, d)))
-    got = enc.transformer_block(x, None, lp, heads=2).data
+    got = full_block(x, None, lp, 2).data
     ones, zeros = Tensor(np.ones(d)), Tensor(np.zeros(d))
     want = ad.layer_norm(ad.layer_norm(x, ones, zeros), ones, zeros).data
     np.testing.assert_allclose(got, want, atol=1e-10)
@@ -303,7 +303,8 @@ def test_layer_shape_contract_with_agg():
     for t in (1, 3, 6):
         x = Tensor(rng.standard_normal((1, t, 8)))
         agg = Tensor(rng.standard_normal((1, 8)))
-        assert enc.transformer_block(x, agg, lp, heads=2).shape == (1, t, 8)
+        states, cls = enc.transformer_block(x, agg, lp, 2, [t], full_rows=1)
+        assert states.shape == (1, t, 8) and cls.shape == (1, 8)
 
 
 def test_layer_matches_composed_sublayers():
@@ -312,7 +313,7 @@ def test_layer_matches_composed_sublayers():
     lp = make_layer_params(d, rng)
     x = Tensor(rng.standard_normal((1, 2, d)) * 0.5)
     agg = Tensor(rng.standard_normal((1, d)) * 0.5)
-    got = enc.transformer_block(x, agg, lp, heads).data[0]
+    got = full_block(x, agg, lp, heads).data[0]
 
     attn = dense_attention_oracle(x.data[0], agg.data, lp, heads)
     h = ad.layer_norm(Tensor(x.data[0] + attn), lp.ln1_g, lp.ln1_b).data
@@ -331,8 +332,8 @@ def test_layer_shift_invariance():
     lp = make_layer_params(8, rng)
     lp.wo.data[:] = 0.0
     x = rng.standard_normal((1, 3, 8))
-    a = enc.transformer_block(Tensor(x), None, lp, heads=2).data
-    b = enc.transformer_block(Tensor(x + 7.3), None, lp, heads=2).data
+    a = full_block(Tensor(x), None, lp, 2).data
+    b = full_block(Tensor(x + 7.3), None, lp, 2).data
     assert np.max(np.abs(a - b)) < 1e-5
 
 
@@ -347,7 +348,7 @@ def test_layer_gradients_match_finite_differences():
                lp.ln1_g, lp.ln1_b, lp.ln2_g, lp.ln2_b, lp.bq, lp.b_up]
 
     def loss():
-        out = enc.transformer_block(x, agg, lp, heads)
+        out = full_block(x, agg, lp, heads)
         return (out * w).sum()
 
     finite_diff_check(loss, tensors, probes=6, rng=rng)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from odin import autodiff as ad
 from odin import encoder as enc
 from odin import objectives as obj
 from odin.autodiff import Tensor
@@ -21,6 +22,7 @@ from odin.objectives import (
     softmax_xent,
 )
 from odin.runner import compute_embeddings, linkpred_loss
+from odin.synth import SyntheticSpec, generate
 
 from helpers import (
     as_float64,
@@ -218,7 +220,7 @@ def test_label_softmax_matches_per_pair_oracle(seed):
     gold = {2: 3, 5: 1, 6: 3, 9: 8, 11: 3}
     queries, keys = rand_tensor(rng, len(nodes), 5), rand_tensor(rng, len(pool), 5)
     _check_against_oracle(
-        lambda: softmax_xent(queries @ keys.T, [pool.index(gold[v]) for v in nodes]),
+        lambda: softmax_xent(ad.matmul(queries, keys.T), [pool.index(gold[v]) for v in nodes]),
         lambda: in_batch_pair_loop_oracle({v: queries[i] for i, v in enumerate(nodes)},
                                           {k: keys[j] for j, k in enumerate(pool)},
                                           [(v, gold[v]) for v in nodes]),
@@ -371,6 +373,23 @@ def test_pretrain_step_reports_the_gradient_norm_of_each_group():
     for group, squares in groups.items():
         assert squares > 0
         assert rec[f"grad_norm_{group}"] == pytest.approx(math.sqrt(squares), rel=1e-5)
+
+
+def test_every_parameter_learns():
+    # One float64 step: no parameter's gradient is rounding noise alone, as a
+    # parameter no output depends on would have (an optimizer that scales
+    # its steps, like Adam, would walk it at random).
+    g = generate(SyntheticSpec(n_nodes=40, vocab_size=60, words_per_node=6, seed=0))
+    vocab = build_vocab(g.texts)
+    schedule = LayerSchedule(4, [1, 2], "PG")
+    params = as_float64(enc.init_params(vocab.size, ModelDims(d=8, heads=2, max_len=8), 4, 2,
+                                        seed=0))
+    optimizer = _GradRecorder()
+    step(list(range(16)), g, params, schedule, optimizer, vocab, 0)
+    largest = {name: np.abs(grad).max() for name, grad in optimizer.grads.items()}
+    assert sorted(largest) == sorted(name for name, _ in params.named_parameters())
+    top = max(largest.values())
+    assert [name for name, m in largest.items() if m < 1e-8 * top] == []
 
 
 def test_adam_optimizer_state_round_trip():

@@ -23,7 +23,7 @@ from odin.rngutil import sub_seed
 from odin.sampler import sample_frontiers
 from odin.synth import SyntheticSpec, generate
 
-from helpers import as_float64, full_row_forward, rand_tensor
+from helpers import as_float64, full_block, full_row_forward, rand_tensor, write_with_key_biases
 
 
 def small_cfg(tmp_path, **pretrain) -> RunConfig:
@@ -184,10 +184,10 @@ def _block_inputs(seed=0, n=11, t=5, d=8):
 @pytest.mark.parametrize("tile", [1, 4, 11, 50])
 def test_block_in_row_chunks_equals_whole_block(tile, monkeypatch):
     lp, x, agg, lengths, _ = _block_inputs()
-    whole = transformer_block(x, agg, lp, 2, lengths)
+    whole = full_block(x, agg, lp, 2, lengths)
     monkeypatch.setattr(ad, "_TILE", tile)
     with ad.no_grad():
-        tiled = transformer_block(x, agg, lp, 2, lengths)
+        tiled = full_block(x, agg, lp, 2, lengths)
     assert tiled.shape == whole.shape
     np.testing.assert_allclose(tiled.data, whole.data, rtol=0, atol=1e-13)
 
@@ -199,14 +199,14 @@ def test_block_output_is_zero_at_pad_positions(monkeypatch):
     for tile in (None, 4):
         if tile:
             monkeypatch.setattr(ad, "_TILE", tile)
-        out = transformer_block(x, agg, lp, 2, lengths).data
+        out = full_block(x, agg, lp, 2, lengths).data
         assert np.all(out[pad] == 0)
 
 
 def test_block_chunks_are_trimmed_to_their_longest_sequence(monkeypatch):
     lp, x, agg, _, _ = _block_inputs()
     lengths = np.array([5, 1, 3, 2, 5, 1, 4, 1, 3, 1, 3])
-    whole = transformer_block(x, agg, lp, 2, lengths)
+    whole = full_block(x, agg, lp, 2, lengths)
     seen = []
     weights = ad._attention_weights
 
@@ -216,7 +216,7 @@ def test_block_chunks_are_trimmed_to_their_longest_sequence(monkeypatch):
 
     monkeypatch.setattr(ad, "_attention_weights", record)
     monkeypatch.setattr(ad, "_TILE", 10)
-    tiled = transformer_block(x, agg, lp, 2, lengths)
+    tiled = full_block(x, agg, lp, 2, lengths)
     # sorted lengths 1 1 1 1 | 2 3 3 3 | 4 5 5; a tile without PAD gets no mask
     assert seen == [(4, 1, True), (4, 3, False), (3, 5, False)]
     np.testing.assert_allclose(tiled.data, whole.data, rtol=0, atol=1e-13)
@@ -231,11 +231,11 @@ def test_block_in_row_chunks_gives_the_same_gradients(monkeypatch):
             monkeypatch.setattr(ad, "_TILE", tile)
         for t in [p for _, p in params.named_parameters()] + [x, agg]:
             t.zero_grad()
-        out = transformer_block(x, agg, lp, 2, lengths)
+        out = full_block(x, agg, lp, 2, lengths)
         (out * weights).sum().backward()
         grads.append([p.grad.copy() for _, p in params.named_parameters()
                       if p.grad is not None] + [x.grad.copy(), agg.grad.copy()])
-    assert len(grads[0]) == len(grads[1]) == 18  # 16 layer tensors, x and agg
+    assert len(grads[0]) == len(grads[1]) == 17  # 15 layer tensors, x and agg
     for want, got in zip(*grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -253,7 +253,7 @@ def test_block_with_full_rows_matches_the_whole_block(full_rows, tile, monkeypat
         for t in [p for _, p in params.named_parameters()] + [x, agg]:
             t.zero_grad()
         if plan is None:
-            whole = transformer_block(x, agg, lp, 2, lengths)
+            whole = full_block(x, agg, lp, 2, lengths)
             states, cls = whole[:full_rows], whole[:, 0, :]
         else:
             if tile:
@@ -269,7 +269,7 @@ def test_block_with_full_rows_matches_the_whole_block(full_rows, tile, monkeypat
                       if p.grad is not None] + [x.grad.copy(), agg.grad.copy()])
     for want, got in zip(*outs, strict=True):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    assert len(grads[0]) == len(grads[1]) == 18
+    assert len(grads[0]) == len(grads[1]) == 17
     for want, got in zip(*grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -307,6 +307,20 @@ def test_classify_eval_leaves_loaded_parameters_untouched(tmp_path, monkeypatch,
     changed = [name for name, p in loaded[0].named_parameters()
                if name not in saved or not np.array_equal(p.data, saved[name])]
     assert bool(changed) == finetune
+
+
+def test_eval_on_a_checkpoint_with_key_biases_ignores_them(tmp_path):
+    # a checkpoint of the format that held a key bias per layer loads, and
+    # eval reports what it reports without them
+    cfg = small_cfg(tmp_path)
+    cfg.task.classify_shots, cfg.task.head_epochs = 2, 5
+    graph = small_graph()
+    ckpt = tmp_path / "init" / "checkpoint.bin"
+    _write_init_checkpoint(cfg, graph, ckpt)
+    want = runner.run_task(cfg, graph, "classify", ckpt, finetune=False)
+    params, meta, _ = load_model(ckpt)
+    write_with_key_biases(ckpt, params, meta)
+    assert runner.run_task(cfg, graph, "classify", ckpt, finetune=False) == want
 
 
 @pytest.mark.parametrize("task", ["linkpred", "retrieve", "rerank"])
