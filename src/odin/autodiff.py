@@ -21,11 +21,14 @@ second backward() on the same tape, after zeroing the leaves, gives the same
 leaf gradients. A backward closure never writes into the arrays it closed
 over or into the incoming gradient, so gradients pass on without copies.
 
-A fused node keeps only what its backward cannot rebuild cheaply, and has
-the bits of the ops it fuses: gelu keeps its derivative, stage_aggregate the
-neighbor mean, and post_norm_block, the whole post-norm Transformer block,
-LN2's xhat and inv; its backward recomputes the attention sublayer and the
-MLP's hidden layer from the block's input, one tile of sequences at a time.
+A fused node keeps only what its backward cannot rebuild cheaply: gelu
+keeps its derivative, stage_aggregate the neighbor mean, and
+post_norm_block, the whole post-norm Transformer block, LN2's inv, one float
+per row. Its backward rebuilds LN2's xhat from the block's output as
+(out - bias) / gain, and recomputes the attention sublayer and the MLP's
+hidden layer from the block's input, one tile of sequences at a time. A
+fused node's output has the bits of the ops it fuses; its gradients have
+them too, apart from the block's, which the rebuilt xhat moves by rounding.
 The block plans its tiles itself, the same on and off the tape: sequences
 sorted by length, each tile trimmed of PAD.
 """
@@ -729,7 +732,9 @@ def _mlp_hidden(h: np.ndarray, w_up: Tensor, b_up: Tensor, derivative: bool):
 
 def _mlp_residual_norm(h: np.ndarray, ws, into):
     """post_norm_block's MLP sublayer over the rows of h, the hidden layer in
-    tiles of _TILE rows: (out, xhat, inv) of LN2, written into `into`."""
+    tiles of _TILE rows: (out, xhat, inv) of LN2, written into `into`. The
+    block passes its output rows as both out and xhat, so LN2 normalizes
+    straight into them and keeps no xhat."""
     w_up, b_up, w_down, b_down, gain, bias = ws
     z = np.empty(h.shape, into[0].dtype)
     for rows in _row_tiles(len(h), _TILE):
@@ -772,28 +777,38 @@ def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, g
 
     On and off the tape it runs the tiles of _tile_plan, each with a key
     mask only if it holds PAD, the MLP's hidden layer in sub-tiles of _TILE
-    rows, and keeps only LN2's xhat and inv. Backward recomputes each tile's
-    attention sublayer with the forward's bits, then runs the gradients and
-    sums the parameter gradients tile by tile. A GEMM's row does not depend
-    on the other rows, and OpenBLAS's matrix-vector kernel, which sums the
-    layer norms' rows, sums them 4 at a time and a tail of 2 or 3 with other
-    bits, so with tiles of 4k sequences and without PAD the output has the
-    unfused ops' bits however the sequences are tiled, as do the gradients
-    within one tile; trimming PAD keys moves outputs only by rounding."""
+    rows, and LN2 normalizes straight into the output; the node keeps only
+    LN2's inv, one float per row. Backward rebuilds each tile's LN2 xhat as
+    (out - bias2) / gain2 (at PAD rows out and its gradient are 0, so those
+    rows add nothing), recomputes its attention sublayer with the forward's
+    bits, then runs the gradients and sums the parameter gradients tile by
+    tile. The rebuild needs every entry of gain2 to be nonzero: on the tape
+    a zero entry raises FloatingPointError; off it nothing divides. A GEMM's
+    row does not depend on the other rows, and OpenBLAS's matrix-vector
+    kernel, which sums the layer norms' rows, sums them 4 at a time and a
+    tail of 2 or 3 with other bits, so with tiles of 4k sequences and
+    without PAD the output has the unfused ops' bits however the sequences
+    are tiled; trimming PAD keys moves outputs only by rounding. The
+    gradients match the unfused ops' to rounding, from the rebuilt xhat and
+    the per-tile sums, and have their bits within one tile while gain2 is 1
+    and bias2 is 0, as at init."""
     n, t, d = x.shape
     attn = (wq, bq, wk, wv, bv, wo, bo, gain1, bias1)
     mlp = (w_up, b_up, w_down, b_down, gain2, bias2)
     parents = tuple(p for p in (x, agg, *attn, *mlp) if p is not None)
+    if _on_tape(parents) and (gain2.data == 0).any():
+        raise FloatingPointError(f"LN2 gain entry {np.flatnonzero(gain2.data == 0)[0]} is 0: "
+                                 "backward divides by it to rebuild LN2's normalized rows")
     tiles = _tile_plan(np.asarray(lengths), t, full)
     dtype = np.result_type(*(p.data for p in parents))
     out = np.zeros((n, t if full else 1, d), dtype)
     ends = np.cumsum([0] + [len(lens) * tq for _, lens, tq in tiles])  # of LN2's rows
-    xhat, inv = (np.empty((ends[-1], w), dtype) for w in (d, 1))
+    inv = np.empty((ends[-1], 1), dtype)
     for (seqs, lens, tq), a, b in zip(tiles, ends, ends[1:]):
         h = _attention_residual_norm(x, agg, attn, heads, seqs, lens, tq)[0]
         view = isinstance(seqs, slice) and tq == out.shape[1]  # LN2 then writes into out
         o = out[seqs].reshape(-1, d) if view else np.empty(h.shape, dtype)
-        _mlp_residual_norm(h, mlp, (o, xhat[a:b], inv[a:b]))
+        _mlp_residual_norm(h, mlp, (o, o, inv[a:b]))
         o = o.reshape(-1, tq, d)
         if lens[0] < tq:
             o[np.arange(tq) >= lens[:, None]] = 0.0  # PAD queries
@@ -807,7 +822,9 @@ def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, g
             if lens[0] < tq:  # PAD queries get no gradient
                 gt = gt * (np.arange(tq) < lens[:, None])[:, :, None]
             h, saved = _attention_residual_norm(x, agg, attn, heads, seqs, lens, tq)
-            gh = _mlp_residual_norm_grad(gt.reshape(-1, d), h, xhat[a:b], inv[a:b], mlp)
+            xhat = np.subtract(out[seqs, :tq], bias2.data).reshape(-1, d)  # LN2's, rebuilt
+            xhat /= gain2.data
+            gh = _mlp_residual_norm_grad(gt.reshape(-1, d), h, xhat, inv[a:b], mlp)
             _attention_residual_norm_grad(gh, saved, attn, heads, seqs, int(lens[-1]), gx, gagg)
         x._accum(gx)
         if agg is not None:

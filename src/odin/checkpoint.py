@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import ModelDims, ParamSet, init_params
+from .encoder import ConfigError, ModelDims, ParamSet, init_params
 
 MAGIC = b"ODINCKPT\x01\n"
 FORMAT_VERSION = 3
@@ -126,15 +126,21 @@ def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
 
 
 def load_model(path):
-    """Returns (params, meta, optimizer_state_or_None)."""
+    """Returns (params, meta, optimizer_state_or_None). A negative model
+    size in the header, or dims that ModelDims.check rejects, raises
+    CheckpointError naming `path`."""
     arrays, meta = load_arrays(path)
     with _header_fields(path):
         spec, opt = meta["model"], meta.get("optimizer", {})
         for key in ("vocab_size", "depth", "num_stages"):
             if spec[key] < 0:
                 raise CheckpointError(f"{path}: damaged header: model {key} is {spec[key]}")
-        params = init_params(spec["vocab_size"], ModelDims(**spec["dims"]), spec["depth"],
-                             spec["num_stages"], seed=None)
+        try:
+            dims = ModelDims(**spec["dims"])
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: damaged header: model {exc}") from None
+        params = init_params(spec["vocab_size"], dims, spec["depth"], spec["num_stages"],
+                             seed=None)
         adam_step = opt["t"] if opt.get("kind") == "adam" else None
     for name, p in params.named_parameters():
         if name not in arrays:

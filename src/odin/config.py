@@ -81,16 +81,25 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def validate(self) -> None:
-        """Raise ConfigError on a malformed schedule or dims, or on few-shot
-        task shots below 1. Warn when PE or PG layers precede the first
-        aggregation stage: those run as VA."""
+        """Raise ConfigError on a malformed schedule or dims, a sampler
+        fanout, batch size or few-shot task shots below 1, an eval batch
+        below 2 (linkpred scores each pair against the others of its batch),
+        or a mask ratio outside (0, 1), before any work. Warn when PE or PG
+        layers precede the first aggregation stage: those run as VA."""
         schedule = self.schedule
         schedule.check()
         self.dims.check()
-        for name in ("classify_shots", "retrieve_shots", "rerank_shots"):
-            if getattr(self.task, name) < 1:
-                raise ConfigError(f"task.{name} must be at least 1, "
-                                  f"got {getattr(self.task, name)}")
+        for path, least in (("sampler.fanout", 1), ("pretrain.batch_size", 1),
+                            ("task.finetune_batch", 1), ("task.eval_batch", 2),
+                            ("task.classify_shots", 1), ("task.retrieve_shots", 1),
+                            ("task.rerank_shots", 1)):
+            section, name = path.split(".")
+            value = getattr(getattr(self, section), name)
+            if value < least:
+                raise ConfigError(f"{path} must be at least {least}, got {value}")
+        if not 0.0 < self.pretrain.mask_ratio < 1.0:
+            raise ConfigError(f"pretrain.mask_ratio must lie in (0, 1), "
+                              f"got {self.pretrain.mask_ratio}")
         first_stage = schedule.positions[0] if schedule.positions else schedule.depth
         if schedule.strategy in ("PE", "PG") and first_stage > 1:
             log.warning("%s before the first aggregation stage; using VA", schedule.strategy)

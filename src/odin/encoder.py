@@ -105,8 +105,17 @@ class ModelDims:
         self.check()
 
     def check(self) -> None:
+        """Raise ConfigError on a size that is not an int, a d, heads or
+        mlp_ratio below 1, a max_len below 2 ([CLS] and one word), or a d
+        that the heads do not divide."""
+        for name in ("d", "heads", "max_len", "mlp_ratio"):
+            value, least = getattr(self, name), 2 if name == "max_len" else 1
+            if type(value) is not int:
+                raise ConfigError(f"dims.{name} must be an int, got {value!r}")
+            if value < least:
+                raise ConfigError(f"dims.{name} must be at least {least}, got {value}")
         if self.d % self.heads != 0:
-            raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
+            raise ConfigError(f"dims.d {self.d} is not divisible by dims.heads {self.heads}")
 
 
 class ConfigError(ValueError):
@@ -237,7 +246,9 @@ def attention_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
 def transformer_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
                       lengths: np.ndarray, *, full_rows: int):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as one tape
-    node (attention_block) that keeps only the second norm's statistics. The
+    node (attention_block) that keeps only its output and the second norm's
+    per-row scale, and rebuilds that norm's normalized rows from the output
+    in backward, so the second norm's gain must have no zero entry. The
     agg token is consumed by the attention; output length equals input length.
     The output is exactly 0 at PAD positions, past each sequence's real
     length in `lengths`.

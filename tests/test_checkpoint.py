@@ -281,6 +281,27 @@ def test_a_negative_model_size_raises_checkpoint_error_naming_it(tmp_path, key, 
         load_model(path)
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("d", -8, "dims.d must be at least 1, got -8"),
+    ("max_len", -3, "dims.max_len must be at least 2, got -3"),
+    ("mlp_ratio", -1, "dims.mlp_ratio must be at least 1, got -1"),
+    ("heads", 0, "dims.heads must be at least 1, got 0"),
+    ("heads", 3, "dims.d 8 is not divisible by dims.heads 3"),
+    ("d", 8.0, "dims.d must be an int, got 8.0"),
+], ids=["d=-8", "max_len=-3", "mlp_ratio=-1", "heads=0", "heads=3", "d=8.0"])
+def test_bad_model_dims_raise_checkpoint_error_naming_it(tmp_path, key, value, match):
+    # numpy raised a ValueError at a negative size and ModelDims a
+    # ZeroDivisionError at 0 heads; 3 heads gave a ConfigError without the file
+    path = tmp_path / "checkpoint.bin"
+    _model_file(path)
+    header = _header(path)
+    header["meta"]["model"]["dims"][key] = value
+    _with_header(path, header)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: damaged header: model {match}")):
+        load_model(path)
+
+
 def test_a_checkpoint_with_key_biases_loads_without_them(tmp_path):
     path = tmp_path / "checkpoint.bin"
     params = init_params(10, ModelDims(d=8, heads=2, max_len=6), 2, 1, seed=0)

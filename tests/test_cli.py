@@ -263,6 +263,18 @@ def test_a_negative_model_size_ends_in_one_error_line(tmp_path, monkeypatch, cap
     assert not (tmp_path / "run" / "eval").exists()
 
 
+def test_a_size_the_run_cannot_use_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    # 0 heads ended pretraining in a ZeroDivisionError; an eval batch of 1
+    # ended linkpred in a ValueError, but only after the whole fine-tune
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _rejected(capsys, _argv("pretrain", extra=("dims.heads=0",)),
+              "dims.heads must be at least 1, got 0")
+    _rejected(capsys, _argv("finetune", "--task", "linkpred", extra=("task.eval_batch=1",)),
+              "task.eval_batch must be at least 2, got 1")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("damage", ["[PAD]\t0\n[CLS] 1\n", "[PAD]\t0\n[CLS]\t1\tx\n",
                                     "[PAD]\t0\n[CLS]\t2\n"],
                          ids=["no tab", "two tabs", "ids not dense"])

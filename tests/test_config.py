@@ -8,7 +8,7 @@ import json
 import pytest
 
 from odin.config import RunConfig, apply_override, load_config
-from odin.encoder import ConfigError
+from odin.encoder import ConfigError, ModelDims
 from odin.fusion import LayerSchedule, light_preset
 
 
@@ -94,6 +94,33 @@ def test_validate_rejects_dims_the_heads_do_not_divide():
     cfg = _from_override("dims.d=10")  # the default 4 heads
     with pytest.raises(ConfigError, match="not divisible"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("dotted,match", [
+    ("dims.heads=0", "dims.heads must be at least 1, got 0"),  # was ZeroDivisionError
+    ("dims.d=-4", "dims.d must be at least 1, got -4"),  # OverflowError
+    ("dims.max_len=1", "dims.max_len must be at least 2, got 1"),  # ValueError
+    ("dims.mlp_ratio=0", "dims.mlp_ratio must be at least 1, got 0"),  # trained no MLP
+    ("sampler.fanout=0", "sampler.fanout must be at least 1, got 0"),  # ValueError
+    ("pretrain.batch_size=0", "pretrain.batch_size must be at least 1, got 0"),
+    ("pretrain.mask_ratio=0.0", r"pretrain.mask_ratio must lie in \(0, 1\), got 0.0"),
+    ("pretrain.mask_ratio=1", r"pretrain.mask_ratio must lie in \(0, 1\), got 1.0"),
+    ("task.finetune_batch=0", "task.finetune_batch must be at least 1, got 0"),
+    ("task.eval_batch=1", "task.eval_batch must be at least 2, got 1"),
+], ids=["heads=0", "d=-4", "max_len=1", "mlp_ratio=0", "fanout=0", "batch_size=0",
+        "mask_ratio=0.0", "mask_ratio=1", "finetune_batch=0", "eval_batch=1"])
+def test_validate_rejects_sizes_the_run_cannot_use(dotted, match):
+    # each of these ended a run in a traceback, some only after training
+    cfg = _from_override(dotted)
+    with pytest.raises(ConfigError, match=match):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("value", [4.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", ["d", "heads", "max_len", "mlp_ratio"])
+def test_model_dims_reject_a_size_that_is_not_an_int(name, value):
+    with pytest.raises(ConfigError, match=f"dims.{name} must be an int, got {value}"):
+        ModelDims(**{name: value})
 
 
 @pytest.mark.parametrize("text,match", [

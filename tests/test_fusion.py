@@ -630,10 +630,11 @@ def test_the_tape_keeps_no_mlp_hidden_layer():
 
 
 def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
-    # Per token row a block runs, the tape keeps the block's output and LN2's
-    # xhat (2d) and a little more: the per-row norm scale, the embedding
-    # lookup of layer 0 and the per-node [CLS] and aggregation arrays, under
-    # 2d at this size. Keeping q, k, v, their [agg; x] input or the context
+    # Per token row a block runs, the tape keeps the block's output (d) and a
+    # little more: LN2's per-row norm scale, the embedding lookup of layer 0
+    # and the per-node [CLS] and aggregation arrays, under 2d at this size.
+    # The block rebuilds LN2's xhat from its output, so keeping xhat again
+    # would add d per row. Keeping q, k, v, their [agg; x] input or the context
     # would add at least d per row, so no (N, T + 1, d) array may be on the
     # tape, and backward recomputes the softmax weights, so no (N, heads,
     # Tq, T + 1) array may be on it either. Keeping the attention sublayer's
@@ -672,7 +673,7 @@ def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
                   lp.ln1_b, lp.w_up, lp.b_up, lp.w_down, lp.b_down, lp.ln2_g, lp.ln2_b)
         assert out._parents == tuple(p for p in inputs if p is not None)
     per_row = tape_floats(loss, skip) / sum(rows)
-    assert per_row < 4 * d
+    assert per_row < 3 * d
 
 
 def _tape_nodes(root):
