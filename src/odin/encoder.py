@@ -41,9 +41,6 @@ class Vocab:
     mask_id = 2
     unk_id = 3
 
-    def encode(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for i, tok in enumerate(self.id_to_token):
@@ -80,12 +77,9 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> np.ndarray:
     """[CLS] followed by word-token ids, truncated to max_len. Never empty."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
-    ids = [vocab.cls_id]
-    for tok in word_tokens(text):
-        if len(ids) == max_len:
-            break
-        ids.append(vocab.encode(tok))
-    return np.asarray(ids, dtype=np.int64)
+    get, unk = vocab.token_to_id.get, vocab.unk_id
+    return np.asarray([vocab.cls_id, *(get(tok, unk) for tok in word_tokens(text)[:max_len - 1])],
+                      dtype=np.int64)
 
 
 # -- parameters ----------------------------------------------------------------
@@ -180,37 +174,39 @@ def as_param(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float32), requires_grad=True)
 
 
-def _uniform(rng, shape, d) -> Tensor:
-    # symmetric uniform scaled by 1/sqrt(model dim) across the board, drawn
-    # in float64 and rounded; zeros without an rng
-    bound = 1.0 / np.sqrt(d)
-    return as_param(np.zeros(shape) if rng is None else rng.uniform(-bound, bound, shape))
-
-
 def init_params(vocab_size: int, dims: ModelDims, depth: int, num_stages: int,
                 seed: int | None) -> ParamSet:
-    """Fresh float32 parameters: symmetric uniform at 1/sqrt(d), unit gains.
-    Seed None draws nothing: zeros, a skeleton for a checkpoint to fill."""
+    """Fresh float32 parameters: symmetric uniform at 1/sqrt(d), drawn in
+    float64 and rounded, with zero biases and unit gains. Seed None draws
+    nothing and allocates no parameter memory: the skeleton that load_model
+    fills. Its arrays are read-only zero-stride views of one float32 scalar
+    (np.broadcast_to), 0 for weights and biases and 1 for gains, so a load
+    replaces each array and cannot update one in place."""
     rng = None if seed is None else generator(seed, "init")
     d, hidden = dims.d, dims.d * dims.mlp_ratio
+    bound = 1.0 / np.sqrt(d)
+
+    def full(value, *shape) -> Tensor:
+        if rng is None:
+            return as_param(np.broadcast_to(np.float32(value), shape))
+        return as_param(np.full(shape, value, np.float32))
+
+    def uniform(*shape) -> Tensor:
+        return full(0, *shape) if rng is None else as_param(rng.uniform(-bound, bound, shape))
+
     layers = []
     for _ in range(depth):
         layers.append(LayerParams(
-            wq=_uniform(rng, (d, d), d), wk=_uniform(rng, (d, d), d),
-            wv=_uniform(rng, (d, d), d), wo=_uniform(rng, (d, d), d),
-            bq=as_param(np.zeros(d)), bv=as_param(np.zeros(d)), bo=as_param(np.zeros(d)),
-            w_up=_uniform(rng, (d, hidden), d), b_up=as_param(np.zeros(hidden)),
-            w_down=_uniform(rng, (hidden, d), d), b_down=as_param(np.zeros(d)),
-            ln1_g=as_param(np.ones(d)), ln1_b=as_param(np.zeros(d)),
-            ln2_g=as_param(np.ones(d)), ln2_b=as_param(np.zeros(d)),
+            wq=uniform(d, d), wk=uniform(d, d), wv=uniform(d, d), wo=uniform(d, d),
+            bq=full(0, d), bv=full(0, d), bo=full(0, d),
+            w_up=uniform(d, hidden), b_up=full(0, hidden),
+            w_down=uniform(hidden, d), b_down=full(0, d),
+            ln1_g=full(1, d), ln1_b=full(0, d), ln2_g=full(1, d), ln2_b=full(0, d),
         ))
-    stages = [
-        StageParams(w1=_uniform(rng, (d, d), d), w2=_uniform(rng, (d, d), d))
-        for _ in range(num_stages)
-    ]
-    token_emb = _uniform(rng, (vocab_size, d), d)
-    pos_emb = _uniform(rng, (dims.max_len, d), d)
-    mlm_head = _uniform(rng, (vocab_size, d), d)
+    stages = [StageParams(w1=uniform(d, d), w2=uniform(d, d)) for _ in range(num_stages)]
+    token_emb = uniform(vocab_size, d)
+    pos_emb = uniform(dims.max_len, d)
+    mlm_head = uniform(vocab_size, d)
     return ParamSet(dims, vocab_size, depth, token_emb, pos_emb, layers, stages, mlm_head)
 
 

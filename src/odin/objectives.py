@@ -198,9 +198,11 @@ class Adam(_GroupRates):
         return {"t": self.t, "m": self.m, "v": self.v}
 
     def load_state_dict(self, state):
+        """Takes the moment arrays as they are, without a copy; `step`
+        updates them in place."""
         self.t = int(state["t"])
-        self.m = {k: np.array(v) for k, v in state["m"].items()}
-        self.v = {k: np.array(v) for k, v in state["v"].items()}
+        self.m = dict(state["m"])
+        self.v = dict(state["v"])
 
 
 def make_optimizer(kind: str, lr_encoder: float, lr_gnn: float):

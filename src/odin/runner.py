@@ -333,8 +333,13 @@ def finetune_classify(cfg, graph, params, vocab, split, labels) -> None:
 
 def run_classify(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport:
     """The linear head always trains on the embeddings; with `finetune` the
-    backbone is fine-tuned first."""
+    backbone is fine-tuned first. A graph of fewer than two coarse classes
+    raises GraphFormatError before any work."""
     labels = graph.labels("coarse")
+    classes = sorted({lab for lab in labels if lab is not None})
+    if len(classes) < 2:
+        raise GraphFormatError(f"classify needs at least two coarse classes, but every "
+                               f"labelled node has coarse_label {classes[0]!r}")
     split = _few_shot_split(cfg, graph, "classify_shots", "coarse")
     if finetune:
         finetune_classify(cfg, graph, params, vocab, split, labels)
@@ -370,11 +375,18 @@ def dpr_finetune(cfg, graph, params, vocab, split, labels) -> None:
 def _label_task(cfg, graph, params, vocab, shots: str, finetune: bool):
     """What retrieve and rerank score after the fine-label split at
     task.<shots> and, with `finetune`, a DPR fine-tune: (test node
-    embeddings, label embeddings, gold label per test node)."""
+    embeddings, label embeddings, gold label per test node). A fine label
+    that labels.jsonl leaves unnamed raises GraphFormatError before any work."""
     if graph.label_names is None:
         raise GraphFormatError("graph carries no label names: retrieve and rerank read "
                                "them from labels.jsonl beside nodes.jsonl")
     labels = graph.labels("fine")
+    unnamed = sorted({lab for lab in labels if lab is not None} - graph.label_names.keys())
+    if unnamed:
+        shown = ", ".join(map(str, unnamed[:5])) + (", ..." if len(unnamed) > 5 else "")
+        raise GraphFormatError(f"labels.jsonl names {len(graph.label_names)} labels but not "
+                               f"{len(unnamed)} fine label(s) of the nodes: {shown}; "
+                               "retrieve and rerank score each node by its label's name")
     split = _few_shot_split(cfg, graph, shots, "fine")
     if finetune:
         dpr_finetune(cfg, graph, params, vocab, split, labels)

@@ -1,11 +1,14 @@
 """Checkpoint writes are atomic: a failed write keeps the previous file.
-Each array loads back in the dtype it was saved in. A file that is not a
-whole checkpoint of the model raises CheckpointError."""
+Each array loads back in the dtype it was saved in, as an aligned, writable
+view of one buffer that no other array shares. A file that is not a whole
+checkpoint of the model raises CheckpointError."""
 
 import errno
+import gc
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,3 +315,112 @@ def test_a_checkpoint_with_key_biases_loads_without_them(tmp_path):
     for name, p in named.items():
         assert p.data.tobytes() == arrays[name].tobytes(), name
     assert meta["step"] == 0
+
+
+def _default_model():
+    # the embed-sparse benchmark's model: 189 arrays, 0.71 MiB of float32
+    return init_params(404, ModelDims(), 12, 3, seed=0)
+
+
+def test_save_writes_the_format_byte_for_byte(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(3)}
+    save_arrays(path, arrays, {"step": 2})
+    header = json.dumps({"version": 3, "meta": {"step": 2}, "arrays": {
+        "b": {"dtype": "<f8", "offset": 0, "shape": [3]},
+        "w": {"dtype": "<f4", "offset": 24, "shape": [2, 3]}}},
+        sort_keys=True, separators=(",", ":")).encode()
+    assert path.read_bytes() == (checkpoint.MAGIC + len(header).to_bytes(8, "little") + header
+                                 + arrays["b"].tobytes() + arrays["w"].tobytes())
+
+
+def test_loaded_parameters_are_aligned_writable_views(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    save_model(path, _default_model(), {})
+    loaded = [p.data for _, p in load_model(path)[0].named_parameters()]
+    assert len(loaded) == 189
+    for arr in loaded:
+        assert arr.flags.aligned and arr.flags.writeable and arr.flags.c_contiguous
+        assert not arr.flags.owndata  # a view of the one buffer, not a copy
+
+
+def test_an_update_in_place_changes_one_parameter_and_not_the_file(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    params = init_params(10, ModelDims(d=8, heads=2, max_len=6), 2, 1, seed=0)
+    save_model(path, params, {})
+    raw = path.read_bytes()
+    saved = {name: p.data for name, p in params.named_parameters()}
+    loaded = dict(load_model(path)[0].named_parameters())
+    updated = set()
+    for name, p in loaded.items():
+        p.data += 1.0
+        updated.add(name)
+        for other, q in loaded.items():
+            np.testing.assert_array_equal(q.data, saved[other] + (other in updated),
+                                          err_msg=f"{other} after updating {name}")
+    assert path.read_bytes() == raw
+
+
+def test_a_float64_after_an_odd_float32_loads_aligned(tmp_path):
+    # `a` holds 3 float32s, so `b` starts at byte 12, which 8 does not divide
+    path = tmp_path / "checkpoint.bin"
+    arrays = {"a": np.arange(3, dtype=np.float32), "b": np.linspace(0, 1, 5),
+              "c": np.full((2, 2), 7, np.float32)}
+    save_arrays(path, arrays, {})
+    assert _header(path)["arrays"]["b"]["offset"] == 12
+    loaded, _ = load_arrays(path)
+    for name, want in arrays.items():
+        got = loaded[name]
+        assert got.dtype == want.dtype and got.flags.aligned and got.flags.writeable, name
+        assert got.tobytes() == want.tobytes(), name
+    loaded["b"][:] = 0
+    np.testing.assert_array_equal(loaded["a"], arrays["a"])
+    np.testing.assert_array_equal(loaded["c"], arrays["c"])
+
+
+@pytest.mark.parametrize("offset", [0, 8, 12], ids=["same start", "inside", "last float"])
+def test_arrays_that_overlap_raise_checkpoint_error_naming_it(tmp_path, offset):
+    # at any of these offsets `b` would share bytes with `a`, which holds
+    # bytes 0..16, and an update to one would change the other
+    path = tmp_path / "checkpoint.bin"
+    save_arrays(path, {"a": np.zeros(4, np.float32), "b": np.ones(4, np.float32),
+                       "c": np.ones(0, np.float32)}, {})
+    header = _header(path)
+    header["arrays"]["b"]["offset"] = offset
+    header["arrays"]["c"]["offset"] = 4  # empty, so it shares no byte
+    _with_header(path, header)
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*damaged.*a and b overlap"):
+        load_arrays(path)
+    header["arrays"]["b"]["offset"] = 16
+    _with_header(path, header)
+    loaded, _ = load_arrays(path)
+    assert loaded["c"].shape == (0,) and list(loaded["b"]) == [1, 1, 1, 1]
+
+
+def test_loading_a_model_allocates_little_beyond_its_payload(tmp_path):
+    # the file's bytes, a sliced copy of the payload, a copy of each array and
+    # a float64 skeleton made the peak 3.2x the payload
+    path = tmp_path / "checkpoint.bin"
+    params = _default_model()
+    save_model(path, params, {"step": 0})
+    payload = sum(p.data.nbytes for _, p in params.named_parameters())
+    del params
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded[0].depth == 12
+    assert peak <= 1.25 * payload, peak / payload
+
+
+def test_the_skeleton_is_read_only_and_holds_no_parameter_memory():
+    skeleton = init_params(10, ModelDims(d=8, heads=2, max_len=6), 2, 1, seed=None)
+    for name, p in skeleton.named_parameters():
+        assert p.dtype == np.float32 and not p.data.flags.writeable, name
+        assert all(stride == 0 for stride in p.data.strides), name
+        want = 1.0 if name.endswith("_g") else 0.0
+        assert np.all(p.data == want), name

@@ -240,6 +240,36 @@ def test_a_graph_without_the_task_labels_ends_in_one_error_line(
     assert not (tmp_path / "run" / command).exists()
 
 
+@pytest.mark.parametrize("command,task,kept", [
+    ("finetune", "retrieve", 1), ("eval", "rerank", 1), ("eval", "retrieve", 0),
+], ids=["finetune retrieve, label 0 unnamed", "eval rerank, label 0 unnamed",
+        "eval retrieve, labels.jsonl empty"])
+def test_a_fine_label_without_a_name_ends_in_one_error_line(
+        tmp_path, monkeypatch, capsys, command, task, kept):
+    # finetune ended in a KeyError traceback, eval with an empty labels.jsonl
+    # in a ValueError one
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "data", "--nodes", "40", "--classes", "4"]) == 0
+    labels = tmp_path / "data" / "labels.jsonl"
+    labels.write_text("".join(labels.read_text().splitlines(keepends=True)[1:] if kept else []))
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    _rejected(capsys, _argv(command, "--task", task),
+              "labels.jsonl names .* but not .* fine label.*: 0[,;]")
+    assert not (tmp_path / "run" / command).exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_classify_on_one_coarse_class_ends_in_one_error_line(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "data", "--nodes", "30", "--classes", "1"]) == 0
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    monkeypatch.setattr(runner, "finetune_classify",
+                        lambda *a: pytest.fail("fine-tuned before the check"))
+    _rejected(capsys, _argv(command, "--task", "classify"), "at least two coarse classes")
+    assert not (tmp_path / "run" / command).exists()
+
+
 def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()

@@ -54,7 +54,7 @@ def test_build_vocab_min_freq_one():
     assert {"a", "b", "c"} <= set(v.token_to_id)
     assert v.size == 4 + 3
     assert [v.token_to_id[s] for s in enc.SPECIALS] == [0, 1, 2, 3]
-    assert v.encode("d") == v.unk_id
+    assert list(tokenize("d", v, max_len=4)) == [v.cls_id, v.unk_id]
 
 
 def test_vocab_round_trip(tmp_path):
@@ -81,6 +81,30 @@ def test_tokenize_truncates():
     v = build_vocab(["w"])
     text = " ".join(["w"] * 100)
     assert len(tokenize(text, v, max_len=16)) == 16
+
+
+def _tokenize_word_by_word(text, vocab, max_len):
+    """The tokenizer as a loop that stops at max_len ids."""
+    ids = [vocab.cls_id]
+    for tok in enc.word_tokens(text):
+        if len(ids) == max_len:
+            break
+        ids.append(vocab.token_to_id.get(tok, vocab.unk_id))
+    return ids
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 7, 40])
+def test_tokenize_equals_the_word_by_word_loop(max_len):
+    v = build_vocab(["alpha beta gamma", "delta epsilon"])
+    rng = np.random.default_rng(0)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "Theta!", "42"]
+    texts = ["", "zeta", "alpha zeta beta", *(" ".join(rng.choice(words, size=n))
+                                             for n in (1, 5, 12, 30))]
+    for text in texts:
+        ids = tokenize(text, v, max_len)
+        assert ids.dtype == np.int64
+        assert list(ids) == _tokenize_word_by_word(text, v, max_len), text
+    assert len(tokenize(" ".join(words * 5), v, max_len)) == max_len
 
 
 def test_tokenize_known_bigram_table_lookup():

@@ -3,6 +3,7 @@ eval without fine-tuning, repeatable fine-tunes, a classify head kept out of
 the model, the checkpoint loader, the pretrain log rows, resumed
 pretraining, float32 against float64, and a gate that pretraining learns."""
 
+import dataclasses
 import json
 import math
 import re
@@ -17,7 +18,7 @@ from odin.checkpoint import load_arrays, load_model, save_model
 from odin.config import RunConfig
 from odin.encoder import ConfigError, ModelDims, Vocab, init_params, transformer_block
 from odin.fusion import LayerSchedule, odin_forward, tokenize_nodes
-from odin.graph import TextGraph, make_few_shot_split
+from odin.graph import GraphFormatError, TextGraph, make_few_shot_split
 from odin.objectives import make_optimizer, pretrain_step
 from odin.rngutil import sub_seed
 from odin.sampler import sample_frontiers
@@ -321,6 +322,45 @@ def test_eval_on_a_checkpoint_with_key_biases_ignores_them(tmp_path):
     params, meta, _ = load_model(ckpt)
     write_with_key_biases(ckpt, params, meta)
     assert runner.run_task(cfg, graph, "classify", ckpt, finetune=False) == want
+
+
+def _fail_on_any_work(monkeypatch):
+    for name in ("_few_shot_split", "finetune_classify", "dpr_finetune", "compute_embeddings"):
+        monkeypatch.setattr(runner, name, lambda *a, **k: pytest.fail("worked before the check"))
+
+
+@pytest.mark.parametrize("finetune", [False, True])
+@pytest.mark.parametrize("task", ["retrieve", "rerank"])
+@pytest.mark.parametrize("kept,match", [
+    ({1, 2}, "names 2 labels but not 1 fine label.*: 0;"),
+    (set(), "names 0 labels but not 3 fine label.*: 0, 1, 2;"),
+], ids=["label 0 unnamed", "no label named"])
+def test_a_fine_label_without_a_name_raises_before_any_work(
+        tmp_path, monkeypatch, finetune, task, kept, match):
+    # without label 0's name, dpr_finetune ended in a KeyError and eval
+    # counted its nodes as misses; with no name, encode_texts got no text
+    cfg = small_cfg(tmp_path)
+    graph = small_graph()
+    ckpt = tmp_path / "init" / "checkpoint.bin"
+    _write_init_checkpoint(cfg, graph, ckpt)
+    graph = dataclasses.replace(graph, label_names={lid: name for lid, name
+                                                    in graph.label_names.items() if lid in kept})
+    _fail_on_any_work(monkeypatch)
+    with pytest.raises(GraphFormatError, match=match):
+        runner.run_task(cfg, graph, task, ckpt, finetune=finetune)
+
+
+def test_classify_on_one_coarse_class_raises_before_any_work(tmp_path, monkeypatch):
+    # it fine-tuned, then classify_train_eval raised a ValueError
+    cfg = small_cfg(tmp_path)
+    cfg.task.classify_shots = 2
+    graph = small_graph()
+    ckpt = tmp_path / "init" / "checkpoint.bin"
+    _write_init_checkpoint(cfg, graph, ckpt)
+    graph = dataclasses.replace(graph, coarse_labels=(None,) + (5,) * (graph.num_nodes - 1))
+    _fail_on_any_work(monkeypatch)
+    with pytest.raises(GraphFormatError, match="at least two coarse classes.*coarse_label 5"):
+        runner.run_task(cfg, graph, "classify", ckpt)
 
 
 @pytest.mark.parametrize("task", ["linkpred", "retrieve", "rerank"])
