@@ -19,12 +19,13 @@ backward() frees each non-leaf gradient once that node's closure has pushed
 it to its parents, so afterwards only leaves and the root hold a `grad`; a
 second backward() on the same tape, after zeroing the leaves, gives the same
 leaf gradients. A backward closure never writes into the arrays it closed
-over or into the incoming gradient, so gradients pass on without copies.
+over or into the incoming gradient, so gradients pass on without copies. No
+op writes into its inputs but post_norm_block given x's buffer as `out`.
 
-A fused node keeps only what its backward cannot rebuild cheaply: gelu
-keeps its derivative, stage_aggregate the neighbor mean, and
-post_norm_block, the whole post-norm Transformer block, LN2's inv, one float
-per row. Its backward rebuilds LN2's xhat from the block's output as
+A fused node keeps only what its backward cannot rebuild cheaply: embed
+keeps only its ids, gelu its derivative, stage_aggregate the neighbor mean,
+and post_norm_block, the whole post-norm Transformer block, LN2's inv, one
+float per row. Its backward rebuilds LN2's xhat from the block's output as
 (out - bias) / gain, and recomputes the attention sublayer and the MLP's
 hidden layer from the block's input, one tile of sequences at a time. A
 fused node's output has the bits of the ops it fuses; its gradients have
@@ -439,6 +440,22 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def embed(table: Tensor, pos: Tensor, ids: np.ndarray) -> Tensor:
+    """table[ids] + pos[:T] for (N, T) ids as one tape node that keeps only the
+    ids, with the bits of take_rows (repeated ids sum), reshape and the add."""
+    ids, t = np.asarray(ids, dtype=np.intp), ids.shape[1]
+    out_data = table.data[ids]
+    out_data += pos.data[:t]
+
+    def backward(g):
+        table._accum(_row_sum(ids.reshape(-1), g.reshape(-1, g.shape[-1]), len(table.data)))
+        gp = np.zeros_like(pos.data)
+        gp[:t] = g.sum(axis=0)
+        pos._accum(gp)
+
+    return _make(out_data, (table, pos), backward)
+
+
 def scatter_rows(base: Tensor, idx: np.ndarray, values: Tensor) -> Tensor:
     """Functional row replacement: out = base with out[idx] = values.
 
@@ -763,7 +780,7 @@ def _mlp_residual_norm_grad(g: np.ndarray, h: np.ndarray, xhat, inv, ws):
 
 def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, gain1, bias1,
                     w_up, b_up, w_down, b_down, gain2, bias2, heads: int,
-                    lengths: np.ndarray, full: int) -> Tensor:
+                    lengths: np.ndarray, full: int, out: np.ndarray | None = None) -> Tensor:
     """layer_norm(h + gelu(h @ w_up + b_up) @ w_down + b_down, gain2, bias2) with
     h = layer_norm(xq + attention(xq @ wq + bq, kv @ wk, kv @ wv + bv) @ wo
     + bo, gain1, bias1), the post-norm Transformer block, as one tape node
@@ -778,7 +795,11 @@ def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, g
     On and off the tape it runs the tiles of _tile_plan, each with a key
     mask only if it holds PAD, the MLP's hidden layer in sub-tiles of _TILE
     rows, and LN2 normalizes straight into the output; the node keeps only
-    LN2's inv, one float per row. Backward rebuilds each tile's LN2 xhat as
+    LN2's inv, one float per row. Off the tape with `full` = N, it writes
+    into `out`, if given, an (N, T, d) array that may be x's own buffer: a
+    tile reads its sequences of x before it writes them, and zeros their
+    rows past its width. On the tape, where backward reads x, or with `full`
+    < N, `out` raises ValueError. Backward rebuilds each tile's LN2 xhat as
     (out - bias2) / gain2 (at PAD rows out and its gradient are 0, so those
     rows add nothing), recomputes its attention sublayer with the forward's
     bits, then runs the gradients and sums the parameter gradients tile by
@@ -803,9 +824,11 @@ def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, g
     if _on_tape(parents) and (gain2.data == 0).any():
         raise FloatingPointError(f"LN2 gain entry {np.flatnonzero(gain2.data == 0)[0]} is 0: "
                                  "backward divides by it to rebuild LN2's normalized rows")
+    if out is not None and (_on_tape(parents) or full < n):
+        raise ValueError("out is only for an off-tape block whose every sequence keeps its tokens")
     tiles = _tile_plan(np.asarray(lengths), t, full)
     dtype = np.result_type(*(p.data for p in parents))
-    out = np.zeros((n, t if full else 1, d), dtype)
+    out = np.empty((n, t if full else 1, d), dtype) if out is None else out
     ends = np.cumsum([0] + [len(lens) * tq for _, lens, tq in tiles])  # of LN2's rows
     inv = np.empty((ends[-1], 1), dtype)
     for (seqs, lens, tq), a, b in zip(tiles, ends, ends[1:]):
@@ -817,6 +840,7 @@ def post_norm_block(x: Tensor, agg: Tensor | None, wq, bq, wk, wv, bv, wo, bo, g
         if lens[0] < tq:
             o[np.arange(tq) >= lens[:, None]] = 0.0  # PAD queries
         out[seqs, :tq] = o  # a no-op for a view: numpy skips a copy onto itself
+        out[seqs, tq:] = 0.0  # past the tile's width: PAD, or all but [CLS]
 
     def backward(g):
         gx = np.zeros(x.shape, dtype)

@@ -211,36 +211,34 @@ def init_params(vocab_size: int, dims: ModelDims, depth: int, num_stages: int,
 
 
 def embed_batch(token_matrix: np.ndarray, params: ParamSet) -> Tensor:
-    """(N, T) padded token ids -> (N, T, d) initial states."""
-    n, t = token_matrix.shape
-    if t > params.dims.max_len:
+    """(N, T) padded token ids -> (N, T, d) initial states: one ad.embed node."""
+    if token_matrix.shape[1] > params.dims.max_len:
         raise ValueError("sequence longer than max_len")
     if np.any(token_matrix < 0):
         raise IndexError("negative token id")
-    flat = ad.take_rows(params.token_emb, token_matrix.reshape(-1))
-    rows = ad.reshape(flat, (n, t, params.dims.d))
-    return rows + params.pos_emb[:t]
+    return ad.embed(params.token_emb, params.pos_emb, token_matrix)
 
 
 # -- attention and the block ------------------------------------------------------
 
 
 def attention_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
-                    lengths: np.ndarray, full_rows: int) -> Tensor:
+                    lengths: np.ndarray, full_rows: int, out: np.ndarray | None = None) -> Tensor:
     """The block as one tape node, `ad.post_norm_block`: h = LN1(x + attention
     @ wo + bo), then LN2(h + MLP(h)), with asymmetric multi-head attention over
     (N, T, d) states of real lengths `lengths` and an optional (N, d)
     graph-enhanced token prepended to the keys and values only. The first
     `full_rows` sequences query with every token, the others with [CLS]
     alone. The (N, T, d) output ((N, 1, d) if `full_rows` is 0) is 0 at PAD
-    positions and, past `full_rows`, at all but [CLS]."""
+    positions and, past `full_rows`, at all but [CLS]. An off-tape caller
+    may pass `out`, the array to write it into (see ad.post_norm_block)."""
     return ad.post_norm_block(x, agg, lp.wq, lp.bq, lp.wk, lp.wv, lp.bv, lp.wo, lp.bo,
                               lp.ln1_g, lp.ln1_b, lp.w_up, lp.b_up, lp.w_down, lp.b_down,
-                              lp.ln2_g, lp.ln2_b, heads, lengths, full_rows)
+                              lp.ln2_g, lp.ln2_b, heads, lengths, full_rows, out)
 
 
 def transformer_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int,
-                      lengths: np.ndarray, *, full_rows: int):
+                      lengths: np.ndarray, *, full_rows: int, out: np.ndarray | None = None):
     """Post-norm block: LN(x + attention), then LN(. + MLP(.)), as one tape
     node (attention_block) that keeps only its output and the second norm's
     per-row scale, and rebuilds that norm's normalized rows from the output
@@ -254,7 +252,8 @@ def transformer_block(x: Tensor, agg: Tensor | None, lp: LayerParams, heads: int
     in the full block, so it gets the same output up to rounding, and no
     other position is computed. Returns (states, cls): the (f, T, d) token
     states, None when f is 0, and the (N, d) [CLS] output of every sequence,
-    both slices of the one node's output."""
-    out = attention_block(x, agg, lp, heads, lengths, full_rows)
+    both slices of the one node's output. Off the tape with f = N, `out`,
+    an (N, T, d) array that may be x's own buffer, takes the output."""
+    y = attention_block(x, agg, lp, heads, lengths, full_rows, out=out)
     f = full_rows
-    return (None if f == 0 else out if f == len(out.data) else out[:f]), out[:, 0]
+    return (None if f == 0 else y if f == len(y.data) else y[:f]), y[:, 0]

@@ -163,6 +163,12 @@ def _check_finite(states: Tensor | None, cls: Tensor, layer: int, order):
                                  f"node {order[bad_rows[0]]}")
 
 
+def _own(states: Tensor, full_rows: int) -> np.ndarray | None:
+    """The states' buffer for a block to write over, off the tape with all rows
+    kept. The layer reads the [CLS] rows it views (cls_all) before the block."""
+    return None if states.requires_grad or full_rows < len(states.data) else states.data
+
+
 def pad_tokens(tokens_by_node, order):
     """Stack per-node id sequences into a (N, T) PAD-padded matrix."""
     lengths = np.array([len(tokens_by_node[v]) for v in order], dtype=np.intp)
@@ -237,9 +243,9 @@ def odin_forward(
         if missing:
             raise ValueError(f"missing token states for sampled node(s) {missing[:5]}")
         token_mat, lengths = pad_tokens(tokens_by_node, order)
-        states, cls_all = transformer_block(embed_batch(token_mat, params), None,
-                                            params.layers[0], heads, lengths,
-                                            full_rows=keep[0])
+        states = embed_batch(token_mat, params)
+        states, cls_all = transformer_block(states, None, params.layers[0], heads, lengths,
+                                            full_rows=keep[0], out=_own(states, keep[0]))
         _check_finite(states, cls_all, 0, order)
     if trace is not None:
         trace.append(cls_all.data.copy())
@@ -270,7 +276,8 @@ def odin_forward(
         else:
             # the previous block kept token states for exactly these n rows
             states, new_cls = transformer_block(states, agg, params.layers[layer], heads,
-                                                lengths[:n], full_rows=keep[layer])
+                                                lengths[:n], full_rows=keep[layer],
+                                                out=_own(states, keep[layer]))
             _check_finite(states, new_cls, layer, order)
         cls_all = ad.concat([new_cls, cls_all[n:]]) if n < len(order) else new_cls
 

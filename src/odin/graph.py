@@ -1,10 +1,11 @@
 """Text-attributed graph container, loaders, and few-shot task splits.
 
 Storage format: nodes.jsonl holds one record per line with fields
-{id, text, fine_label?, coarse_label?}; edges.txt holds whitespace-separated
-id pairs, one per line, with '#' comments. Node ids must form a contiguous
-0-based range. An optional labels.jsonl ({id, name} per line) carries
-human-readable label names for retrieval-style tasks.
+{id, text, fine_label?, coarse_label?}, a label field's values all JSON
+integers or all strings; edges.txt holds whitespace-separated id pairs, one
+per line, with '#' comments. Node ids must form a contiguous 0-based range.
+An optional labels.jsonl ({id, name} per line) carries human-readable label
+names for retrieval-style tasks.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ def _parse_node_file(path: Path):
     texts: list[str] = []
     fine: list = []
     coarse: list = []
+    kinds: dict[str, type] = {}  # the type of each label field's first value
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -156,8 +158,14 @@ def _parse_node_file(path: Path):
             if not isinstance(text, str) or not text.strip():
                 raise GraphFormatError(f"{path}:{lineno}: node {rec.get('id')} has empty text")
             texts.append(text)
-            fine.append(rec.get("fine_label"))
-            coarse.append(rec.get("coarse_label"))
+            for name, labels in (("fine_label", fine), ("coarse_label", coarse)):
+                lab = rec.get(name)
+                if lab is not None:
+                    kind = kinds.setdefault(name, type(lab))  # bool is not int here
+                    if kind not in (int, str) or type(lab) is not kind:
+                        raise GraphFormatError(f"{path}:{lineno}: {name} {lab!r}: labels must "
+                                               "be all JSON integers or all strings")
+                labels.append(lab)
     if not texts:
         raise GraphFormatError(f"{path}: no node records")
     fine_t = tuple(fine) if any(x is not None for x in fine) else None

@@ -14,7 +14,8 @@ are requested. The pass encodes num_nodes x depth node-layers whatever nodes
 are requested, the last layer's as [CLS] rows only (no caller reads an
 embedding's token states); each block trims its tiles of similar-length
 texts of PAD, so a layer costs about the texts' total length, not
-num_nodes x the longest text.
+num_nodes x the longest text. It holds one (N, T, d) state array, which
+every block but the last writes over, plus one tile's temporaries.
 """
 
 from __future__ import annotations

@@ -183,6 +183,14 @@ def attention_sublayer(x, agg, wq, bq, wk, wv, bv, wo, bo, gain, bias, heads, ma
     return layer_norm(xq + linear(ctx, wo, bo), gain, bias)
 
 
+def embed_composition(table: Tensor, pos: Tensor, ids: np.ndarray) -> Tensor:
+    """ad.embed as the ops it fuses, the composition embed_batch used: take_rows
+    of the flat ids, reshape to (N, T, d), then add pos[:T]."""
+    n, t = ids.shape
+    rows = ad.reshape(ad.take_rows(table, ids.reshape(-1)), (n, t, table.shape[1]))
+    return rows + pos[:t]
+
+
 def add_at_oracle(idx, values, num_rows):
     """out[r] = sum of values[i] over idx[i] == r, by unbuffered np.add.at."""
     out = np.zeros((num_rows,) + np.shape(values)[1:])

@@ -13,6 +13,7 @@ from helpers import (
     add_at_oracle,
     attention_oracle,
     attention_sublayer,
+    embed_composition,
     finite_diff_check,
     gelu_longdouble_oracle,
     gelu_oracle,
@@ -22,6 +23,7 @@ from helpers import (
     rand_tensor,
     rel_err,
     softmax_oracle,
+    tape_arrays,
 )
 
 
@@ -166,6 +168,32 @@ def test_take_rows_duplicates_accumulate(rng):
     out = ad.take_rows(x, idx)
     out.backward(np.ones_like(out.data))
     assert x.grad[2, 0] == 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_equals_its_composition_bit_for_bit(rng, dtype):
+    # ids repeat within and across sequences and hold PAD id 0; T = 4 of 6
+    # positions, so pos's last two rows get a zero gradient
+    ids = np.array([[1, 5, 5, 0], [2, 1, 0, 0], [5, 5, 5, 3]])
+    table, pos = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                  for s in ((7, 6), (6, 6)))
+    seed = rng.standard_normal((3, 4, 6)).astype(dtype)
+    runs = []
+    for op in (ad.embed, embed_composition):
+        for leaf in (table, pos):
+            leaf.zero_grad()
+        out = op(table, pos, ids)
+        out.backward(seed)
+        runs.append((out.data, table.grad, pos.grad))
+    for got, want in zip(*runs, strict=True):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+    assert not runs[0][1][[4, 6]].any() and not runs[0][2][4:].any()
+    # the node keeps its output and the ids, no (N T, d) row gather
+    out = ad.embed(table, pos, ids)
+    assert out._parents == (table, pos)
+    kept = [a for a in tape_arrays(out, {id(table), id(pos)}) if a.dtype.kind == "f"]
+    assert len(kept) == 1 and kept[0] is out.data
 
 
 def test_scatter_rows(rng):
@@ -708,6 +736,41 @@ def test_block_rebuilds_ln2_rows_from_any_nonzero_gain(rng, monkeypatch):
     bias.data = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.5, 1.5, 4)
     w = Tensor(rng.standard_normal((14, 4, 4)))
     finite_diff_check(lambda: (_block(leaves, 2, _MIXED_LENGTHS, 9) * w).sum(), leaves)
+
+
+@pytest.mark.parametrize("lengths", [_MIXED_LENGTHS, np.sort(_MIXED_LENGTHS)],
+                         ids=["mixed", "sorted"])
+@pytest.mark.parametrize("tile", [256, 4], ids=["1 tile", "4 tiles"])
+@pytest.mark.parametrize("agg", [True, False], ids=["agg", "no agg"])
+def test_block_written_over_its_input_has_the_bits_of_a_fresh_output(rng, monkeypatch, lengths,
+                                                                     tile, agg):
+    # float32 like the model; 14 sequences of width 4 with PAD, whose x rows
+    # are nonzero at PAD. Unsorted lengths make tiles of scattered sequences,
+    # sorted ones slices, the full-width one written as a view.
+    monkeypatch.setattr(ad, "_TILE", tile)
+    leaves = _block_leaves(rng, n=14, t=4, d=4, dtype=np.float32)
+    assert len(ad._tile_plan(lengths, 4, 14)) == (1 if tile == 256 else 4)
+    pad = np.arange(4) >= lengths[:, None]
+    assert leaves[0].data[pad].all()
+    with ad.no_grad():
+        want = _block(leaves, 2, lengths, 14, agg=agg).data
+        buf = leaves[0].data.copy()
+        got = _block([Tensor(buf), *leaves[1:]], 2, lengths, 14, agg=agg, out=buf)
+    assert got.data is buf
+    np.testing.assert_array_equal(buf, want)
+    assert (buf[pad] == 0).all()
+
+
+def test_out_raises_on_the_tape_and_with_cls_only_rows(rng):
+    # backward reads x, so on the tape x must stay; with [CLS]-only rows the
+    # output is not x's shape. Either raises before it writes anything.
+    leaves = _block_leaves(rng, n=3, t=4, d=4)
+    x = leaves[0].data.copy()
+    with pytest.raises(ValueError, match="out"):
+        _block(leaves, 2, _lengths(3, 4), 3, out=leaves[0].data)
+    with ad.no_grad(), pytest.raises(ValueError, match="out"):
+        _block(leaves, 2, _lengths(3, 4), 2, out=leaves[0].data)
+    np.testing.assert_array_equal(leaves[0].data, x)
 
 
 def test_a_zero_ln2_gain_raises_on_the_tape_only(rng):

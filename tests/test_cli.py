@@ -270,6 +270,21 @@ def test_classify_on_one_coarse_class_ends_in_one_error_line(
     assert not (tmp_path / "run" / command).exists()
 
 
+def test_a_label_of_another_type_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    # one string among integer coarse labels ended classify in a TypeError
+    # from sorting the classes
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _main("pretrain", extra=("pretrain.epochs=0",))
+    nodes = tmp_path / "data" / "nodes.jsonl"
+    rows = [json.loads(line) for line in nodes.read_text().splitlines()]
+    rows[5]["coarse_label"] = "zero"
+    nodes.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    _rejected(capsys, _argv("eval", "--task", "classify"),
+              "data/nodes.jsonl:6: coarse_label 'zero': labels must be all JSON integers")
+    assert not (tmp_path / "run" / "eval").exists()
+
+
 def test_a_bad_graph_file_or_checkpoint_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()

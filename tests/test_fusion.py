@@ -563,11 +563,11 @@ def _query_rows(monkeypatch, params):
     seen = {}
     attend = enc.attention_block
 
-    def record(x, agg, lp, heads, lengths=None, full_rows=None):
+    def record(x, agg, lp, heads, lengths=None, full_rows=None, out=None):
         layer = next(i for i, p in enumerate(params.layers) if p is lp)
         assert layer not in seen  # one call per layer
         seen[layer] = [full_rows, x.shape[0] - full_rows]
-        return attend(x, agg, lp, heads, lengths, full_rows)
+        return attend(x, agg, lp, heads, lengths, full_rows, out=out)
 
     monkeypatch.setattr(enc, "attention_block", record)
     return seen
@@ -646,12 +646,12 @@ def test_the_tape_keeps_no_attention_inputs_and_few_floats_per_row(monkeypatch):
     rows, widths, calls = [], set(), []
     attend = enc.attention_block
 
-    def record(x, agg, lp, heads, lengths=None, full_rows=None):
+    def record(x, agg, lp, heads, lengths=None, full_rows=None, out=None):
         rows.append(full_rows * x.shape[1] + x.shape[0] - full_rows)
         widths.add(x.shape[1])
-        out = attend(x, agg, lp, heads, lengths, full_rows)
-        calls.append((out, (x, agg, lp)))
-        return out
+        y = attend(x, agg, lp, heads, lengths, full_rows, out=out)
+        calls.append((y, (x, agg, lp)))
+        return y
 
     monkeypatch.setattr(enc, "attention_block", record)
     res, _ = run_forward(g, [0, 5, 9], schedule, params, vocab, fanout=3, token_states=True)

@@ -72,6 +72,33 @@ def test_a_node_line_that_is_not_an_object_is_hard_error(tmp_path, line):
         load_graph(nodes, edges)
 
 
+@pytest.mark.parametrize("field", ["fine_label", "coarse_label"])
+@pytest.mark.parametrize("labels, line", [
+    ([0, [1]], 2),        # unhashable: ended a task in a TypeError
+    ([{"a": 1}], 1),
+    ([0, 1.5], 2),
+    ([1.0], 1),           # a float equals the int class 1 as a dict key
+    ([True], 1),          # so does a bool
+    ([0, 1, True], 3),
+    ([0, "zero", 1], 2),  # a str among ints does not sort
+    (["a", None, 3], 3),
+], ids=["list", "object", "float", "integral float", "bool", "bool among ints",
+        "str among ints", "int among strs"])
+def test_a_label_not_all_integers_or_all_strings_is_hard_error(tmp_path, field, labels, line):
+    records = [{"id": i, "text": f"node {i}", field: lab} for i, lab in enumerate(labels)]
+    nodes, edges = write_graph_files(tmp_path, records, [])
+    with pytest.raises(GraphFormatError, match=f"nodes.jsonl:{line}: {field} "):
+        load_graph(nodes, edges)
+
+
+def test_labels_load_as_all_integers_or_all_strings_with_gaps(tmp_path):
+    records = [{"id": 0, "text": "a", "fine_label": "x", "coarse_label": 2},
+               {"id": 1, "text": "b", "fine_label": None},
+               {"id": 2, "text": "c", "fine_label": "y", "coarse_label": 0}]
+    g = load_graph(*write_graph_files(tmp_path, records, []))
+    assert g.fine_labels == ("x", None, "y") and g.coarse_labels == (2, None, 0)
+
+
 def test_comments_and_blank_lines_in_edge_file(tmp_path):
     nodes, edges = write_graph_files(
         tmp_path,

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,7 +17,8 @@ from odin import autodiff as ad
 from odin import runner
 from odin.checkpoint import load_arrays, load_model, save_model
 from odin.config import RunConfig
-from odin.encoder import ConfigError, ModelDims, Vocab, init_params, transformer_block
+from odin.encoder import (ConfigError, ModelDims, Vocab, build_vocab, init_params,
+                          transformer_block)
 from odin.fusion import LayerSchedule, odin_forward, tokenize_nodes
 from odin.graph import GraphFormatError, TextGraph, make_few_shot_split
 from odin.objectives import make_optimizer, pretrain_step
@@ -72,14 +74,17 @@ def test_embeddings_do_not_depend_on_batching(tmp_path):
         np.testing.assert_array_equal(some[v], every[v])
 
 
-def test_embeddings_match_one_unchunked_forward_with_grad(tmp_path):
+@pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
+def test_embeddings_match_one_unchunked_forward_with_grad(tmp_path, float64):
+    # off the tape each block but the last writes over its input; on it none does
     cfg = small_cfg(tmp_path)
     cfg.task.eval_batch = 4
     graph = small_graph(seed=1, isolated=True)
     lonely = graph.num_nodes - 1
     assert graph.degree(lonely) == 0
     vocab, schedule, params = runner.build_fresh_model(cfg, graph)
-    as_float64(params)
+    if float64:
+        as_float64(params)
     got = _embed(cfg, graph, range(graph.num_nodes), params, schedule, vocab)
 
     sub = sample_frontiers(graph, range(graph.num_nodes), schedule.hop_count,
@@ -90,6 +95,31 @@ def test_embeddings_match_one_unchunked_forward_with_grad(tmp_path):
     # the blocks tile the same way on and off the tape
     np.testing.assert_array_equal(np.stack([got[v] for v in range(graph.num_nodes)]),
                                   res.cls.data)
+
+
+def test_a_forward_only_pass_holds_one_state_array():
+    # 1000 nodes of 17 to 32 tokens at d = 64: the (N, T, d) float32 state
+    # is 7.8 MiB, far above one tile's temporaries (about 1.8 MiB). Layer
+    # 0's block writes over the embedding and layer 1's over its input;
+    # layer 2 runs [CLS] alone. Beside the state the pass holds the tile
+    # temporaries or _check_finite's (N, T, d) bool mask, a quarter of the
+    # state, and the token ids: 1.38 states in all, where a second state
+    # array made 2.38.
+    n, d = 1000, 64
+    graph = generate(SyntheticSpec(n_nodes=n, n_classes=4, vocab_size=60, words_per_node=31,
+                                   min_words_per_node=16, avg_degree=2.0, seed=0))
+    assert max(len(text.split()) for text in graph.texts) == 31  # T = 32 with [CLS]
+    vocab = build_vocab(graph.texts)
+    schedule = LayerSchedule(3, (1,), "PG")
+    params = init_params(vocab.size, ModelDims(d=d, heads=4, max_len=32), 3, 1, seed=0)
+    tracemalloc.start()
+    try:
+        runner.compute_embeddings(graph, range(n), params, schedule, vocab, 2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state = n * 32 * d * 4
+    assert peak < 1.5 * state
 
 
 def _embeddings_per_eval_batch(tmp_path, float64):
