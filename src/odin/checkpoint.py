@@ -143,13 +143,11 @@ def save_model(path, params: ParamSet, meta: dict, optimizer=None) -> None:
         "dims": dataclasses.asdict(params.dims),
     }
     if optimizer is not None:
-        meta["optimizer"] = {"kind": optimizer.kind}
         state = optimizer.state_dict()
-        if state:
-            meta["optimizer"]["t"] = state["t"]
-            for key in ("m", "v"):
-                for name, arr in state[key].items():
-                    arrays[f"opt.{key}.{name}"] = arr
+        meta["optimizer"] = {"kind": optimizer.kind, "t": state["t"]}
+        for key in ("m", "v"):
+            for name, arr in state[key].items():
+                arrays[f"opt.{key}.{name}"] = arr
     save_arrays(path, arrays, meta)
 
 

@@ -67,6 +67,11 @@ def _graph_from_cfg(cfg: RunConfig):
     return load_graph(nodes, edges, labels)
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def _data_digest(cfg: RunConfig) -> str:
     """Digest of the graph files the config reads."""
     digest = hashlib.sha256()
@@ -157,6 +162,7 @@ def cmd_sweep(args) -> int:
     batch encodes at the first seed, and each task's mean and std over the
     seeds. The wall time of each pretrain goes to sweep.log, never to
     report.json."""
+    _require_count("--seeds", args.seeds)
     cfg = _load_cfg(args)
     cells = []
     for cell in args.grid.split(";"):
@@ -221,6 +227,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    _require_count("--separation-seeds", args.separation_seeds)
+    _require_count("--profile-seeds", args.profile_seeds)
     results = []
 
     g = generate(SyntheticSpec(n_nodes=20, n_classes=2, vocab_size=60, words_per_node=6,

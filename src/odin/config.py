@@ -32,9 +32,8 @@ class PretrainConfig:
     batch_size: int = 32
     epochs: int = 10
     mask_ratio: float = 0.15
-    lr_encoder: float = 1e-5
+    lr_encoder: float = 1e-3
     lr_gnn: float = 1e-3
-    optimizer: str = "sgd"
     train_fraction: float = 0.8  # remainder split evenly valid/test
 
 

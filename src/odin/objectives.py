@@ -3,8 +3,8 @@
 Two self-supervised losses are combined with unit weights: a node-level
 contrastive loss pairing each eligible batch node's [CLS] with one true
 neighbor against one in-batch non-neighbor, and a token-level masked
-reconstruction loss on final-layer hidden states. The text encoder and the
-graph-aggregation stages train under separate learning rates.
+reconstruction loss on final-layer hidden states. Adam, the one optimizer,
+trains the text encoder and the graph-aggregation stages at separate rates.
 """
 
 from __future__ import annotations
@@ -150,6 +150,7 @@ class _GroupRates:
         return self.lr_gnn if name.startswith("stages.") else self.lr_encoder
 
 
+# nothing in odin builds Sgd; it stays while benchmarks/tracer.py patches Sgd.step
 class Sgd(_GroupRates):
     """Plain gradient descent with per-group learning rates."""
 
@@ -169,8 +170,9 @@ class Sgd(_GroupRates):
 
 class Adam(_GroupRates):
     """Adam with per-group learning rates, beta1 0.9, beta2 0.999 and eps
-    1e-8; optional, not the default. The moments m and v take each
-    parameter's dtype."""
+    1e-8. The moments m and v take each parameter's dtype. `step` updates them
+    in place and computes lr * mhat / (sqrt(vhat) + eps) op for op in two scratch
+    arrays."""
 
     kind = "adam"
 
@@ -186,13 +188,19 @@ class Adam(_GroupRates):
         for name, p in named:
             if p.grad is None:
                 continue
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
-            m[:] = b1 * m + (1 - b1) * p.grad
-            v[:] = b2 * v + (1 - b2) * p.grad**2
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p.data -= self.lr(name) * mhat / (np.sqrt(vhat) + 1e-8)
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            scratch = np.multiply(p.grad, 1 - b1)
+            m *= b1
+            m += scratch
+            v *= b2
+            v += np.multiply(np.square(p.grad, out=scratch), 1 - b2, out=scratch)
+            np.sqrt(np.divide(v, 1 - b2**self.t, out=scratch), out=scratch)
+            scratch += 1e-8
+            update = np.divide(m, 1 - b1**self.t)
+            update *= self.lr(name)
+            p.data -= np.divide(update, scratch, out=update)
 
     def state_dict(self):
         return {"t": self.t, "m": self.m, "v": self.v}
@@ -203,14 +211,6 @@ class Adam(_GroupRates):
         self.t = int(state["t"])
         self.m = dict(state["m"])
         self.v = dict(state["v"])
-
-
-def make_optimizer(kind: str, lr_encoder: float, lr_gnn: float):
-    if kind == "sgd":
-        return Sgd(lr_encoder, lr_gnn)
-    if kind == "adam":
-        return Adam(lr_encoder, lr_gnn)
-    raise ValueError(f"unknown optimizer {kind!r}")
 
 
 # -- one training step -----------------------------------------------------------

@@ -35,7 +35,7 @@ from .config import RunConfig
 from .encoder import ConfigError, Vocab, as_param, build_vocab, init_params, word_tokens
 from .fusion import encode_texts, odin_forward, tokenize_nodes
 from .graph import GraphFormatError, TaskSplit, TextGraph, make_few_shot_split
-from .objectives import make_optimizer, optimize, pretrain_step, softmax_xent
+from .objectives import Adam, optimize, pretrain_step, softmax_xent
 from .rngutil import generator, sub_seed
 from .sampler import sample_frontiers
 from .tasks import (
@@ -122,7 +122,7 @@ def run_pretrain(cfg: RunConfig, graph: TextGraph, out_dir, resume: bool = False
 
     start_epoch = 0
     epoch_totals: list[float] = []
-    optimizer = make_optimizer(p.optimizer, p.lr_encoder, p.lr_gnn)
+    optimizer = Adam(p.lr_encoder, p.lr_gnn)
     if resume and ckpt_path.exists():
         params, meta, opt_state, vocab = load_checkpoint(ckpt_path)
         if meta["config_digest"] != digest:
@@ -234,15 +234,15 @@ def encode_labels(label_names: dict, params, schedule, vocab) -> dict[int, np.nd
 
 def _finetune(cfg, graph, params, vocab, items, tag, loss_fn,
               min_batch=1, nodes_of=tuple, head=()) -> None:
-    """Shuffled minibatch epochs over `items` with every parameter group at
-    task.finetune_lr. Every node is tokenized once per run. A step samples
-    and encodes the nodes_of(batch) and takes one gradient step on
+    """Shuffled minibatch epochs of Adam over `items` with every parameter
+    group at task.finetune_lr. Every node is tokenized once per run. A step
+    samples and encodes the nodes_of(batch) and takes one gradient step on
     loss_fn(batch, forward result); batches smaller than `min_batch` are
     skipped. `head` holds (name, tensor) pairs that train with the model but
     are not part of it. Orders and samples derive from (seed, tag, epoch), so
     a fine-tune repeats bit for bit."""
     t = cfg.task
-    optimizer = make_optimizer(cfg.pretrain.optimizer, t.finetune_lr, t.finetune_lr)
+    optimizer = Adam(t.finetune_lr, t.finetune_lr)
     named = [*params.named_parameters(), *head]
     # odin_forward reads only the entries of the sampled nodes
     tokens = tokenize_nodes(graph, range(graph.num_nodes), vocab, params.dims.max_len)

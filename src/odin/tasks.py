@@ -82,10 +82,9 @@ def train_linear_head(x: np.ndarray, y: np.ndarray, n_classes: int,
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        gw = (p - onehot).T @ x / n
-        gb = (p - onehot).mean(axis=0)
-        w -= lr * gw
-        b -= lr * gb
+        p -= onehot
+        w -= lr * (p.T @ x / n)
+        b -= lr * p.mean(axis=0)
     return w, b
 
 
@@ -126,8 +125,6 @@ def bm25_scores(query, docs) -> np.ndarray:
     for doc in docs:
         df.update(set(doc))
     scores = np.zeros(n)
-    if not query:
-        return scores
     for term in query:
         dfi = df.get(term, 0)
         if dfi == 0:

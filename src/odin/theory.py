@@ -36,10 +36,6 @@ class SmoothingProfile:
     cosines: tuple[float, ...]  # one mean pairwise cosine per layer
 
     @property
-    def depth(self) -> int:
-        return len(self.cosines)
-
-    @property
     def final(self) -> float:
         return self.cosines[-1]
 

@@ -1,8 +1,8 @@
 """Shared test oracles: central finite differences, reference forms of the
 autodiff primitives, of the unfused attention sublayer and stage
 aggregation, of the per-pair losses, of the per-node forward and of the
-forward without a row plan, a tape walker, random tensors, and a writer of
-an older checkpoint format."""
+forward without a row plan, Adam's textbook step, a tape walker, random
+tensors, and a writer of an older checkpoint format."""
 
 import logging
 from dataclasses import dataclass, field
@@ -14,6 +14,7 @@ from odin import fusion
 from odin.autodiff import Tensor
 from odin.checkpoint import load_arrays, save_arrays, save_model
 from odin.encoder import embed_batch, transformer_block
+from odin.objectives import Adam
 
 log = logging.getLogger(__name__)
 
@@ -237,6 +238,25 @@ def write_with_key_biases(path, params, meta):
         arrays[f"layers.{i}.bk"] = rng.standard_normal(params.dims.d).astype(np.float32)
     save_arrays(path, arrays, meta)
     return arrays
+
+
+class AdamOracle(Adam):
+    """Adam whose step is the textbook formula, one new array per
+    operation; Adam.step must match it bit for bit."""
+
+    def step(self, named):
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        for name, p in named:
+            if p.grad is None:
+                continue
+            m = self.m.setdefault(name, np.zeros_like(p.data))
+            v = self.v.setdefault(name, np.zeros_like(p.data))
+            m[:] = b1 * m + (1 - b1) * p.grad
+            v[:] = b2 * v + (1 - b2) * p.grad**2
+            mhat = m / (1 - b1**self.t)
+            vhat = v / (1 - b2**self.t)
+            p.data -= self.lr(name) * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def rand_tensor(rng, *shape, scale=1.0, requires_grad=True):

@@ -154,6 +154,31 @@ def test_malformed_config_raises_config_error(tmp_path, monkeypatch, capsys, arg
     assert not (tmp_path / "runs").exists()  # raised before any run started
 
 
+def test_the_removed_optimizer_option_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    (tmp_path / "old.json").write_text(json.dumps({"pretrain": {"optimizer": "sgd"}}))
+    for argv in (["pretrain", "--config", "old.json"],
+                 ["pretrain", "--set", "pretrain.optimizer=adam"]):
+        _rejected(capsys, argv, "unknown config path 'pretrain.optimizer'")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--separation-seeds", ["theory", "--separation-seeds", "0", "--out", "run"]),
+    ("--profile-seeds", ["theory", "--separation-seeds", "1", "--profile-seeds", "0",
+                         "--out", "run"]),
+    ("--seeds", _argv("sweep", "--grid", "light-2", "--seeds", "0")),
+    ("--seeds", _argv("sweep", "--grid", "light-2", "--seeds", "-1")),
+], ids=["separation-seeds", "profile-seeds", "seeds", "negative-seeds"])
+def test_a_count_below_one_ends_in_one_error_line(tmp_path, monkeypatch, capsys, flag, argv):
+    # these ended in a ZeroDivisionError, a ValueError, and a report of NaNs
+    monkeypatch.chdir(tmp_path)
+    _synth()
+    _rejected(capsys, argv, f"{flag} must be at least 1")
+    assert not (tmp_path / "run").exists()  # raised before any work
+
+
 def test_rejected_override_leaves_an_existing_run_untouched(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _synth()

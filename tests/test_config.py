@@ -26,7 +26,7 @@ def _from_override(dotted) -> RunConfig:
 
 def test_save_then_load_keeps_the_digest(tmp_path):
     cfg = RunConfig(seed=4, schedule=LayerSchedule(6, (2, 4), "ME"))
-    cfg.dims.d, cfg.pretrain.lr_gnn, cfg.pretrain.optimizer = 16, 0.5, "adam"
+    cfg.dims.d, cfg.pretrain.lr_gnn = 16, 0.5
     cfg.paths.out_dir = "elsewhere"
     cfg.save(tmp_path / "config.json")
     loaded = load_config(tmp_path / "config.json")
@@ -56,7 +56,7 @@ def test_positions_as_a_list_or_a_tuple_give_one_digest(tmp_path):
     ("pretrain.epochs", "abc", "int"),
     ("pretrain.epochs", True, "int"),
     ("pretrain.epochs", 2.5, "int"),
-    ("pretrain.optimizer", 1, "str"),
+    ("pretrain.optimizer", "sgd", "unknown"),  # a removed option
     ("pretrain.mask_ratio", "x", "float"),
     ("paths.out_dir", [1], "str"),
     ("schedule.positions", 2, "tuple"),
@@ -150,7 +150,7 @@ def test_the_settable_config_paths_are_pinned():
         "dims.d", "dims.heads", "dims.max_len", "dims.mlp_ratio",
         "paths.data_dir", "paths.out_dir",
         "pretrain.batch_size", "pretrain.epochs", "pretrain.lr_encoder", "pretrain.lr_gnn",
-        "pretrain.mask_ratio", "pretrain.optimizer", "pretrain.train_fraction",
+        "pretrain.mask_ratio", "pretrain.train_fraction",
         "sampler.fanout",
         "schedule.depth", "schedule.positions", "schedule.strategy",
         "seed",

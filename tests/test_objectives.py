@@ -12,8 +12,8 @@ from odin.fusion import LayerSchedule, tokenize_nodes
 from odin.graph import TextGraph
 from odin.config import RunConfig
 from odin.objectives import (
+    Adam,
     MaskPlan,
-    make_optimizer,
     mnp_loss,
     nmlm_loss,
     optimize,
@@ -25,6 +25,7 @@ from odin.runner import compute_embeddings, linkpred_loss
 from odin.synth import SyntheticSpec, generate
 
 from helpers import (
+    AdamOracle,
     as_float64,
     finite_diff_check,
     in_batch_pair_loop_oracle,
@@ -320,7 +321,7 @@ def step(batch, g, params, schedule, optimizer, vocab, seed):
 def test_pretrain_step_zero_lr_leaves_params_bitwise():
     g, vocab, schedule, params = train_fixture()
     before = snapshot(params)
-    rec = step([0, 1, 2, 3], g, params, schedule, make_optimizer("sgd", 0.0, 0.0), vocab, 5)
+    rec = step([0, 1, 2, 3], g, params, schedule, Adam(0.0, 0.0), vocab, 5)
     after = snapshot(params)
     assert all(np.array_equal(before[k], after[k]) for k in before)
     assert rec["total"] >= 0.0
@@ -329,7 +330,7 @@ def test_pretrain_step_zero_lr_leaves_params_bitwise():
 def test_pretrain_step_published_default_rates():
     cfg = RunConfig()
     p = cfg.pretrain
-    assert p.lr_encoder == 1e-5 and p.lr_gnn == 1e-3
+    assert p.lr_encoder == 1e-3 and p.lr_gnn == 1e-3
     assert p.batch_size == 32 and p.epochs == 10
     assert p.mask_ratio == 0.15 and cfg.sampler.fanout == 5
 
@@ -337,8 +338,8 @@ def test_pretrain_step_published_default_rates():
 def test_pretrain_step_deterministic():
     g, vocab, schedule, params_a = train_fixture(seed=3)
     _, _, _, params_b = train_fixture(seed=3)
-    rec_a = step([0, 1, 2], g, params_a, schedule, make_optimizer("sgd", 1e-3, 1e-2), vocab, 7)
-    rec_b = step([0, 1, 2], g, params_b, schedule, make_optimizer("sgd", 1e-3, 1e-2), vocab, 7)
+    rec_a = step([0, 1, 2], g, params_a, schedule, Adam(1e-3, 1e-2), vocab, 7)
+    rec_b = step([0, 1, 2], g, params_b, schedule, Adam(1e-3, 1e-2), vocab, 7)
     assert rec_a["total"] == rec_b["total"]
     sa, sb = snapshot(params_a), snapshot(params_b)
     assert all(np.array_equal(sa[k], sb[k]) for k in sa)
@@ -347,7 +348,7 @@ def test_pretrain_step_deterministic():
 def test_pretrain_step_group_learning_rates_differ():
     g, vocab, schedule, params = train_fixture(seed=4)
     before = snapshot(params)
-    step([0, 1, 2, 4], g, params, schedule, make_optimizer("sgd", 0.0, 1e-2), vocab, 2)
+    step([0, 1, 2, 4], g, params, schedule, Adam(0.0, 1e-2), vocab, 2)
     after = snapshot(params)
     assert np.array_equal(before["token_emb"], after["token_emb"])
     assert not np.array_equal(before["stages.0.w1"], after["stages.0.w1"])
@@ -394,10 +395,10 @@ def test_every_parameter_learns():
 
 def test_adam_optimizer_state_round_trip():
     g, vocab, schedule, params = train_fixture(seed=5)
-    optim = make_optimizer("adam", 1e-3, 1e-3)
+    optim = Adam(1e-3, 1e-3)
     step([0, 1, 2], g, params, schedule, optim, vocab, 1)
     state = optim.state_dict()
-    fresh = make_optimizer("adam", 1e-3, 1e-3)
+    fresh = Adam(1e-3, 1e-3)
     fresh.load_state_dict(state)
     assert fresh.t == optim.t
     assert all(np.array_equal(fresh.m[k], optim.m[k]) for k in optim.m)
@@ -405,7 +406,7 @@ def test_adam_optimizer_state_round_trip():
 
 def test_float32_step_keeps_every_array_float32():
     g, vocab, schedule, params = train_fixture(seed=5)
-    optim = make_optimizer("adam", 1e-3, 1e-3)
+    optim = Adam(1e-3, 1e-3)
     step([0, 1, 2], g, params, schedule, optim, vocab, 1)
     named = dict(params.named_parameters())
     assert {p.dtype for p in named.values()} == {np.dtype(np.float32)}
@@ -417,9 +418,29 @@ def test_float32_step_keeps_every_array_float32():
     assert {e.dtype for e in emb.values()} == {np.dtype(np.float32)}
 
 
-def test_make_optimizer_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_optimizer("rmsprop", 1e-3, 1e-3)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_matches_the_textbook_formula_bit_for_bit(dtype):
+    # in-place moments and two scratch arrays, the same operations in the same order
+    rng = np.random.default_rng(8)
+    shapes = {"token_emb": (6, 4), "stages.0.w1": (4, 4), "mlm_head": (3, 4)}
+    start = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    got, want = Adam(1e-3, 1e-2), AdamOracle(1e-3, 1e-2)
+    got_params = {name: Tensor(a.copy()) for name, a in start.items()}
+    want_params = {name: Tensor(a.copy()) for name, a in start.items()}
+    for i in range(6):
+        for name, shape in shapes.items():
+            # a spread of magnitudes, zeros among them; mlm_head skips step 2
+            grad = (rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 3, shape)).astype(dtype)
+            grad[rng.random(shape) < 0.2] = 0
+            for params in (got_params, want_params):
+                params[name].grad = None if (name, i) == ("mlm_head", 2) else grad.copy()
+        got.step(list(got_params.items()))
+        want.step(list(want_params.items()))
+        for name in shapes:
+            assert got_params[name].data.dtype == dtype
+            assert got_params[name].data.tobytes() == want_params[name].data.tobytes(), (i, name)
+            assert got.m[name].tobytes() == want.m[name].tobytes()
+            assert got.v[name].tobytes() == want.v[name].tobytes()
 
 
 # -- optimize ------------------------------------------------------------------------
@@ -428,7 +449,7 @@ def test_make_optimizer_rejects_unknown_kind():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_optimize_on_non_finite_loss_touches_nothing(bad):
     g, vocab, schedule, params = train_fixture(seed=6)
-    optim = make_optimizer("adam", 1e-3, 1e-2)
+    optim = Adam(1e-3, 1e-2)
     step([0, 1, 2], g, params, schedule, optim, vocab, 3)  # Adam state and grads are set
     before = snapshot(params)
     grads = {n: p.grad.copy() for n, p in params.named_parameters() if p.grad is not None}
@@ -449,14 +470,17 @@ def test_optimize_on_non_finite_loss_touches_nothing(bad):
 
 
 def test_optimize_steps_on_the_fresh_gradient():
+    # the recorder sees the gradient itself; Adam's first step, about
+    # lr * sign(g), could not tell a stale gradient from a fresh one
     rng = np.random.default_rng(12)
     params = as_float64(tiny_params(vocab_size=6, d=4))
-    params.token_emb.grad = np.full_like(params.token_emb.data, 5.0)  # stale
-    before = params.token_emb.data.copy()
+    for _, p in params.named_parameters():
+        p.grad = np.full_like(p.data, 5.0)  # stale
     weights = rng.standard_normal(params.token_emb.shape)
-    optimize(list(params.named_parameters()), make_optimizer("sgd", 0.5, 0.0),
-             (params.token_emb * weights).sum())
-    np.testing.assert_array_equal(params.token_emb.data, before - 0.5 * weights)
+    optimizer = _GradRecorder()
+    optimize(list(params.named_parameters()), optimizer, (params.token_emb * weights).sum())
+    assert list(optimizer.grads) == ["token_emb"]
+    np.testing.assert_array_equal(optimizer.grads["token_emb"], weights)
 
 
 def test_mask_ratio_bounds():

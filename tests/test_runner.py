@@ -1,9 +1,11 @@
 """End-to-end runs: whole-graph embeddings, the tiles of the block they use,
 eval without fine-tuning, repeatable fine-tunes, a classify head kept out of
 the model, the checkpoint loader, the pretrain log rows, resumed
-pretraining, float32 against float64, and a gate that pretraining learns."""
+pretraining, checkpoints of the removed SGD option, float32 against float64,
+and a gate that pretraining learns."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -15,13 +17,13 @@ import pytest
 
 from odin import autodiff as ad
 from odin import runner
-from odin.checkpoint import load_arrays, load_model, save_model
+from odin.checkpoint import load_arrays, load_model, save_arrays, save_model
 from odin.config import RunConfig
 from odin.encoder import (ConfigError, ModelDims, Vocab, build_vocab, init_params,
                           transformer_block)
 from odin.fusion import LayerSchedule, odin_forward, tokenize_nodes
 from odin.graph import GraphFormatError, TextGraph, make_few_shot_split
-from odin.objectives import make_optimizer, pretrain_step
+from odin.objectives import Adam, pretrain_step
 from odin.rngutil import sub_seed
 from odin.sampler import sample_frontiers
 from odin.synth import SyntheticSpec, generate
@@ -603,11 +605,11 @@ def _run_dir_files(out):
     return ((out / "report.json").read_bytes(), (out / "checkpoint.bin").read_bytes(), rows)
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("optimizer", ["adam"])  # the kind the checkpoints record
 @pytest.mark.parametrize("crash_offset", [0, 2])  # first step of epoch 1, mid-epoch 1
 def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch, optimizer,
                                                       crash_offset):
-    cfg = small_cfg(tmp_path, epochs=2, batch_size=6, optimizer=optimizer)
+    cfg = small_cfg(tmp_path, epochs=2, batch_size=6)
     graph = small_graph()
     steps_per_epoch = 24 // 6  # 80% of 30 nodes train
     runner.run_pretrain(cfg, graph, tmp_path / "straight")
@@ -636,6 +638,8 @@ def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch, opt
     assert got[0] == want[0]
     assert got[1] == want[1]
     assert got[2] == want[2]
+    meta = load_model(tmp_path / "resumed" / "checkpoint.bin")[1]
+    assert meta["optimizer"] == {"kind": optimizer, "t": 2 * steps_per_epoch}
 
 
 def test_resume_under_another_config_is_rejected_and_touches_nothing(tmp_path):
@@ -652,6 +656,48 @@ def test_resume_under_another_config_is_rejected_and_touches_nothing(tmp_path):
     assert {name: (out / name).read_bytes() for name in files} == before
 
 
+def _rewrite_as_sgd(cfg, path):
+    """Rewrite the checkpoint at `path`, with its parameters and epoch, as it
+    was written while the config's `pretrain.optimizer` could pick SGD: the
+    optimizer kind "sgd", no moments, and the digest of a config that held
+    `pretrain.optimizer="sgd"`."""
+    arrays, meta = load_arrays(path)
+    old = cfg.to_dict()
+    old["pretrain"]["optimizer"] = "sgd"
+    blob = json.dumps(old, sort_keys=True, separators=(",", ":"))
+    meta["config_digest"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    meta["optimizer"] = {"kind": "sgd"}
+    save_arrays(path, {name: a for name, a in arrays.items() if not name.startswith("opt.")},
+                meta)
+
+
+def test_a_checkpoint_of_the_removed_sgd_option_still_evaluates(tmp_path):
+    cfg = small_cfg(tmp_path, epochs=1, batch_size=6)
+    graph = small_graph()
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    runner.run_pretrain(cfg, graph, ckpt.parent)
+    want = runner.run_task(cfg, graph, "classify", ckpt, finetune=False)
+    _rewrite_as_sgd(cfg, ckpt)
+    _, meta, opt_state = load_model(ckpt)
+    assert meta["optimizer"] == {"kind": "sgd"} and opt_state is None
+    assert runner.run_task(cfg, graph, "classify", ckpt, finetune=False) == want
+
+
+def test_resuming_a_checkpoint_of_the_removed_sgd_option_is_rejected(tmp_path):
+    # its digest covers a config path that no longer exists
+    cfg = small_cfg(tmp_path, epochs=2, batch_size=6)
+    graph = small_graph()
+    out = tmp_path / "run"
+    runner.run_pretrain(cfg, graph, out)
+    _rewrite_as_sgd(cfg, out / "checkpoint.bin")
+    files = ("checkpoint.bin", "train_log.jsonl", "vocab.tsv", "report.json")
+    before = {name: (out / name).read_bytes() for name in files}
+    with pytest.raises(ConfigError, match=re.escape(f"{out / 'checkpoint.bin'} was produced "
+                                                    "by a different config")):
+        runner.run_pretrain(cfg, graph, out, resume=True)
+    assert {name: (out / name).read_bytes() for name in files} == before
+
+
 # -- float32 against float64 ------------------------------------------------------------
 
 
@@ -662,7 +708,7 @@ def _losses_and_embeddings(cfg, graph, float64, steps=10):
     if float64:
         as_float64(params)
     p = cfg.pretrain
-    optimizer = make_optimizer(p.optimizer, p.lr_encoder, p.lr_gnn)
+    optimizer = Adam(p.lr_encoder, p.lr_gnn)
     train = runner.pretrain_split(graph, p.train_fraction, cfg.seed).train_ids
     tokens = tokenize_nodes(graph, range(graph.num_nodes), vocab, params.dims.max_len)
     losses = []
@@ -676,11 +722,10 @@ def _losses_and_embeddings(cfg, graph, float64, steps=10):
 
 
 def test_float32_run_stays_near_float64_from_the_same_init():
-    """The default config under Adam at 1e-3, which moves the weights more
-    than the default SGD, on a 100-node graph. Measured at seeds 0-2: losses
-    within 2e-7 relative, embeddings within 3.3e-6 (max |e| about 3)."""
+    """The default config, Adam at 1e-3, on a 100-node graph. Measured at
+    seeds 0-2: losses within 2e-7 relative, embeddings within 3.3e-6 (max |e|
+    about 3)."""
     cfg = RunConfig(seed=0)
-    cfg.pretrain.optimizer, cfg.pretrain.lr_encoder = "adam", 1e-3
     graph = generate(SyntheticSpec(seed=0, n_nodes=100))
     losses32, emb32 = _losses_and_embeddings(cfg, graph, float64=False)
     losses64, emb64 = _losses_and_embeddings(cfg, graph, float64=True)
@@ -706,7 +751,7 @@ def test_pretraining_beats_the_random_init(tmp_path, seed):
         cfg = RunConfig(seed=seed)
         cfg.schedule = LayerSchedule(4, (2,), "PG")
         cfg.dims.d, cfg.dims.heads, cfg.dims.max_len = 16, 2, 16
-        cfg.pretrain.optimizer, cfg.pretrain.lr_encoder, cfg.pretrain.epochs = "adam", 1e-3, epochs
+        cfg.pretrain.epochs = epochs
         cfg.validate()
         out = tmp_path / f"epochs-{epochs}"
         runner.run_pretrain(cfg, graph, out)
@@ -717,11 +762,11 @@ def test_pretraining_beats_the_random_init(tmp_path, seed):
         assert scores[40][task] - scores[0][task] >= margin, (task, scores)
 
 
-@pytest.mark.xfail(strict=True, reason="defaults do not learn (ROADMAP item 1)")
 def test_default_config_pretraining_beats_the_random_init(tmp_path):
     """The default config, pretrained for its 10 epochs, must beat its own
     epochs=0 checkpoint by GATE_MARGINS at every seed, without fine-tuning.
-    One test over the seeds, so one lucky seed cannot pass it."""
+    One test over the seeds, so one lucky seed cannot pass it. Seeds 0-2 all
+    pass; over seeds 0-9, classify clears its margin at 6 and linkpred at 9."""
     graph = generate(SyntheticSpec(seed=0, n_nodes=100))
     default_epochs = RunConfig().pretrain.epochs
     gains = {}
