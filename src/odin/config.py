@@ -34,7 +34,7 @@ class PretrainConfig:
     mask_ratio: float = 0.15
     lr_encoder: float = 1e-3
     lr_gnn: float = 1e-3
-    train_fraction: float = 0.8  # remainder split evenly valid/test
+    train_fraction: float = 0.8  # the remainder is held out
 
 
 @dataclass

@@ -92,14 +92,11 @@ class TextGraph:
 @dataclass(frozen=True)
 class TaskSplit:
     train_ids: tuple[int, ...]
-    valid_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
 
     def __post_init__(self):
-        pools = (set(self.train_ids), set(self.valid_ids), set(self.test_ids))
-        total = len(self.train_ids) + len(self.valid_ids) + len(self.test_ids)
-        if len(pools[0] | pools[1] | pools[2]) != total:
-            raise ValueError("train/valid/test ids must be disjoint")
+        if len(set(self.train_ids) | set(self.test_ids)) != len(self.train_ids) + len(self.test_ids):
+            raise ValueError("train/test ids must be disjoint")
 
 
 def parse_edge_file(path: Path, num_nodes: int):
@@ -227,7 +224,7 @@ def save_graph(graph: TextGraph, node_file, edge_file, label_file=None) -> None:
 
 
 def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) -> TaskSplit:
-    """k training examples per class; leftover nodes split 50/50 valid/test.
+    """k training examples per class; every other labelled node is a test node.
 
     Classes with fewer than k members contribute everything to train (with
     one warning that names them all). Unlabeled nodes are excluded.
@@ -241,7 +238,6 @@ def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) ->
         if lab is not None:
             by_class.setdefault(lab, []).append(node)
     train: list[int] = []
-    valid: list[int] = []
     test: list[int] = []
     short: list = []
     for lab in sorted(by_class):
@@ -253,12 +249,9 @@ def make_few_shot_split(graph: TextGraph, k: int, label_kind: str, seed: int) ->
             train.extend(order)
             continue
         train.extend(order[:k])
-        rest = order[k:]
-        half = len(rest) // 2
-        valid.extend(rest[:half])
-        test.extend(rest[half:])
+        test.extend(order[k:])
     if short:
         log.warning("%d of %d %s class(es) have fewer than k=%d members; all their nodes "
                     "go to train: %s", len(short), len(by_class), label_kind, k,
                     ", ".join(map(repr, short)))
-    return TaskSplit(tuple(sorted(train)), tuple(sorted(valid)), tuple(sorted(test)))
+    return TaskSplit(tuple(sorted(train)), tuple(sorted(test)))

@@ -56,14 +56,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def pretrain_split(graph: TextGraph, fraction: float, seed: int) -> TaskSplit:
-    """Plain node split (default 80/10/10); edges stay shared across splits."""
+    """Plain node split: round(fraction * N) training nodes (default 80%), and
+    the rest held out as `test_ids`; edges stay shared across the two."""
     order = generator(seed, "pretrain_split").permutation(graph.num_nodes)
     n_train = int(round(fraction * graph.num_nodes))
-    n_valid = (graph.num_nodes - n_train) // 2
-    train = tuple(sorted(int(v) for v in order[:n_train]))
-    valid = tuple(sorted(int(v) for v in order[n_train: n_train + n_valid]))
-    test = tuple(sorted(int(v) for v in order[n_train + n_valid:]))
-    return TaskSplit(train, valid, test)
+    return TaskSplit(tuple(sorted(int(v) for v in order[:n_train])),
+                     tuple(sorted(int(v) for v in order[n_train:])))
 
 
 def build_fresh_model(cfg: RunConfig, graph: TextGraph):
@@ -206,8 +204,9 @@ def compute_embeddings(
     Transformer block tiles the nodes by text length and trims each tile to
     its longest text (see ad.post_norm_block). The pass is the same whatever
     `nodes` is, so embeddings repeat bit for bit. Nothing reads `batch_size`:
-    it stays only for callers that pass it by position. Embeddings have the
-    parameters' dtype, float32.
+    it stays only because benchmarks/workloads.py passes cfg.task.eval_batch
+    by position; ROADMAP item 7 stops that and item 10 then deletes it.
+    Embeddings have the parameters' dtype, float32.
     """
     nodes = sorted(set(nodes))
     if not nodes:
@@ -298,7 +297,7 @@ def run_linkpred(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport
         finetune_linkpred(cfg, graph, params, vocab, train_pairs)
     nodes = {u for u, _ in test_pairs} | {v for _, v in test_pairs}
     emb = compute_embeddings(graph, nodes, params, cfg.schedule, vocab,
-                             cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
+                             cfg.sampler.fanout, cfg.seed)
     return linkpred_eval(emb, test_pairs, batch_size=cfg.task.eval_batch)
 
 
@@ -346,7 +345,7 @@ def run_classify(cfg, graph, params, vocab, finetune: bool = True) -> EvalReport
         finetune_classify(cfg, graph, params, vocab, split, labels)
     nodes = set(split.train_ids) | set(split.test_ids)
     emb = compute_embeddings(graph, nodes, params, cfg.schedule, vocab,
-                             cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
+                             cfg.sampler.fanout, cfg.seed)
     return classify_train_eval(emb, split, labels, cfg.task.head_epochs, cfg.task.head_lr)
 
 
@@ -392,7 +391,7 @@ def _label_task(cfg, graph, params, vocab, shots: str, finetune: bool):
     if finetune:
         dpr_finetune(cfg, graph, params, vocab, split, labels)
     node_embs = compute_embeddings(graph, split.test_ids, params, cfg.schedule, vocab,
-                                   cfg.sampler.fanout, cfg.seed, cfg.task.eval_batch)
+                                   cfg.sampler.fanout, cfg.seed)
     label_embs = encode_labels(graph.label_names, params, cfg.schedule, vocab)
     return node_embs, label_embs, {v: labels[v] for v in split.test_ids}
 

@@ -97,12 +97,12 @@ def classify_train_eval(embeddings: dict, split, labels, epochs: int, lr: float)
     xtr = np.stack([np.asarray(embeddings[v]) for v in split.train_ids])
     ytr = np.array([to_idx[labels[v]] for v in split.train_ids])
     w, b = train_linear_head(xtr, ytr, len(classes), epochs, lr)
-    test = [v for v in split.test_ids if labels[v] in to_idx]
-    xte = np.stack([np.asarray(embeddings[v]) for v in test])
+    xte = np.stack([np.asarray(embeddings[v]) for v in split.test_ids])
     pred = np.argmax(xte @ w.T + b, axis=1)
-    yte = np.array([to_idx[labels[v]] for v in test])
+    yte = np.array([to_idx[labels[v]] for v in split.test_ids])
     acc = float(np.mean(pred == yte))
-    return EvalReport("classify", "ACC", acc, {"classes": len(classes), "test_size": len(test)})
+    return EvalReport("classify", "ACC", acc,
+                      {"classes": len(classes), "test_size": len(split.test_ids)})
 
 
 # -- BM25 ---------------------------------------------------------------------------

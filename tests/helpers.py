@@ -1,8 +1,9 @@
 """Shared test oracles: central finite differences, reference forms of the
 autodiff primitives, of the unfused attention sublayer and stage
 aggregation, of the per-pair losses, of the per-node forward and of the
-forward without a row plan, Adam's textbook step, a tape walker, random
-tensors, and a writer of an older checkpoint format."""
+forward without a row plan, Adam's textbook step, the pretraining split's
+training nodes, a tape walker, random tensors, and a writer of an older
+checkpoint format."""
 
 import logging
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from odin.autodiff import Tensor
 from odin.checkpoint import load_arrays, save_arrays, save_model
 from odin.encoder import embed_batch, transformer_block
 from odin.objectives import Adam
+from odin.rngutil import generator
 
 log = logging.getLogger(__name__)
 
@@ -197,6 +199,14 @@ def add_at_oracle(idx, values, num_rows):
     out = np.zeros((num_rows,) + np.shape(values)[1:])
     np.add.at(out, idx, values)
     return out
+
+
+def pretrain_train_ids(num_nodes, fraction, seed):
+    """The pretraining split's training nodes, written apart from
+    runner.pretrain_split: the first round(fraction * N) nodes of the
+    (seed, "pretrain_split") permutation, sorted."""
+    order = generator(seed, "pretrain_split").permutation(num_nodes)
+    return tuple(sorted(int(v) for v in order[:int(round(fraction * num_nodes))]))
 
 
 def rel_err(a, b, floor=1e-12):

@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -176,8 +177,31 @@ def labeled_graph(per_class=20, classes=2):
 def test_few_shot_split_sizes():
     split = make_few_shot_split(labeled_graph(), k=8, label_kind="fine", seed=3)
     assert len(split.train_ids) == 16
-    assert len(split.valid_ids) + len(split.test_ids) == 24
-    assert abs(len(split.valid_ids) - len(split.test_ids)) <= 2
+    assert len(split.test_ids) == 24
+
+
+def uneven_graph():
+    # fine classes of 1, 2, 5, 9 and 20 nodes, then 3 nodes without one;
+    # coarse classes of about 20, and every 11th node without one
+    fine = tuple(c for c, size in enumerate((1, 2, 5, 9, 20)) for _ in range(size))
+    fine += (None,) * 3
+    coarse = tuple(None if v % 11 == 0 else v % 2 for v in range(len(fine)))
+    return TextGraph(tuple(f"t{v}" for v in range(len(fine))), frozenset(),
+                     fine_labels=fine, coarse_labels=coarse)
+
+
+@pytest.mark.parametrize("kind", ["fine", "coarse"])
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_few_shot_split_partitions_the_labelled_nodes(kind, k):
+    g = uneven_graph()
+    labels = g.labels(kind)
+    split = make_few_shot_split(g, k, kind, seed=5)
+    train, test = set(split.train_ids), set(split.test_ids)
+    assert train | test == {v for v, lab in enumerate(labels) if lab is not None}
+    assert not train & test
+    sizes = Counter(lab for lab in labels if lab is not None)
+    assert Counter(labels[v] for v in train) == {lab: min(k, n) for lab, n in sizes.items()}
+    assert {labels[v] for v in test} <= {labels[v] for v in train}
 
 
 def test_few_shot_split_deterministic():

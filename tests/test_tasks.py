@@ -85,7 +85,6 @@ def separable_fixture(n_per=20, d=6):
             labels[node] = cls
     ids = sorted(emb)
     split = TaskSplit(tuple(ids[:8] + ids[n_per:n_per + 8]),
-                      (),
                       tuple(ids[8:n_per] + ids[n_per + 8:]))
     return emb, labels, split
 
@@ -105,7 +104,7 @@ def test_classify_shuffled_labels_is_chance_level():
         labels = {i: i % n_classes for i in emb}
         train = tuple(range(0, n_classes * 8))
         test = tuple(range(n_classes * 8, n_classes * per))
-        split = TaskSplit(train, (), test)
+        split = TaskSplit(train, test)
         accs.append(classify_train_eval(emb, split, labels, 100, 0.1).value)
     assert abs(np.mean(accs) - 1 / n_classes) < 0.1
 
@@ -113,7 +112,7 @@ def test_classify_shuffled_labels_is_chance_level():
 def test_classify_single_class_errors():
     emb = {0: np.ones(3), 1: np.ones(3)}
     labels = {0: 1, 1: 1}
-    split = TaskSplit((0,), (), (1,))
+    split = TaskSplit((0,), (1,))
     with pytest.raises(ValueError):
         classify_train_eval(emb, split, labels, 10, 0.1)
 
